@@ -252,13 +252,17 @@ def _validate_cached(family: Family, coeffs: SpectralCoefficients, grid_n: int) 
     margin = _analytic_margin(family, coeffs)
     analytic_ok = margin >= -BOUNDARY_TOL
 
+    # the grid in blocks of rows, so that validating before sampling
+    # keeps no grid-sized arrays alive
     g = (np.arange(grid_n) + 0.5) / grid_n
-    m = np.ones((grid_n, grid_n))
-    for k, lam in coeffs.entries:
-        p = eval_phi(family, k, g)
-        m += lam * np.outer(p, p)
-    grid_min = float(m.min())
-    grid_max = float(m.max())
+    phis = [(lam, eval_phi(family, k, g)) for k, lam in coeffs.entries]
+    grid_min, grid_max = math.inf, -math.inf
+    for r in range(0, grid_n, 64):
+        m = np.ones((min(64, grid_n - r), grid_n))
+        for lam, p in phis:
+            m += lam * np.outer(p[r:r + 64], p)
+        grid_min = min(grid_min, float(m.min()))
+        grid_max = max(grid_max, float(m.max()))
 
     if grid_min < -GRID_NEG_TOL:
         verdict = Verdict.INVALID

@@ -17,7 +17,8 @@ the two pair averages.
 Replicate r of cell c in repeat j draws its innovations from the stream
 keyed (master_seed, j, c, r), so results are reproducible and independent
 of scheduling; cells that share chains (thresholds, sample sizes, weights)
-use cell key 0 and reuse one bank per repeat.
+use cell key 0 and reuse one bank per repeat, and the exponential study
+steps all its rate cells in one bank per repeat.
 """
 
 from __future__ import annotations
@@ -125,8 +126,10 @@ def _pair_means(bank: np.ndarray, k: int) -> np.ndarray:
     return np.mean(p[:, :-1] * p[:, 1:], axis=1)
 
 
-def _bank(cfg: ExperimentConfig, copula, repeat: int, cell: int) -> np.ndarray:
-    keys = [(cfg.master_seed, repeat, cell, r) for r in range(cfg.replicates)]
+def _bank(cfg: ExperimentConfig, copula, repeat: int, *cells: int) -> np.ndarray:
+    """Rows keyed (master_seed, repeat, cell, r), cell by cell."""
+    keys = [(cfg.master_seed, repeat, cell, r)
+            for cell in cells for r in range(cfg.replicates)]
     return generate_chain_bank(copula, cfg.n, keys)
 
 
@@ -152,21 +155,28 @@ def _run_bernoulli(cfg: ExperimentConfig, z: float, repeat: int):
     return rows
 
 
-def _run_exponential(cfg: ExperimentConfig, z: float, repeat: int, cell: int):
-    rate = cfg.rates[cell]
-    params = [{"rate": rate}]
+def _run_exponential(cfg: ExperimentConfig, z: float, repeat: int):
+    params = [{"rate": rate} for rate in cfg.rates]
+    n_rep = cfg.replicates
     try:
-        bank = _bank(cfg, cfg.copula, repeat, cell)
-        x = -rate * np.log1p(-bank)
-        est = np.mean(x, axis=1)
-        if cfg.variance_mode == "model":
-            s2 = sigma2_exponential(rate, _mu1_of(cfg.copula))
-        else:
-            s2 = est * est
-        covered, half = _cover(est, s2, cfg.n, z, rate)
-        return [_summarize(repeat, params[0], covered, est, half, cfg.replicates)]
+        bank = _bank(cfg, cfg.copula, repeat, *range(len(cfg.rates)))
     except Exception as exc:
-        return _error_rows(repeat, params, cfg.replicates, exc)
+        return _error_rows(repeat, params, n_rep, exc)
+    mu1 = _mu1_of(cfg.copula)
+    rows = []
+    for cell, (rate, p) in enumerate(zip(cfg.rates, params)):
+        try:
+            x = -rate * np.log1p(-bank[cell * n_rep:(cell + 1) * n_rep])
+            est = np.mean(x, axis=1)
+            if cfg.variance_mode == "model":
+                s2 = sigma2_exponential(rate, mu1)
+            else:
+                s2 = est * est
+            covered, half = _cover(est, s2, cfg.n, z, rate)
+            rows.append(_summarize(repeat, p, covered, est, half, n_rep))
+        except Exception as exc:
+            rows.extend(_error_rows(repeat, [p], n_rep, exc))
+    return rows
 
 
 def _run_mean(cfg: ExperimentConfig, z: float, repeat: int):
@@ -236,8 +246,7 @@ def run_coverage(config: ExperimentConfig, threads: int = None) -> CoverageTable
         elif kind == "coverage_mean":
             tasks.append(lambda j=repeat: _run_mean(config, z, j))
         elif kind == "coverage_exponential":
-            for cell in range(len(config.rates)):
-                tasks.append(lambda j=repeat, c=cell: _run_exponential(config, z, j, c))
+            tasks.append(lambda j=repeat: _run_exponential(config, z, j))
         elif kind == "coverage_mu_w":
             for cell in range(len(config.mu1_values)):
                 tasks.append(lambda j=repeat, c=cell: _run_mu_w(config, z, j, c))

@@ -1,19 +1,32 @@
 """Stationary Markov chains driven by an eigen-expansion copula.
 
 Given the current state u and an independent innovation w ~ Uniform(0,1),
-the next state is the solution v of
+the next state is the root v of
 
-    d1C(u, v) = v + sum_k lambda_k * phi_k(u) * Phi_k(v) = w.
+    g(v) = d1C(u, v) - w = v + sum_k lambda_k * phi_k(u) * Phi_k(v) - w.
 
 Step families make d1C piecewise linear in v, so the solve is exact knot
-interpolation.  Smooth families use bisection until the bracket is below
-1e-6, then a guarded secant (Illinois) refinement; iteration stops when
-the residual is below 1e-12 or the bracket below 1e-14.
+interpolation.  Smooth families use safeguarded Newton iteration, the
+numerical inversion of Devroye (1986, II.2): g'(v) is the copula density
+c(u, v) = 1 + sum_k lambda_k * phi_k(u) * phi_k(v), built from the same
+terms.  Iteration starts at v = w inside the bracket [0, 1], where
+g(0) = -w and g(1) = 1 - w, and the sign of g at each iterate narrows the
+bracket.  The next iterate is the Newton step v - g/c, or the bracket
+midpoint when c <= 0 or the step leaves the open bracket; the midpoint
+fallback keeps boundary copulas, whose density reaches 0, convergent.
+Iteration stops when |g| <= RESIDUAL_TOL and returns the iterate, or when
+the bracket is narrower than BRACKET_TOL and returns its midpoint; after
+MAX_ITER iterations the last iterate is returned.
+
+Copulas that validate() calls INVALID are refused: their d1C(u, .) need
+not be monotone, so a root need not be a conditional quantile.
 
 Single chains run through a plain-float scalar path; replicate banks run
-through a lane-vectorized path, one numpy array per time step.  Each path
-is deterministic for a given seed key; per-replicate seed keys make banks
-independent of scheduling and thread count.
+through a lane-vectorized path, one numpy array per time step, with the
+same operations in the same order, so a one-lane bank reproduces the
+scalar chain.  Each path is deterministic for a given seed key;
+per-replicate seed keys make banks independent of scheduling and thread
+count.
 """
 
 from __future__ import annotations
@@ -26,11 +39,10 @@ import numpy as np
 
 from .basis import (Cosine, PiecewiseSign, ShiftedLegendre, SineCosine,
                     TwoValueStep, is_step, jump_points)
-from .copula import SpectralCopula
+from .copula import SpectralCopula, Verdict
 
 RESIDUAL_TOL = 1e-12
 BRACKET_TOL = 1e-14
-BISECT_WIDTH = 1e-6
 MAX_ITER = 100
 
 _S2 = math.sqrt(2.0)
@@ -213,101 +225,63 @@ def _vector_pair(family, k):
 # -- conditional CDF inversion -------------------------------------------
 
 
-def _solve_scalar(sPhi, w: float) -> float:
-    """Root of v + sum s_i*Phi_i(v) - w on [0,1]; sPhi pairs (s_i, Phi_i)."""
-    if not sPhi:
-        return w
-
-    def g(v):
-        total = v - w
-        for s, Phi in sPhi:
-            total += s * Phi(v)
-        return total
-
+def _solve_scalar(terms, w: float) -> float:
+    """Root of g(v) = v + sum s*Phi(v) - w on [0,1]; terms are (s, phi, Phi)."""
     lo, hi = 0.0, 1.0
-    flo, fhi = -w, 1.0 - w
-    side = 0
+    v = w
     for _ in range(MAX_ITER):
-        width = hi - lo
-        if width <= BRACKET_TOL:
-            break
-        if width > BISECT_WIDTH or fhi == flo:
-            mid = 0.5 * (lo + hi)
+        g = v - w
+        c = 1.0
+        for s, phi, Phi in terms:
+            g += s * Phi(v)
+            c += s * phi(v)
+        if abs(g) <= RESIDUAL_TOL:
+            return v
+        if g < 0.0:
+            lo = v
         else:
-            mid = (lo * fhi - hi * flo) / (fhi - flo)
-            if not lo < mid < hi:
-                mid = 0.5 * (lo + hi)
-        fm = g(mid)
-        if abs(fm) <= RESIDUAL_TOL:
+            hi = v
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= BRACKET_TOL:
             return mid
-        if fm < 0.0:
-            lo, flo = mid, fm
-            if side == -1:
-                fhi *= 0.5
-            side = -1
-        else:
-            hi, fhi = mid, fm
-            if side == 1:
-                flo *= 0.5
-            side = 1
-    return 0.5 * (lo + hi)
+        t = v - g / c if c > 0.0 else mid
+        v = t if lo < t < hi else mid
+    return v
 
 
-def _solve_vector(s_list, Phi_list, w: np.ndarray) -> np.ndarray:
-    if not s_list:
-        return w.copy()
-
-    def g(v):
-        total = v - w
-        for s, Phi in zip(s_list, Phi_list):
-            total = total + s * Phi(v)
-        return total
-
+def _solve_vector(terms, w: np.ndarray) -> np.ndarray:
+    """_solve_scalar lane by lane, with the same operations in the same
+    order; s in terms holds one value per lane.  Finished lanes leave the
+    working arrays."""
+    out = np.empty_like(w)
+    lane = np.arange(w.size)
     lo = np.zeros_like(w)
     hi = np.ones_like(w)
-    flo = -w
-    fhi = 1.0 - w
-    out = np.empty_like(w)
-    done = np.zeros(w.shape, dtype=bool)
-    side = np.zeros(w.shape, dtype=np.int8)
+    v = w
     for _ in range(MAX_ITER):
-        width = hi - lo
-        tiny = (width <= BRACKET_TOL) & ~done
-        if tiny.any():
-            mids = 0.5 * (lo + hi)
-            out[tiny] = mids[tiny]
-            done |= tiny
-        if done.all():
-            break
-        bis = 0.5 * (lo + hi)
-        denom = fhi - flo
+        g = v - w
+        c = 1.0
+        for s, phi, Phi in terms:
+            g = g + s * Phi(v)
+            c = c + s * phi(v)
+        hit = np.abs(g) <= RESIDUAL_TOL
+        neg = g < 0.0
+        lo = np.where(neg, v, lo)
+        hi = np.where(neg, hi, v)
+        mid = 0.5 * (lo + hi)
+        done = hit | (hi - lo <= BRACKET_TOL)
         with np.errstate(divide="ignore", invalid="ignore"):
-            rf = (lo * fhi - hi * flo) / denom
-        bad = ~np.isfinite(rf) | (rf <= lo) | (rf >= hi)
-        mid = np.where((width > BISECT_WIDTH) | bad, bis, rf)
-        fm = g(mid)
-        hit = (np.abs(fm) <= RESIDUAL_TOL) & ~done
-        if hit.any():
-            out[hit] = mid[hit]
-            done |= hit
-        if done.all():
-            break
-        active = ~done
-        neg = (fm < 0.0) & active
-        pos = active & ~neg
-        stuck_hi = neg & (side == -1)
-        stuck_lo = pos & (side == 1)
-        lo = np.where(neg, mid, lo)
-        flo = np.where(neg, fm, flo)
-        hi = np.where(pos, mid, hi)
-        fhi = np.where(pos, fm, fhi)
-        fhi = np.where(stuck_hi, 0.5 * fhi, fhi)
-        flo = np.where(stuck_lo, 0.5 * flo, flo)
-        side = np.where(neg, -1, np.where(pos, 1, side)).astype(np.int8)
-    rest = ~done
-    if rest.any():
-        mids = 0.5 * (lo + hi)
-        out[rest] = mids[rest]
+            t = v - g / c
+        nxt = np.where((c > 0.0) & (lo < t) & (t < hi), t, mid)
+        if done.any():
+            out[lane[done]] = np.where(hit, v, mid)[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            lane, w, lo, hi, nxt = (a[keep] for a in (lane, w, lo, hi, nxt))
+            terms = [(s[keep], phi, Phi) for s, phi, Phi in terms]
+        v = nxt
+    out[lane] = v
     return out
 
 
@@ -319,6 +293,9 @@ class _Sampler:
     """Prepared per-copula evaluation tables for chain generation."""
 
     def __init__(self, c: SpectralCopula):
+        if c.validate().verdict is Verdict.INVALID:
+            raise ValueError("cannot sample an INVALID copula: its d1C(u, .) "
+                             "is not a distribution function")
         self.copula = c
         self.step = is_step(c.family)
         self.entries = c.coeffs.entries
@@ -332,6 +309,9 @@ class _Sampler:
             self.Phi_at_knots = np.stack(
                 [Phi(self.knots) for _, _, Phi in self.vector_pairs]) \
                 if self.entries else np.zeros((0, self.knots.size))
+            # the same tables as plain floats for the scalar path
+            self.knot_list = self.knots.tolist()
+            self.Phi_rows = self.Phi_at_knots.tolist()
 
     # scalar path
 
@@ -339,14 +319,11 @@ class _Sampler:
         if not self.entries:
             return w
         if self.step:
-            knots = self.knots
-            s = [lam * phi(u) for lam, phi, _ in self.scalar_pairs]
-            gk = [float(kn) for kn in knots]
-            for j, kn in enumerate(knots):
-                total = kn
-                for si, row in zip(s, self.Phi_at_knots):
-                    total += si * row[j]
-                gk[j] = total
+            knots = self.knot_list
+            gk = knots
+            for (lam, phi, _), row in zip(self.scalar_pairs, self.Phi_rows):
+                s = lam * phi(u)
+                gk = [g + s * p for g, p in zip(gk, row)]
             j = 0
             for idx in range(len(knots) - 1):
                 if gk[idx] <= w:
@@ -358,20 +335,20 @@ class _Sampler:
                 v = knots[j]
             else:
                 v = knots[j] + (w - gk[j]) * (knots[j + 1] - knots[j]) / dg
-            return min(max(float(v), 0.0), 1.0)
-        sPhi = [(lam * phi(u), Phi) for lam, phi, Phi in self.scalar_pairs]
-        return _solve_scalar(sPhi, w)
+            return min(max(v, 0.0), 1.0)
+        return _solve_scalar([(lam * phi(u), phi, Phi)
+                              for lam, phi, Phi in self.scalar_pairs], w)
 
     # vector path
 
     def next_vector(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         if not self.entries:
             return w.copy()
-        s_list = [lam * phi(u) for lam, phi, _ in self.vector_pairs]
+        terms = [(lam * phi(u), phi, Phi) for lam, phi, Phi in self.vector_pairs]
         if self.step:
             knots = self.knots
             g = np.broadcast_to(knots, (u.size, knots.size)).copy()
-            for s, row in zip(s_list, self.Phi_at_knots):
+            for (s, _, _), row in zip(terms, self.Phi_at_knots):
                 g += s[:, None] * row[None, :]
             j = np.clip(np.sum(g <= w[:, None], axis=1) - 1, 0, knots.size - 2)
             rows = np.arange(u.size)
@@ -382,8 +359,7 @@ class _Sampler:
             v = knots[j] + (w - gj) * (knots[j + 1] - knots[j]) / safe
             v = np.where(dg > 0.0, v, knots[j])
             return np.clip(v, 0.0, 1.0)
-        Phi_list = [Phi for _, _, Phi in self.vector_pairs]
-        return _solve_vector(s_list, Phi_list, w)
+        return _solve_vector(terms, w)
 
 
 def next_state(c: SpectralCopula, u_prev, w):
@@ -415,6 +391,17 @@ def sample_wl(lam: float, u_prev, q):
     """
     if abs(lam) > 1.0:
         raise ValueError("sample_wl requires |lam| <= 1")
+    d_plus = (1.0 + lam) if lam != -1.0 else 1.0
+    d_minus = (1.0 - lam) if lam != 1.0 else 1.0
+    if isinstance(u_prev, (int, float)) and isinstance(q, (int, float)):
+        u, qq = float(u_prev), float(q)
+        if u < 0.0 or u > 1.0 or qq < 0.0 or qq > 1.0:
+            raise ValueError("u_prev and q must lie in [0,1]")
+        if u < 0.5:
+            v = qq / d_plus if qq < 0.5 * (1.0 + lam) else (qq - lam) / d_minus
+        else:
+            v = qq / d_minus if qq < 0.5 * (1.0 - lam) else (qq + lam) / d_plus
+        return min(max(v, 0.0), 1.0)
     u = np.asarray(u_prev, dtype=float)
     qq = np.asarray(q, dtype=float)
     scalar = u.ndim == 0 and qq.ndim == 0
@@ -423,8 +410,6 @@ def sample_wl(lam: float, u_prev, q):
     low_u = u < 0.5
     thr = np.where(low_u, 0.5 * (1.0 + lam), 0.5 * (1.0 - lam))
     first = qq < thr
-    d_plus = (1.0 + lam) if lam != -1.0 else 1.0
-    d_minus = (1.0 - lam) if lam != 1.0 else 1.0
     b1 = qq / d_plus
     b2 = (qq - lam) / d_minus
     b3 = qq / d_minus

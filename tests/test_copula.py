@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigencop import (SineMarginalCandidate, SpectralCoefficients,
@@ -212,13 +212,14 @@ def test_independence_density_flat():
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=4))
+@example([5e-324])
 def test_scaled_cosine_copulas_always_valid(raw):
     # scale so that sum |lambda_k| * 2 <= 0.9: inside the sufficient bound
     total = sum(abs(r) for r in raw)
     if total == 0.0:
         return
-    scale = 0.45 / total
-    c = cosine_copula({k + 1: scale * r for k, r in enumerate(raw)})
+    # r / total first: 0.45 / total overflows when total is subnormal
+    c = cosine_copula({k + 1: 0.45 * (r / total) for k, r in enumerate(raw)})
     report = c.validate()
     assert report.analytic_ok
     assert report.verdict is Verdict.VALID

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigencop import (Bernoulli, Exponential, Uniform, apply_transform,
+from eigencop import sampling
+from eigencop import (Bernoulli, Exponential, Uniform, Verdict, apply_transform,
                       cosine_copula, fgm, generate_chain, generate_chain_bank,
                       independence, innovation_stream, next_state,
                       piecewise_sign, sample_wl, shifted_legendre_copula,
@@ -13,7 +14,7 @@ from eigencop import (Bernoulli, Exponential, Uniform, apply_transform,
 from eigencop.statutil import chi2_gof, ks_uniform, lag1_autocorrelation
 
 SMOOTH = [
-    cosine_copula({1: 0.35, 2: -0.2}),
+    cosine_copula({1: 0.35, 2: -0.1}),  # VALID, margin 0.1
     shifted_legendre_copula({1: 0.3, 2: 0.15}),
     two_sine_model(0.2, -0.15),
 ]
@@ -99,7 +100,10 @@ def test_sample_wl_matches_generic_solver():
     c = two_value_step(1.0, lam)
     rng = np.random.default_rng(8)
     u, q = rng.random(500), rng.random(500)
-    assert np.max(np.abs(sample_wl(lam, u, q) - next_state(c, u, q))) < 1e-12
+    v = sample_wl(lam, u, q)
+    assert np.max(np.abs(v - next_state(c, u, q))) < 1e-12
+    # the plain-float path gives the array path's values
+    assert np.array_equal([sample_wl(lam, a, b) for a, b in zip(u, q)], v)
 
 
 def test_generate_chain_deterministic_and_seed_sensitive():
@@ -150,11 +154,54 @@ def test_bank_rows_deterministic_and_independent_of_batch():
     assert generate_chain_bank(c, 10, []).shape == (0, 10)
 
 
-def test_bank_matches_scalar_chain_for_int_keys():
-    c = two_value_step(1.0, 0.5)
+@pytest.mark.parametrize("c", SMOOTH + STEPS)
+def test_bank_matches_scalar_chain_for_int_keys(c):
     bank = generate_chain_bank(c, 80, [(31,)])
     chain = generate_chain(c, 80, 31)
-    assert np.max(np.abs(bank[0] - chain.values)) < 1e-12
+    assert np.array_equal(bank[0], chain.values)
+
+
+def _worst_residual(c, u, seed):
+    """max |d1C(u_t, u_{t+1}) - w_t| over a chain drawn from stream (seed,)."""
+    rng = innovation_stream(seed)
+    assert rng.random() == u[0]
+    w = rng.random(u.size - 1)
+    return float(np.max(np.abs(c.conditional_cdf(u[:-1], u[1:]) - w)))
+
+
+def test_newton_converges_within_eight_iterations(monkeypatch):
+    monkeypatch.setattr(sampling, "MAX_ITER", 8)
+    c = two_sine_model(0.05, -0.2)
+    chain = generate_chain(c, 3000, 41).values
+    assert _worst_residual(c, chain, 41) <= 1e-12
+    bank = generate_chain_bank(c, 3000, [41])[0]
+    assert np.array_equal(bank, chain)
+
+
+@pytest.mark.parametrize("c", [cosine_copula({1: 0.5}), fgm(1.0)])
+def test_boundary_copulas_invert_to_tolerance(c):
+    # the density reaches 0 at a corner, where Newton falls back to bisection
+    assert c.validate().verdict is Verdict.VALID_BOUNDARY
+    chain = generate_chain(c, 3000, 42).values
+    assert np.all((chain >= 0.0) & (chain <= 1.0))
+    assert _worst_residual(c, chain, 42) <= 1e-12
+    for corner in (0.0, 1.0):
+        u = np.full(101, corner)
+        w = np.linspace(0.0, 1.0, 101)
+        v = next_state(c, u, w)
+        assert np.all((v >= 0.0) & (v <= 1.0))
+        assert np.max(np.abs(c.conditional_cdf(u, v) - w)) <= 1e-12
+
+
+def test_samplers_refuse_invalid_copula():
+    c = cosine_copula({1: 0.9})
+    assert c.validate().verdict is Verdict.INVALID
+    with pytest.raises(ValueError, match="INVALID"):
+        generate_chain(c, 10, 1)
+    with pytest.raises(ValueError, match="INVALID"):
+        generate_chain_bank(c, 10, [(1,), (2,)])
+    with pytest.raises(ValueError, match="INVALID"):
+        next_state(c, 0.3, 0.6)
 
 
 def test_chain_marginal_is_uniform():
