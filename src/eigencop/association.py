@@ -103,9 +103,9 @@ def _rho_numeric(c: SpectralCopula, n_nodes: int = 64) -> float:
 def _tau_numeric(c: SpectralCopula, n_nodes: int = 64) -> float:
     x, w = _family_rule(c.family, n_nodes)
     d1 = c.conditional_cdf(x[:, None], x[None, :])
-    # the construction is symmetric, so d2C(u,v) = d1C(v,u)
-    d2 = c.conditional_cdf(x[None, :], x[:, None])
-    return 1.0 - 4.0 * float(w @ (d1 * d2) @ w)
+    # the construction is symmetric, so d2C(u,v) = d1C(v,u): the transpose
+    # holds the same floats a second evaluation would
+    return 1.0 - 4.0 * float(w @ (d1 * d1.T) @ w)
 
 
 def spearman_rho(c: SpectralCopula, method: str = "closed") -> float:

@@ -109,15 +109,6 @@ def check_index(family: Family, k: Index) -> None:
         raise ValueError(f"PiecewiseSign with {family.n_cells} cells has no index {k}")
 
 
-def max_index(family: Family):
-    """Largest valid index, or None when the family is infinite."""
-    if isinstance(family, TwoValueStep):
-        return 1
-    if isinstance(family, PiecewiseSign):
-        return family.n_cells
-    return None
-
-
 def is_step(family: Family) -> bool:
     return isinstance(family, (TwoValueStep, PiecewiseSign))
 

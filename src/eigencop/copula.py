@@ -247,22 +247,42 @@ def _analytic_margin(family: Family, coeffs: SpectralCoefficients) -> float:
     return margin
 
 
+def _density_range(terms) -> tuple[float, float]:
+    """Min and max of 1 + sum lam * p[i] * p[j] over the midpoint grid.
+
+    `terms` holds (lam, p) pairs, p a basis function on the grid, and the
+    floats returned are those of the full matrix.  One term: the entry is
+    monotone in the exact product p[i] * p[j], and so is its rounding, so
+    the extremes are among the products of p's own min and max.  Several
+    terms: the matrix is exactly symmetric (fl(a*b) = fl(b*a)), so 64-row
+    blocks over columns r: only see every value, and no grid-sized array
+    is kept alive.
+    """
+    if not terms:
+        return 1.0, 1.0
+    if len(terms) == 1:
+        lam, p = terms[0]
+        lo, hi = float(p.min()), float(p.max())
+        vals = [1.0 + lam * (a * b) for a, b in ((lo, lo), (lo, hi), (hi, hi))]
+        return min(vals), max(vals)
+    n = terms[0][1].size
+    grid_min, grid_max = math.inf, -math.inf
+    for r in range(0, n, 64):
+        m = np.ones((min(64, n - r), n - r))
+        for lam, p in terms:
+            m += lam * np.outer(p[r:r + 64], p[r:])
+        grid_min = min(grid_min, float(m.min()))
+        grid_max = max(grid_max, float(m.max()))
+    return grid_min, grid_max
+
+
 @lru_cache(maxsize=512)
 def _validate_cached(family: Family, coeffs: SpectralCoefficients, grid_n: int) -> ValidityReport:
     margin = _analytic_margin(family, coeffs)
     analytic_ok = margin >= -BOUNDARY_TOL
-
-    # the grid in blocks of rows, so that validating before sampling
-    # keeps no grid-sized arrays alive
     g = (np.arange(grid_n) + 0.5) / grid_n
-    phis = [(lam, eval_phi(family, k, g)) for k, lam in coeffs.entries]
-    grid_min, grid_max = math.inf, -math.inf
-    for r in range(0, grid_n, 64):
-        m = np.ones((min(64, grid_n - r), grid_n))
-        for lam, p in phis:
-            m += lam * np.outer(p[r:r + 64], p)
-        grid_min = min(grid_min, float(m.min()))
-        grid_max = max(grid_max, float(m.max()))
+    grid_min, grid_max = _density_range(
+        [(lam, eval_phi(family, k, g)) for k, lam in coeffs.entries])
 
     if grid_min < -GRID_NEG_TOL:
         verdict = Verdict.INVALID

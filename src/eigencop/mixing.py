@@ -6,8 +6,16 @@ chain is controlled by sup_k |lambda_k|^n.  A chain is certifiably
 psi-mixing once some n-step density is uniformly below 2 (psi' route) or
 uniformly above 0 (psi* route); with all coefficients strictly inside the
 unit interval either bound eventually holds, and the certificate records
-the first n where a 512x512 midpoint grid of the folded density lands
-strictly inside the requisite half-space with numerical headroom.
+the first n where the range of the folded density on a 512x512 midpoint
+grid lands strictly inside the requisite half-space with numerical
+headroom.  That is an observation on the grid, not a proof: the density
+between grid points, and at the corners, is not looked at.
+
+The range is the exact min and max of the grid's floats, computed without
+building the grid: with one nonzero term it is read off the extremes of
+phi on the grid, with several it is accumulated over 64-row blocks of the
+upper triangle of the (exactly symmetric) matrix, and fold 1, the copula
+itself, is the range that validate() computes and memoises.
 
 Coefficients on the unit circle (|lambda_k| = 1) keep every fold at sup 1
 and the chain is not mixing; that case is reported as a boundary verdict
@@ -23,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import ShiftedLegendre, _legendre_even_min, eval_phi
-from .copula import SpectralCopula
+from .copula import SpectralCopula, _density_range
 
 SUP_BOUNDARY_TOL = 1e-12
 DENSITY_HEADROOM = 1e-9
@@ -106,29 +114,26 @@ def certify_psi(c: SpectralCopula, max_n: int = DEFAULT_MAX_N,
         return MixingReport(sup, rho, Certificate.BOUNDARY_NON_MIXING, None,
                             (), None, grid_n, max_n)
 
-    # midpoint grid; per-term outer products are fold-independent, only the
-    # coefficient powers change, so precompute them once
-    x = (np.arange(grid_n) + 0.5) / grid_n
-    outers = {}
-    for k, _ in c.coeffs.entries:
-        col = eval_phi(c.family, k, x)
-        outers[k] = np.multiply.outer(col, col)
-
     ranges = []
     cert = Certificate.INCONCLUSIVE
     cert_n = None
     bounded_n = None
     for n in range(1, max_n + 1):
-        folded = c.fold(n)
-        dens = np.ones((grid_n, grid_n))
-        # folded coefficients that underflow to zero are dropped from the
-        # container, so look them up by key with a zero default
-        for k, outer in outers.items():
-            lam = folded.coeffs.get(k, 0.0)
-            if lam != 0.0:
-                dens = dens + lam * outer
-        gmin = float(dens.min())
-        gmax = float(dens.max())
+        if n == 1:
+            # the copula itself, whose range validate() memoises
+            rep = c.validate(grid_n)
+            gmin, gmax = rep.grid_min_density, rep.grid_max_density
+        else:
+            if n == 2:
+                # phi on the midpoint grid is fold-independent, only the
+                # coefficient powers change
+                x = (np.arange(grid_n) + 0.5) / grid_n
+                phis = [(k, eval_phi(c.family, k, x)) for k, _ in c.coeffs.entries]
+            # folded coefficients that underflow to zero are dropped from
+            # the container, and from the sum
+            folded = dict(c.fold(n).coeffs.entries)
+            gmin, gmax = _density_range(
+                [(folded[k], p) for k, p in phis if k in folded])
         ranges.append((n, gmin, gmax))
         if gmax < 2.0 - DENSITY_HEADROOM:
             cert = Certificate.CERTIFIED_LESS_THAN_TWO

@@ -61,15 +61,6 @@ def integrate_square(f, rule_u, rule_v=None) -> float:
     return float(wu @ vals @ wv)
 
 
-def integrate_01_adaptive_smooth(f, a: float, b: float, n: int = 128) -> float:
-    """One-panel Gauss-Legendre integral of a smooth function over [a,b]."""
-    if b <= a:
-        return 0.0
-    x0, w0 = gauss_legendre_01(n)
-    h = b - a
-    return float(h * np.dot(w0, f(a + h * x0)))
-
-
 def log_weighted_sine_integral(k: int) -> float:
     """Value of the integral of sin(2*pi*k*t) * log(1-t) over [0,1].
 

@@ -113,49 +113,49 @@ def innovation_stream(*keys: int) -> np.random.Generator:
 # -- per-family scalar and vector term evaluators ------------------------
 
 
-def _legendre_scalar(n: int, y: float) -> float:
-    if n == 0:
-        return 1.0
-    p_prev, p = 1.0, y
-    for m in range(1, n):
-        p_prev, p = p, ((2 * m + 1) * y * p - m * p_prev) / (m + 1)
-    return p
+def _legendre_pair(k: int):
+    """(phi, phi_Phi) of the k-th shifted Legendre function, for floats and
+    arrays alike.  One pass of the three-term recurrence gives P_{k-1},
+    P_k and P_{k+1}: phi = sqrt(2k+1) P_k and Phi = (P_{k+1} - P_{k-1}) /
+    (2 sqrt(2k+1))."""
+    scale = math.sqrt(2 * k + 1)
+
+    def phi_Phi(x):
+        y = 2.0 * x - 1.0
+        q, p_prev, p = None, 1.0, y
+        for m in range(1, k + 1):
+            q, p_prev, p = p_prev, p, ((2 * m + 1) * y * p - m * p_prev) / (m + 1)
+        return scale * p_prev, (p - q) / (2.0 * scale)
+
+    return (lambda x: phi_Phi(x)[0]), phi_Phi
 
 
 def _scalar_pair(family, k):
-    """(phi, Phi) as plain-float callables for one basis function."""
+    """(phi, phi_Phi) as plain-float callables for one basis function;
+    phi_Phi(x) returns (phi(x), Phi(x)) from one evaluation."""
     if isinstance(family, SineCosine):
         part, m = k
         w = 2.0 * math.pi * m
         if part == "sin":
             return (lambda x: _S2 * math.sin(w * x),
-                    lambda x: _S2 * (1.0 - math.cos(w * x)) / w)
+                    lambda x: (_S2 * math.sin(w * x),
+                               _S2 * (1.0 - math.cos(w * x)) / w))
         return (lambda x: _S2 * math.cos(w * x),
-                lambda x: _S2 * math.sin(w * x) / w)
+                lambda x: (_S2 * math.cos(w * x), _S2 * math.sin(w * x) / w))
     if isinstance(family, Cosine):
         w = k * math.pi
         return (lambda x: _S2 * math.cos(w * x),
-                lambda x: _S2 * math.sin(w * x) / w)
+                lambda x: (_S2 * math.cos(w * x), _S2 * math.sin(w * x) / w))
     if isinstance(family, ShiftedLegendre):
-        scale = math.sqrt(2 * k + 1)
-
-        def phi(x, n=k, s=scale):
-            return s * _legendre_scalar(n, 2.0 * x - 1.0)
-
-        def Phi(x, n=k, s=scale):
-            y = 2.0 * x - 1.0
-            return (_legendre_scalar(n + 1, y) - _legendre_scalar(n - 1, y)) / (2.0 * s)
-
-        return phi, Phi
+        return _legendre_pair(k)
+    # step families are inverted from knot tables, never by the solver,
+    # so their scalar form needs phi alone
     if isinstance(family, TwoValueStep):
-        a = family.alpha
         c = family.breakpoint
-        ra = math.sqrt(a)
-        return (lambda x: ra if x < c else -1.0 / ra,
-                lambda x: ra * x if x < c else ra * c - (x - c) / ra)
+        ra = math.sqrt(family.alpha)
+        return (lambda x: ra if x < c else -1.0 / ra), None
     a, b = family.cell(k)
-    wdt = b - a
-    inv = 1.0 / math.sqrt(wdt)
+    inv = 1.0 / math.sqrt(b - a)
     mid = 0.5 * (a + b)
     last = k == family.n_cells
 
@@ -164,48 +164,37 @@ def _scalar_pair(family, k):
             return 0.0
         return -inv if x < mid else inv
 
-    def Phi(x):
-        if x <= a or x >= b:
-            return 0.0
-        return -(x - a) * inv if x < mid else (x - b) * inv
-
-    return phi, Phi
+    return phi, None
 
 
 def _vector_pair(family, k):
-    """(phi, Phi) as vectorized callables without domain checks."""
+    """(phi, phi_Phi) as vectorized callables without domain checks."""
     if isinstance(family, SineCosine):
         part, m = k
         w = 2.0 * math.pi * m
         if part == "sin":
             return (lambda x: _S2 * np.sin(w * x),
-                    lambda x: _S2 * (1.0 - np.cos(w * x)) / w)
+                    lambda x: (_S2 * np.sin(w * x), _S2 * (1.0 - np.cos(w * x)) / w))
         return (lambda x: _S2 * np.cos(w * x),
-                lambda x: _S2 * np.sin(w * x) / w)
+                lambda x: (_S2 * np.cos(w * x), _S2 * np.sin(w * x) / w))
     if isinstance(family, Cosine):
         w = k * math.pi
         return (lambda x: _S2 * np.cos(w * x),
-                lambda x: _S2 * np.sin(w * x) / w)
+                lambda x: (_S2 * np.cos(w * x), _S2 * np.sin(w * x) / w))
     if isinstance(family, ShiftedLegendre):
-        scale = math.sqrt(2 * k + 1)
-
-        def _p(n, y):
-            if n == 0:
-                return np.ones_like(y)
-            p_prev = np.ones_like(y)
-            p = y.copy() if isinstance(y, np.ndarray) else y
-            for m in range(1, n):
-                p_prev, p = p, ((2 * m + 1) * y * p - m * p_prev) / (m + 1)
-            return p
-
-        return (lambda x: scale * _p(k, 2.0 * x - 1.0),
-                lambda x: (_p(k + 1, 2.0 * x - 1.0) - _p(k - 1, 2.0 * x - 1.0)) / (2.0 * scale))
+        return _legendre_pair(k)
     if isinstance(family, TwoValueStep):
         a = family.alpha
         c = family.breakpoint
         ra = math.sqrt(a)
-        return (lambda x: np.where(x < c, ra, -1.0 / ra),
-                lambda x: np.where(x < c, ra * x, ra * c - (x - c) / ra))
+
+        def phi(x):
+            return np.where(x < c, ra, -1.0 / ra)
+
+        def Phi(x):
+            return np.where(x < c, ra * x, ra * c - (x - c) / ra)
+
+        return phi, lambda x: (phi(x), Phi(x))
     a, b = family.cell(k)
     inv = 1.0 / math.sqrt(b - a)
     mid = 0.5 * (a + b)
@@ -219,22 +208,23 @@ def _vector_pair(family, k):
         return np.select([x <= a, x < mid, x < b],
                          [0.0, -(x - a) * inv, (x - b) * inv], default=0.0)
 
-    return phi, Phi
+    return phi, lambda x: (phi(x), Phi(x))
 
 
 # -- conditional CDF inversion -------------------------------------------
 
 
 def _solve_scalar(terms, w: float) -> float:
-    """Root of g(v) = v + sum s*Phi(v) - w on [0,1]; terms are (s, phi, Phi)."""
+    """Root of g(v) = v + sum s*Phi(v) - w on [0,1]; terms are (s, phi_Phi)."""
     lo, hi = 0.0, 1.0
     v = w
     for _ in range(MAX_ITER):
         g = v - w
         c = 1.0
-        for s, phi, Phi in terms:
-            g += s * Phi(v)
-            c += s * phi(v)
+        for s, phi_Phi in terms:
+            p, P = phi_Phi(v)
+            g += s * P
+            c += s * p
         if abs(g) <= RESIDUAL_TOL:
             return v
         if g < 0.0:
@@ -261,9 +251,10 @@ def _solve_vector(terms, w: np.ndarray) -> np.ndarray:
     for _ in range(MAX_ITER):
         g = v - w
         c = 1.0
-        for s, phi, Phi in terms:
-            g = g + s * Phi(v)
-            c = c + s * phi(v)
+        for s, phi_Phi in terms:
+            p, P = phi_Phi(v)
+            g = g + s * P
+            c = c + s * p
         hit = np.abs(g) <= RESIDUAL_TOL
         neg = g < 0.0
         lo = np.where(neg, v, lo)
@@ -279,7 +270,7 @@ def _solve_vector(terms, w: np.ndarray) -> np.ndarray:
             if not keep.any():
                 return out
             lane, w, lo, hi, nxt = (a[keep] for a in (lane, w, lo, hi, nxt))
-            terms = [(s[keep], phi, Phi) for s, phi, Phi in terms]
+            terms = [(s[keep], phi_Phi) for s, phi_Phi in terms]
         v = nxt
     out[lane] = v
     return out
@@ -307,7 +298,7 @@ class _Sampler:
             self.knots = _step_knots(c)
             # antiderivative values at the knots, one row per term
             self.Phi_at_knots = np.stack(
-                [Phi(self.knots) for _, _, Phi in self.vector_pairs]) \
+                [phi_Phi(self.knots)[1] for _, _, phi_Phi in self.vector_pairs]) \
                 if self.entries else np.zeros((0, self.knots.size))
             # the same tables as plain floats for the scalar path
             self.knot_list = self.knots.tolist()
@@ -336,19 +327,19 @@ class _Sampler:
             else:
                 v = knots[j] + (w - gk[j]) * (knots[j + 1] - knots[j]) / dg
             return min(max(v, 0.0), 1.0)
-        return _solve_scalar([(lam * phi(u), phi, Phi)
-                              for lam, phi, Phi in self.scalar_pairs], w)
+        return _solve_scalar([(lam * phi(u), phi_Phi)
+                              for lam, phi, phi_Phi in self.scalar_pairs], w)
 
     # vector path
 
     def next_vector(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         if not self.entries:
             return w.copy()
-        terms = [(lam * phi(u), phi, Phi) for lam, phi, Phi in self.vector_pairs]
+        terms = [(lam * phi(u), phi_Phi) for lam, phi, phi_Phi in self.vector_pairs]
         if self.step:
             knots = self.knots
             g = np.broadcast_to(knots, (u.size, knots.size)).copy()
-            for (s, _, _), row in zip(terms, self.Phi_at_knots):
+            for (s, _), row in zip(terms, self.Phi_at_knots):
                 g += s[:, None] * row[None, :]
             j = np.clip(np.sum(g <= w[:, None], axis=1) - 1, 0, knots.size - 2)
             rows = np.arange(u.size)

@@ -11,6 +11,7 @@ from eigencop import (SineMarginalCandidate, SpectralCoefficients,
                       sine_cosine_copula, sine_counterexample, star_product,
                       two_sine_model, two_value_step, zero_association_model)
 from eigencop.basis import Cosine, ShiftedLegendre, eval_phi, jump_points
+from eigencop.copula import _density_range
 from eigencop.quadrature import composite_rule, gauss_legendre_01
 
 PINNED = [
@@ -160,6 +161,39 @@ def test_validity_piecewise_sign_margin_exact():
     assert abs(report.analytic_margin - 0.2) < 1e-12
     assert abs(report.grid_min_density - 0.2) < 1e-12
     assert report.verdict is Verdict.VALID
+
+
+RANGE_CASES = [
+    cosine_copula({3: 0.4}),
+    cosine_copula({3: -0.4}),
+    cosine_copula({1: 0.3, 2: -0.2, 5: 0.1}),
+    sine_cosine_copula(sin={2: 0.2}),
+    sine_cosine_copula(cos={1: -0.3}),
+    sine_cosine_copula(sin={1: 0.1, 2: -0.2}, cos={3: 0.15}),
+    shifted_legendre_copula({2: 0.3}),
+    shifted_legendre_copula({1: -0.3}),
+    shifted_legendre_copula({1: 0.2, 2: -0.1, 4: 0.05}),
+    two_value_step(0.7, 0.5),
+    two_value_step(2.0, -0.3),
+    piecewise_sign((0.0, 0.4, 1.0), (0.8, 0.0)),
+    piecewise_sign((0.0, 0.4, 1.0), (0.0, -0.6)),
+    piecewise_sign((0.0, 0.3, 0.7, 1.0), (0.5, -0.8, 0.9)),
+    independence(),
+]
+
+
+@pytest.mark.parametrize("grid_n", [2, 63, 64, 100, 512])
+@pytest.mark.parametrize("c", RANGE_CASES)
+def test_density_range_equals_full_grid(c, grid_n):
+    g = (np.arange(grid_n) + 0.5) / grid_n
+    terms = [(lam, eval_phi(c.family, k, g)) for k, lam in c.coeffs.entries]
+    m = np.ones((grid_n, grid_n))
+    for lam, p in terms:
+        m += lam * np.outer(p, p)
+    assert _density_range(terms) == (float(m.min()), float(m.max()))
+    rep = c.validate(grid_n)
+    assert (rep.grid_min_density, rep.grid_max_density) == \
+        (float(m.min()), float(m.max()))
 
 
 def test_fold_powers_coefficients():

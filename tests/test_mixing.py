@@ -122,6 +122,29 @@ def test_decomposition_bounds_not_offered_for_steps():
     assert rep.decomp_bounds is None
 
 
+@pytest.mark.parametrize("c, max_n, grid_n", [
+    (cosine_copula({1: 0.6, 2: 0.5}), 6, 512),
+    (piecewise_sign((0.0, 0.5, 1.0), (1.0, -1.0)), 4, 64),
+    (shifted_legendre_copula({2: 0.98}), 20, 63),
+    (two_value_step(0.5, 0.95), 20, 100),
+    # the second coefficient underflows to zero from fold 2 on and leaves
+    # the sum; the search runs to n = 69
+    (cosine_copula({1: 0.99, 2: 1e-200}), 80, 100),
+])
+def test_fold_ranges_equal_full_grid(c, max_n, grid_n):
+    rep = certify_psi(c, max_n=max_n, grid_n=grid_n)
+    assert [n for n, _, _ in rep.fold_density_ranges] == \
+        list(range(1, len(rep.fold_density_ranges) + 1))
+    assert len(rep.fold_density_ranges) > 1
+    for n, lo, hi in rep.fold_density_ranges:
+        _, m = c.fold(n).density_grid(grid_n)
+        assert (lo, hi) == (float(m.min()), float(m.max()))
+    # fold 1 is the copula itself
+    val = c.validate(grid_n)
+    assert rep.fold_density_ranges[0][1:] == (val.grid_min_density,
+                                              val.grid_max_density)
+
+
 def test_report_as_dict_round_trip():
     rep = certify_psi(fgm(0.5), max_n=3)
     d = rep.as_dict()
