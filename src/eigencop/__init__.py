@@ -21,8 +21,8 @@ from .estimation import (MeanCI, MuEstimate, WeightedMuEstimate,
                          chi2_statistic, estimate_mu, estimate_mu_weighted,
                          indicator_zero_effect_closed,
                          indicator_zero_effect_threshold, mean_ci,
-                         sigma2_custom, sigma2_exponential, sigma2_f,
-                         sigma2_indicator, sigma2_uniform_mean, wald_interval)
+                         sigma2_custom, sigma2_exponential, sigma2_indicator,
+                         sigma2_uniform_mean, wald_interval)
 from .mixing import Certificate, MixingReport, certify_psi, rho_sequence
 from .sampling import (Bernoulli, ChainSample, Exponential, Uniform,
                        apply_transform, generate_chain, generate_chain_bank,

@@ -3,8 +3,15 @@
 Every family consists of mean-zero, unit-norm functions orthogonal to the
 constant 1 (which is always an implicit member of the system).  Each
 function comes with a closed-form antiderivative vanishing at both
-endpoints, plus exact or numerically certified extrema, which the validity
-and mixing checks rely on.
+endpoints, plus extrema, which the validity and mixing checks rely on.
+The extrema are exact except the minimum of an even-index shifted
+Legendre function, which is located on a 4096-point grid and sharpened by
+bisection: an estimate, not a proven bound.
+
+The formulas for phi_k and Phi_k are written once, in the per-family term
+builders behind `TermTable`, which evaluates all of a copula's terms at x
+in one call, as plain floats or as arrays.  `eval_phi`/`eval_Phi` and every
+other module read them from there.
 
 Families
 --------
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -129,16 +136,13 @@ def jump_points(family: Family) -> tuple:
     return ()
 
 
-def _legendre(n: int, y):
-    """Legendre polynomial P_n by the three-term recurrence."""
-    y = np.asarray(y, dtype=float)
-    if n == 0:
-        return np.ones_like(y)
-    p_prev = np.ones_like(y)
-    p = y.copy()
+def _legendre_P(y, n: int) -> list:
+    """[P_0(y), ..., P_n(y)], Legendre polynomials by the three-term
+    recurrence, for a float or an array y (P_0 is the float 1.0)."""
+    P = [1.0, y]
     for m in range(1, n):
-        p_prev, p = p, ((2 * m + 1) * y * p - m * p_prev) / (m + 1)
-    return p
+        P.append(((2 * m + 1) * y * P[m] - m * P[m - 1]) / (m + 1))
+    return P
 
 
 @lru_cache(maxsize=128)
@@ -146,10 +150,12 @@ def _legendre_even_min(k: int) -> float:
     """Interior minimum of P_k on [-1,1] for even k.
 
     Located on a 4096-point grid, then sharpened by 50 bisection steps on
-    the derivative sign change inside the bracketing grid cell.
+    the derivative sign change inside the bracketing grid cell.  This is
+    a numerical estimate, not an enclosure: nothing bounds P_k between
+    the grid points outside that cell.
     """
     grid = np.linspace(-1.0, 1.0, 4096)
-    vals = _legendre(k, grid)
+    vals = _legendre_P(grid, k)[k]
     j = int(np.argmin(vals))
     lo = grid[max(j - 1, 0)]
     hi = grid[min(j + 1, grid.size - 1)]
@@ -157,9 +163,8 @@ def _legendre_even_min(k: int) -> float:
     def deriv(y: float) -> float:
         if abs(y) >= 1.0:
             y = math.copysign(1.0 - 1e-12, y)
-        pk = float(_legendre(k, y))
-        pk1 = float(_legendre(k - 1, y))
-        return k * (pk1 - y * pk) / (1.0 - y * y)
+        P = _legendre_P(y, k)
+        return k * (P[k - 1] - y * P[k]) / (1.0 - y * y)
 
     dlo, dhi = deriv(lo), deriv(hi)
     if dlo < 0.0 < dhi:
@@ -170,86 +175,162 @@ def _legendre_even_min(k: int) -> float:
             else:
                 hi = mid
     y_star = 0.5 * (lo + hi)
-    return float(_legendre(k, y_star))
+    return float(_legendre_P(y_star, k)[k])
+
+
+# -- the term table: every phi/Phi formula, written once -------------------
+#
+# A builder turns (family, indices, ops) into (common, terms): common(x) is
+# the work all terms share at x (the Legendre recurrence), None when they
+# share none, and terms holds one (phi_k, Phi_k) pair of closures per index,
+# each taking common(x), or x itself when common is None.  ops is _FloatOps
+# for the float form and numpy for the array form.  The scalar chain step
+# calls these closures directly, once per term and Newton iteration: in that
+# loop a Python call costs about as much as a transcendental, and a list
+# built per call costs more.
+
+
+class _FloatOps:
+    """The operations the term formulas use, on plain floats; numpy
+    supplies the same three names for arrays."""
+
+    sin = math.sin
+    cos = math.cos
+
+    @staticmethod
+    def where(cond, a, b):
+        return a if cond else b
+
+
+def _trig_terms(family, indices, ops):
+    sin, cos = ops.sin, ops.cos
+
+    def wave(is_sin, w):
+        # sqrt(2) sin(w x) or sqrt(2) cos(w x), with its antiderivative
+        if is_sin:
+            return (lambda x: _SQRT2 * sin(w * x),
+                    lambda x: _SQRT2 * (1.0 - cos(w * x)) / w)
+        return (lambda x: _SQRT2 * cos(w * x),
+                lambda x: _SQRT2 * sin(w * x) / w)
+
+    if isinstance(family, Cosine):
+        return None, [wave(False, k * math.pi) for k in indices]
+    return None, [wave(part == "sin", 2.0 * math.pi * m) for part, m in indices]
+
+
+def _legendre_terms(family, indices, ops):
+    # P_0..P_{K+1} at y = 2x - 1 from one recurrence pass serve every term
+    top = max(indices, default=0) + 1
+
+    def common(x):
+        return _legendre_P(2.0 * x - 1.0, top)
+
+    def term(k):
+        # phi_k = sqrt(2k+1) P_k, Phi_k = (P_{k+1} - P_{k-1}) / (2 sqrt(2k+1))
+        s = math.sqrt(2 * k + 1)
+        return (lambda P: s * P[k]), (lambda P: (P[k + 1] - P[k - 1]) / (2.0 * s))
+
+    return common, [term(k) for k in indices]
+
+
+def _two_value_terms(family, indices, ops):
+    where = ops.where
+    c = family.breakpoint
+    ra = math.sqrt(family.alpha)
+    low = -1.0 / ra
+    return None, [(lambda x: where(x < c, ra, low),
+                    lambda x: where(x < c, ra * x, ra * c - (x - c) / ra))
+                   for _ in indices]
+
+
+def _sign_terms(family, indices, ops):
+    where = ops.where
+
+    def cell(k):
+        # cell [a, b) of width w: -1/sqrt(w) on its left half, +1/sqrt(w) on
+        # its right half, 0 outside; the last cell also owns x = 1
+        a, b = family.cell(k)
+        mid = 0.5 * (a + b)
+        inv = 1.0 / math.sqrt(b - a)
+        last = k == family.n_cells
+        return (lambda x: where((x >= a) & ((x < b) | (last & (x == 1.0))),
+                                where(x < mid, -inv, inv), 0.0),
+                lambda x: where(x < a, 0.0,
+                                where(x < mid, -(x - a) * inv,
+                                      where(x < b, (x - b) * inv, 0.0))))
+
+    return None, [cell(k) for k in indices]
+
+
+_TERMS = {SineCosine: _trig_terms, Cosine: _trig_terms,
+          ShiftedLegendre: _legendre_terms, TwoValueStep: _two_value_terms,
+          PiecewiseSign: _sign_terms}
+
+
+class TermTable:
+    """phi_k and Phi_k of a fixed list of basis functions of one family.
+
+    `floats` and `arrays` are the two forms of the table, each a
+    (common, terms) pair as the builders above return it: the float form
+    runs on plain floats (math functions, branches), the array form on
+    numpy arrays (ufuncs, np.where), with the same formulas in the same
+    order, so both give the same floats.  The methods evaluate every term
+    at x, taking the float form for a plain float x, and return one value
+    or array per index, in index order.  No domain check is made: x must
+    lie in [0, 1].
+    """
+
+    def __init__(self, family: Family, indices):
+        self.family = family
+        self.indices = tuple(indices)
+        for k in self.indices:
+            check_index(family, k)
+        self.arrays = _TERMS[type(family)](family, self.indices, np)
+
+    @cached_property
+    def floats(self):
+        # only the samplers' scalar path and plain-float calls need it
+        return _TERMS[type(self.family)](self.family, self.indices, _FloatOps)
+
+    def _at(self, x):
+        common, terms = self.floats if isinstance(x, float) else self.arrays
+        return (x if common is None else common(x)), terms
+
+    def phi(self, x) -> list:
+        c, terms = self._at(x)
+        return [phi(c) for phi, _ in terms]
+
+    def Phi(self, x) -> list:
+        c, terms = self._at(x)
+        return [Phi(c) for _, Phi in terms]
+
+
+def _eval_one(values, x, what: str):
+    arr = np.asarray(x, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    if np.any((arr < 0.0) | (arr > 1.0)):
+        raise ValueError(f"{what} are defined on [0,1]")
+    out = values(arr)[0]
+    return float(out[0]) if scalar else out
 
 
 def eval_phi(family: Family, k: Index, x):
     """Evaluate basis function k at x (scalar or array), vectorized."""
-    check_index(family, k)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any((arr < 0.0) | (arr > 1.0)):
-        raise ValueError("basis functions are defined on [0,1]")
-
-    if isinstance(family, SineCosine):
-        part, m = k
-        w = 2.0 * math.pi * m
-        out = _SQRT2 * (np.sin(w * arr) if part == "sin" else np.cos(w * arr))
-    elif isinstance(family, Cosine):
-        out = _SQRT2 * np.cos(k * math.pi * arr)
-    elif isinstance(family, ShiftedLegendre):
-        out = math.sqrt(2 * k + 1) * _legendre(k, 2.0 * arr - 1.0)
-    elif isinstance(family, TwoValueStep):
-        a = family.alpha
-        out = np.where(arr < family.breakpoint, math.sqrt(a), -1.0 / math.sqrt(a))
-    else:
-        a, b = family.cell(k)
-        w = b - a
-        inv = 1.0 / math.sqrt(w)
-        mid = 0.5 * (a + b)
-        inside = (arr >= a) & ((arr < b) | ((k == family.n_cells) & (arr == 1.0)))
-        out = np.where(inside, np.where(arr < mid, -inv, inv), 0.0)
-
-    return float(out[0]) if scalar else out
+    return _eval_one(TermTable(family, (k,)).phi, x, "basis functions")
 
 
 def eval_Phi(family: Family, k: Index, x):
     """Closed-form antiderivative of basis function k, zero at 0 and 1."""
-    check_index(family, k)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any((arr < 0.0) | (arr > 1.0)):
-        raise ValueError("antiderivatives are defined on [0,1]")
-
-    if isinstance(family, SineCosine):
-        part, m = k
-        w = 2.0 * math.pi * m
-        if part == "sin":
-            out = _SQRT2 * (1.0 - np.cos(w * arr)) / w
-        else:
-            out = _SQRT2 * np.sin(w * arr) / w
-    elif isinstance(family, Cosine):
-        w = k * math.pi
-        out = _SQRT2 * np.sin(w * arr) / w
-    elif isinstance(family, ShiftedLegendre):
-        y = 2.0 * arr - 1.0
-        out = (_legendre(k + 1, y) - _legendre(k - 1, y)) / (2.0 * math.sqrt(2 * k + 1))
-    elif isinstance(family, TwoValueStep):
-        a = family.alpha
-        c = family.breakpoint
-        ra = math.sqrt(a)
-        out = np.where(arr < c, ra * arr, ra * c - (arr - c) / ra)
-    else:
-        a, b = family.cell(k)
-        w = b - a
-        inv = 1.0 / math.sqrt(w)
-        mid = 0.5 * (a + b)
-        out = np.select(
-            [arr < a, arr < mid, arr < b],
-            [0.0, -(arr - a) * inv, (arr - b) * inv],
-            default=0.0,
-        )
-
-    return float(out[0]) if scalar else out
+    return _eval_one(TermTable(family, (k,)).Phi, x, "antiderivatives")
 
 
 def extrema(family: Family, k: Index) -> tuple[float, float]:
     """(min, max) of basis function k over [0,1].
 
     Exact for every family except even-index ShiftedLegendre, whose
-    interior minimum is certified numerically.
+    interior minimum is a grid-plus-bisection estimate (see
+    `_legendre_even_min`), not a proven bound.
     """
     check_index(family, k)
     if isinstance(family, (SineCosine, Cosine)):

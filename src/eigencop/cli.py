@@ -4,7 +4,9 @@ Every subcommand reads a JSON config (see `config`), writes machine
 readable JSON or CSV to stdout or --out, and exits 0 on success and 1 on
 any usage or config error.  The mixing subcommand additionally maps its
 verdict onto the exit code: 0 when a certificate was found, 2 on a
-boundary (non-mixing) verdict, 3 when the search was inconclusive.
+boundary (non-mixing) verdict, 3 when the search was inconclusive.  The
+coverage subcommand writes its table in full and exits 4 when any row
+carries an error.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def _cmd_coverage(args) -> int:
         _emit(_json_text(table.to_json()), args.out)
     else:
         _emit(table.to_csv(), args.out)
-    return 0
+    return 4 if any(row.error for row in table.rows) else 0
 
 
 def _cmd_counterexample(args) -> int:

@@ -30,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import (Cosine, Family, PiecewiseSign, ShiftedLegendre,
-                    SineCosine, TwoValueStep, check_index, eval_phi,
-                    eval_Phi, extrema, jump_points)
+                    SineCosine, TermTable, TwoValueStep, check_index,
+                    extrema, jump_points)
 from .quadrature import composite_rule, gauss_legendre_01
 
 DENSITY_GRID_N = 512
@@ -109,11 +109,14 @@ class Verdict(enum.Enum):
 class ValidityReport:
     """Outcome of the two-route validity check.
 
-    `analytic_margin` is the certified lower bound on the density implied
-    by the coefficient condition (1 plus the worst-case signed term sum);
-    nonnegative margin proves validity outright.  The grid fields record
-    the observed density range on a midpoint grid, which adjudicates the
-    cases the sufficient condition cannot certify.
+    `analytic_margin` is the lower bound on the density implied by the
+    coefficient condition (1 plus the worst-case signed term sum), built
+    from `basis.extrema`; a nonnegative margin proves validity outright,
+    except that the minimum of an even-index shifted Legendre function is
+    a grid-plus-bisection estimate, so a margin with such a term rests on
+    it.  The grid fields record the observed density range on a midpoint
+    grid, which adjudicates the cases the sufficient condition cannot
+    settle.
     """
 
     analytic_ok: bool
@@ -161,37 +164,35 @@ class SpectralCopula:
 
     # -- evaluation ----------------------------------------------------
 
-    def density(self, u, v):
+    @property
+    def terms(self) -> TermTable:
+        """phi_k and Phi_k of the copula's basis functions, in entry order."""
+        return TermTable(self.family, (k for k, _ in self.coeffs.entries))
+
+    def _expand(self, u, v, base, left, right):
+        # base(U, V) + sum_k lambda_k * left_k(U) * right_k(V), broadcast
         U = _as_unit_array(u, "u")
         V = _as_unit_array(v, "v")
-        out = np.ones(np.broadcast_shapes(U.shape, V.shape))
-        for k, lam in self.coeffs.entries:
-            out = out + lam * eval_phi(self.family, k, U) * eval_phi(self.family, k, V)
+        out = base(U, V) * np.ones(np.broadcast_shapes(U.shape, V.shape))
+        for lam, a, b in zip(self.coeffs.values, left(U), right(V)):
+            out = out + lam * a * b
         if U.ndim == 0 and V.ndim == 0:
             return float(out)
         return out
 
+    def density(self, u, v):
+        t = self.terms
+        return self._expand(u, v, lambda U, V: 1.0, t.phi, t.phi)
+
     def cdf(self, u, v):
-        U = _as_unit_array(u, "u")
-        V = _as_unit_array(v, "v")
-        out = U * V * np.ones(np.broadcast_shapes(U.shape, V.shape))
-        for k, lam in self.coeffs.entries:
-            out = out + lam * eval_Phi(self.family, k, U) * eval_Phi(self.family, k, V)
-        if U.ndim == 0 and V.ndim == 0:
-            return float(out)
-        return out
+        t = self.terms
+        return self._expand(u, v, lambda U, V: U * V, t.Phi, t.Phi)
 
     def conditional_cdf(self, u, v):
         """Derivative of the CDF in the first argument: the distribution
         function of the next state given the current state u."""
-        U = _as_unit_array(u, "u")
-        V = _as_unit_array(v, "v")
-        out = V * np.ones(np.broadcast_shapes(U.shape, V.shape))
-        for k, lam in self.coeffs.entries:
-            out = out + lam * eval_phi(self.family, k, U) * eval_Phi(self.family, k, V)
-        if U.ndim == 0 and V.ndim == 0:
-            return float(out)
-        return out
+        t = self.terms
+        return self._expand(u, v, lambda U, V: V, t.phi, t.Phi)
 
     # -- structure -----------------------------------------------------
 
@@ -217,14 +218,14 @@ class SpectralCopula:
         """Midpoint grid and the density matrix on it."""
         g = (np.arange(grid_n) + 0.5) / grid_n
         m = np.ones((grid_n, grid_n))
-        for k, lam in self.coeffs.entries:
-            p = eval_phi(self.family, k, g)
+        for lam, p in zip(self.coeffs.values, self.terms.phi(g)):
             m += lam * np.outer(p, p)
         return g, m
 
 
 def _analytic_margin(family: Family, coeffs: SpectralCoefficients) -> float:
-    """Certified lower bound for the density over the square.
+    """Lower bound for the density over the square, as exact as
+    `basis.extrema` (see ValidityReport).
 
     Generic families: each positive coefficient can at worst multiply
     (min phi)*(max phi), each negative one at worst the largest phi^2.
@@ -281,8 +282,8 @@ def _validate_cached(family: Family, coeffs: SpectralCoefficients, grid_n: int) 
     margin = _analytic_margin(family, coeffs)
     analytic_ok = margin >= -BOUNDARY_TOL
     g = (np.arange(grid_n) + 0.5) / grid_n
-    grid_min, grid_max = _density_range(
-        [(lam, eval_phi(family, k, g)) for k, lam in coeffs.entries])
+    table = TermTable(family, (k for k, _ in coeffs.entries))
+    grid_min, grid_max = _density_range(list(zip(coeffs.values, table.phi(g))))
 
     if grid_min < -GRID_NEG_TOL:
         verdict = Verdict.INVALID

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .copula import zero_association_model
 from .estimation import (sigma2_exponential, sigma2_indicator,
-                         sigma2_uniform_mean)
+                         sigma2_uniform_mean, sine_pair_means, weighted_mu)
 from .sampling import generate_chain_bank
 from .statutil import normal_quantile
 
@@ -121,11 +120,6 @@ def _error_rows(repeat: int, params_list, n_rep: int, exc: Exception):
             for p in params_list]
 
 
-def _pair_means(bank: np.ndarray, k: int) -> np.ndarray:
-    p = math.sqrt(2.0) * np.sin(2.0 * math.pi * k * bank)
-    return np.mean(p[:, :-1] * p[:, 1:], axis=1)
-
-
 def _bank(cfg: ExperimentConfig, copula, repeat: int, *cells: int) -> np.ndarray:
     """Rows keyed (master_seed, repeat, cell, r), cell by cell."""
     keys = [(cfg.master_seed, repeat, cell, r)
@@ -206,23 +200,18 @@ def _run_mu_w(cfg: ExperimentConfig, z: float, repeat: int, cell: int):
     params = [{"mu1": mu1, "w": w} for w in cfg.weights]
     try:
         copula = zero_association_model(mu1)
-        bank = _bank(cfg, copula, repeat, cell)
-        m1 = _pair_means(bank, 1)
-        m2 = _pair_means(bank, 2)
+        m1, m2 = sine_pair_means(_bank(cfg, copula, repeat, cell))
     except Exception as exc:
         return _error_rows(repeat, params, cfg.replicates, exc)
     n_pairs = cfg.n - 1
     rows = []
     for w, p in zip(cfg.weights, params):
         try:
-            est = w * m1 - (1.0 - w) * m2 / 4.0
-            ww = w - w * w
-            if cfg.variance_mode == "model":
-                s2 = 1.0 - 2.0 * (1.0 - 4.0 * est * est) * ww
-            else:
-                s2 = w * w + (1.0 - w) ** 2 / 16.0 - 2.0 * ww * est * est
-            covered, half = _cover(est, s2, n_pairs, z, mu1)
-            rows.append(_summarize(repeat, p, covered, est, half, cfg.replicates))
+            wm = weighted_mu(m1, m2, w, n_pairs)
+            s2 = wm.variance if cfg.variance_mode == "model" else wm.variance_delta
+            covered, half = _cover(wm.estimate, s2, n_pairs, z, mu1)
+            rows.append(_summarize(repeat, p, covered, wm.estimate, half,
+                                   cfg.replicates))
         except Exception as exc:
             rows.extend(_error_rows(repeat, [p], cfg.replicates, exc))
     return rows

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import SineCosine, TermTable
 from .quadrature import gauss_legendre_01, log_weighted_sine_integral
 from .statutil import normal_quantile
 
@@ -32,8 +33,8 @@ _LOG_SIN_1_SQ = log_weighted_sine_integral(1) ** 2
 _LOG_SIN_2_SQ = log_weighted_sine_integral(2) ** 2
 
 
-def _phi(k: int, x):
-    return math.sqrt(2.0) * np.sin(2.0 * math.pi * k * np.asarray(x, dtype=float))
+# phi_1 and phi_2, the two sine functions of the model
+_SINES = TermTable(SineCosine(), (("sin", 1), ("sin", 2)))
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,21 @@ class MuEstimate:
         }
 
 
+def sine_pair_means(values) -> tuple:
+    """The pair averages (mu_hat_1, mu_hat_2) along the last axis: numpy
+    scalars for one chain, one value per row for a bank of chains."""
+    p1, p2 = _SINES.phi(np.asarray(values, dtype=float))
+    return (np.mean(p1[..., :-1] * p1[..., 1:], axis=-1),
+            np.mean(p2[..., :-1] * p2[..., 1:], axis=-1))
+
+
 def estimate_mu(values) -> MuEstimate:
     """Pairwise coefficient estimates from one chain of uniforms."""
     u = np.asarray(values, dtype=float)
     if u.ndim != 1 or u.size < 2:
         raise ValueError("need a 1-d chain with at least two values")
-    x, y = u[:-1], u[1:]
     m = u.size - 1
-    mu1 = float(np.mean(_phi(1, x) * _phi(1, y)))
-    mu2 = float(np.mean(_phi(2, x) * _phi(2, y)))
+    mu1, mu2 = (float(mu) for mu in sine_pair_means(u))
     off = -mu1 * mu2 / m
     cov = ((1.0 / m, off), (off, 1.0 / m))
     return MuEstimate(mu1, mu2, m, cov)
@@ -150,22 +157,11 @@ def sigma2_custom(f, mu1: float, mu2: float, marginal_variance: float = None,
     if marginal_variance is None:
         mean = float(np.dot(w, fx))
         marginal_variance = float(np.dot(w, (fx - mean) ** 2))
-    a1 = float(np.dot(w, fx * _phi(1, x)))
-    a2 = float(np.dot(w, fx * _phi(2, x)))
+    p1, p2 = _SINES.phi(x)
+    a1 = float(np.dot(w, fx * p1))
+    a2 = float(np.dot(w, fx * p2))
     return marginal_variance + 2.0 * (mu1 * a1 * a1 / (1.0 - mu1)
                                       + mu2 * a2 * a2 / (1.0 - mu2))
-
-
-def sigma2_f(kind: str, params: dict) -> float:
-    """Dispatcher used by the command line: kind selects the formula and
-    params carries its arguments."""
-    if kind == "indicator":
-        return sigma2_indicator(params["a"], params["mu1"])
-    if kind == "exponential":
-        return sigma2_exponential(params["rate"], params["mu1"])
-    if kind == "uniform_mean":
-        return sigma2_uniform_mean(params["mu1"])
-    raise ValueError(f"unknown variance kind {kind!r}")
 
 
 # -- weighted coefficient estimator ---------------------------------------
@@ -199,16 +195,23 @@ class WeightedMuEstimate:
         }
 
 
-def estimate_mu_weighted(values, weight: float) -> WeightedMuEstimate:
+def weighted_mu(mu1_hat, mu2_hat, weight: float, n_pairs: int) -> WeightedMuEstimate:
+    """The weighted estimate and both its variances from the two pair
+    averages, given as floats for one chain or as arrays with one value
+    per replicate (the estimate and variances then are arrays too)."""
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must be in [0,1]")
-    est = estimate_mu(values)
     w = float(weight)
-    mu = w * est.mu1 - (1.0 - w) * est.mu2 / 4.0
+    mu = w * mu1_hat - (1.0 - w) * mu2_hat / 4.0
     ww = w - w * w
     variance = 1.0 - 2.0 * (1.0 - 4.0 * mu * mu) * ww
     variance_delta = w * w + (1.0 - w) ** 2 / 16.0 - 2.0 * ww * mu * mu
-    return WeightedMuEstimate(w, mu, variance, variance_delta, est.n_pairs)
+    return WeightedMuEstimate(w, mu, variance, variance_delta, n_pairs)
+
+
+def estimate_mu_weighted(values, weight: float) -> WeightedMuEstimate:
+    est = estimate_mu(values)
+    return weighted_mu(est.mu1, est.mu2, weight, est.n_pairs)
 
 
 # -- Wald intervals --------------------------------------------------------

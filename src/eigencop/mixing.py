@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import ShiftedLegendre, _legendre_even_min, eval_phi
+from .basis import ShiftedLegendre, _legendre_even_min
 from .copula import SpectralCopula, _density_range
 
 SUP_BOUNDARY_TOL = 1e-12
@@ -128,7 +128,8 @@ def certify_psi(c: SpectralCopula, max_n: int = DEFAULT_MAX_N,
                 # phi on the midpoint grid is fold-independent, only the
                 # coefficient powers change
                 x = (np.arange(grid_n) + 0.5) / grid_n
-                phis = [(k, eval_phi(c.family, k, x)) for k, _ in c.coeffs.entries]
+                t = c.terms
+                phis = list(zip(t.indices, t.phi(x)))
             # folded coefficients that underflow to zero are dropped from
             # the container, and from the sum
             folded = dict(c.fold(n).coeffs.entries)

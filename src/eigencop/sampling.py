@@ -21,31 +21,28 @@ MAX_ITER iterations the last iterate is returned.
 Copulas that validate() calls INVALID are refused: their d1C(u, .) need
 not be monotone, so a root need not be a conditional quantile.
 
-Single chains run through a plain-float scalar path; replicate banks run
-through a lane-vectorized path, one numpy array per time step, with the
-same operations in the same order, so a one-lane bank reproduces the
-scalar chain.  Each path is deterministic for a given seed key;
-per-replicate seed keys make banks independent of scheduling and thread
-count.
+Both phi_k and Phi_k come from the copula's `basis.TermTable`.  Single
+chains run through a plain-float scalar path on the table's float form;
+replicate banks run through a lane-vectorized path, one numpy array per
+time step, on its array form, with the same operations in the same order,
+so a one-lane bank reproduces the scalar chain.  Each path is
+deterministic for a given seed key; per-replicate seed keys make banks
+independent of scheduling and thread count.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .basis import (Cosine, PiecewiseSign, ShiftedLegendre, SineCosine,
-                    TwoValueStep, is_step, jump_points)
+from .basis import is_step, jump_points
 from .copula import SpectralCopula, Verdict
 
 RESIDUAL_TOL = 1e-12
 BRACKET_TOL = 1e-14
 MAX_ITER = 100
-
-_S2 = math.sqrt(2.0)
 
 
 # -- marginal transforms -------------------------------------------------
@@ -110,121 +107,22 @@ def innovation_stream(*keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(keys)))
 
 
-# -- per-family scalar and vector term evaluators ------------------------
-
-
-def _legendre_pair(k: int):
-    """(phi, phi_Phi) of the k-th shifted Legendre function, for floats and
-    arrays alike.  One pass of the three-term recurrence gives P_{k-1},
-    P_k and P_{k+1}: phi = sqrt(2k+1) P_k and Phi = (P_{k+1} - P_{k-1}) /
-    (2 sqrt(2k+1))."""
-    scale = math.sqrt(2 * k + 1)
-
-    def phi_Phi(x):
-        y = 2.0 * x - 1.0
-        q, p_prev, p = None, 1.0, y
-        for m in range(1, k + 1):
-            q, p_prev, p = p_prev, p, ((2 * m + 1) * y * p - m * p_prev) / (m + 1)
-        return scale * p_prev, (p - q) / (2.0 * scale)
-
-    return (lambda x: phi_Phi(x)[0]), phi_Phi
-
-
-def _scalar_pair(family, k):
-    """(phi, phi_Phi) as plain-float callables for one basis function;
-    phi_Phi(x) returns (phi(x), Phi(x)) from one evaluation."""
-    if isinstance(family, SineCosine):
-        part, m = k
-        w = 2.0 * math.pi * m
-        if part == "sin":
-            return (lambda x: _S2 * math.sin(w * x),
-                    lambda x: (_S2 * math.sin(w * x),
-                               _S2 * (1.0 - math.cos(w * x)) / w))
-        return (lambda x: _S2 * math.cos(w * x),
-                lambda x: (_S2 * math.cos(w * x), _S2 * math.sin(w * x) / w))
-    if isinstance(family, Cosine):
-        w = k * math.pi
-        return (lambda x: _S2 * math.cos(w * x),
-                lambda x: (_S2 * math.cos(w * x), _S2 * math.sin(w * x) / w))
-    if isinstance(family, ShiftedLegendre):
-        return _legendre_pair(k)
-    # step families are inverted from knot tables, never by the solver,
-    # so their scalar form needs phi alone
-    if isinstance(family, TwoValueStep):
-        c = family.breakpoint
-        ra = math.sqrt(family.alpha)
-        return (lambda x: ra if x < c else -1.0 / ra), None
-    a, b = family.cell(k)
-    inv = 1.0 / math.sqrt(b - a)
-    mid = 0.5 * (a + b)
-    last = k == family.n_cells
-
-    def phi(x):
-        if x < a or (x >= b and not (last and x == 1.0)):
-            return 0.0
-        return -inv if x < mid else inv
-
-    return phi, None
-
-
-def _vector_pair(family, k):
-    """(phi, phi_Phi) as vectorized callables without domain checks."""
-    if isinstance(family, SineCosine):
-        part, m = k
-        w = 2.0 * math.pi * m
-        if part == "sin":
-            return (lambda x: _S2 * np.sin(w * x),
-                    lambda x: (_S2 * np.sin(w * x), _S2 * (1.0 - np.cos(w * x)) / w))
-        return (lambda x: _S2 * np.cos(w * x),
-                lambda x: (_S2 * np.cos(w * x), _S2 * np.sin(w * x) / w))
-    if isinstance(family, Cosine):
-        w = k * math.pi
-        return (lambda x: _S2 * np.cos(w * x),
-                lambda x: (_S2 * np.cos(w * x), _S2 * np.sin(w * x) / w))
-    if isinstance(family, ShiftedLegendre):
-        return _legendre_pair(k)
-    if isinstance(family, TwoValueStep):
-        a = family.alpha
-        c = family.breakpoint
-        ra = math.sqrt(a)
-
-        def phi(x):
-            return np.where(x < c, ra, -1.0 / ra)
-
-        def Phi(x):
-            return np.where(x < c, ra * x, ra * c - (x - c) / ra)
-
-        return phi, lambda x: (phi(x), Phi(x))
-    a, b = family.cell(k)
-    inv = 1.0 / math.sqrt(b - a)
-    mid = 0.5 * (a + b)
-    last = k == family.n_cells
-
-    def phi(x):
-        inside = (x >= a) & ((x < b) | (last & (x == 1.0)))
-        return np.where(inside, np.where(x < mid, -inv, inv), 0.0)
-
-    def Phi(x):
-        return np.select([x <= a, x < mid, x < b],
-                         [0.0, -(x - a) * inv, (x - b) * inv], default=0.0)
-
-    return phi, lambda x: (phi(x), Phi(x))
-
-
 # -- conditional CDF inversion -------------------------------------------
 
 
-def _solve_scalar(terms, w: float) -> float:
-    """Root of g(v) = v + sum s*Phi(v) - w on [0,1]; terms are (s, phi_Phi)."""
+def _solve_scalar(common, terms, w: float) -> float:
+    """Root of g(v) = v + sum s_k*Phi_k(v) - w on [0,1]; terms holds
+    (s_k, phi_k, Phi_k) with the closures of the table's float form, and
+    common is that form's shared part."""
     lo, hi = 0.0, 1.0
     v = w
     for _ in range(MAX_ITER):
         g = v - w
         c = 1.0
-        for s, phi_Phi in terms:
-            p, P = phi_Phi(v)
-            g += s * P
-            c += s * p
+        x = v if common is None else common(v)
+        for s, phi, Phi in terms:
+            g += s * Phi(x)
+            c += s * phi(x)
         if abs(g) <= RESIDUAL_TOL:
             return v
         if g < 0.0:
@@ -239,10 +137,10 @@ def _solve_scalar(terms, w: float) -> float:
     return v
 
 
-def _solve_vector(terms, w: np.ndarray) -> np.ndarray:
+def _solve_vector(common, terms, w: np.ndarray) -> np.ndarray:
     """_solve_scalar lane by lane, with the same operations in the same
-    order; s in terms holds one value per lane.  Finished lanes leave the
-    working arrays."""
+    order, on the array form of the table; each s_k holds one value per
+    lane.  Finished lanes leave the working arrays."""
     out = np.empty_like(w)
     lane = np.arange(w.size)
     lo = np.zeros_like(w)
@@ -251,10 +149,10 @@ def _solve_vector(terms, w: np.ndarray) -> np.ndarray:
     for _ in range(MAX_ITER):
         g = v - w
         c = 1.0
-        for s, phi_Phi in terms:
-            p, P = phi_Phi(v)
-            g = g + s * P
-            c = c + s * p
+        x = v if common is None else common(v)
+        for s, phi, Phi in terms:
+            g = g + s * Phi(x)
+            c = c + s * phi(x)
         hit = np.abs(g) <= RESIDUAL_TOL
         neg = g < 0.0
         lo = np.where(neg, v, lo)
@@ -270,7 +168,7 @@ def _solve_vector(terms, w: np.ndarray) -> np.ndarray:
             if not keep.any():
                 return out
             lane, w, lo, hi, nxt = (a[keep] for a in (lane, w, lo, hi, nxt))
-            terms = [(s[keep], phi_Phi) for s, phi_Phi in terms]
+            terms = [(s[keep], phi, Phi) for s, phi, Phi in terms]
         v = nxt
     out[lane] = v
     return out
@@ -289,17 +187,14 @@ class _Sampler:
                              "is not a distribution function")
         self.copula = c
         self.step = is_step(c.family)
-        self.entries = c.coeffs.entries
-        self.scalar_pairs = [(lam,) + _scalar_pair(c.family, k)
-                             for k, lam in self.entries]
-        self.vector_pairs = [(lam,) + _vector_pair(c.family, k)
-                             for k, lam in self.entries]
+        self.lams = c.coeffs.values
+        table = c.terms
+        self.floats, self.arrays = table.floats, table.arrays
         if self.step:
             self.knots = _step_knots(c)
             # antiderivative values at the knots, one row per term
-            self.Phi_at_knots = np.stack(
-                [phi_Phi(self.knots)[1] for _, _, phi_Phi in self.vector_pairs]) \
-                if self.entries else np.zeros((0, self.knots.size))
+            self.Phi_at_knots = np.array(table.Phi(self.knots)).reshape(
+                len(self.lams), self.knots.size)
             # the same tables as plain floats for the scalar path
             self.knot_list = self.knots.tolist()
             self.Phi_rows = self.Phi_at_knots.tolist()
@@ -307,13 +202,15 @@ class _Sampler:
     # scalar path
 
     def next_scalar(self, u: float, w: float) -> float:
-        if not self.entries:
+        if not self.lams:
             return w
+        common, terms = self.floats
+        x = u if common is None else common(u)
         if self.step:
             knots = self.knot_list
             gk = knots
-            for (lam, phi, _), row in zip(self.scalar_pairs, self.Phi_rows):
-                s = lam * phi(u)
+            for lam, (phi, _), row in zip(self.lams, terms, self.Phi_rows):
+                s = lam * phi(x)
                 gk = [g + s * p for g, p in zip(gk, row)]
             j = 0
             for idx in range(len(knots) - 1):
@@ -327,19 +224,21 @@ class _Sampler:
             else:
                 v = knots[j] + (w - gk[j]) * (knots[j + 1] - knots[j]) / dg
             return min(max(v, 0.0), 1.0)
-        return _solve_scalar([(lam * phi(u), phi_Phi)
-                              for lam, phi, phi_Phi in self.scalar_pairs], w)
+        return _solve_scalar(common, [(lam * phi(x), phi, Phi) for lam, (phi, Phi)
+                                      in zip(self.lams, terms)], w)
 
     # vector path
 
     def next_vector(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        if not self.entries:
+        if not self.lams:
             return w.copy()
-        terms = [(lam * phi(u), phi_Phi) for lam, phi, phi_Phi in self.vector_pairs]
+        common, terms = self.arrays
+        x = u if common is None else common(u)
+        ss = [lam * phi(x) for lam, (phi, _) in zip(self.lams, terms)]
         if self.step:
             knots = self.knots
             g = np.broadcast_to(knots, (u.size, knots.size)).copy()
-            for (s, _), row in zip(terms, self.Phi_at_knots):
+            for s, row in zip(ss, self.Phi_at_knots):
                 g += s[:, None] * row[None, :]
             j = np.clip(np.sum(g <= w[:, None], axis=1) - 1, 0, knots.size - 2)
             rows = np.arange(u.size)
@@ -350,7 +249,8 @@ class _Sampler:
             v = knots[j] + (w - gj) * (knots[j + 1] - knots[j]) / safe
             v = np.where(dg > 0.0, v, knots[j])
             return np.clip(v, 0.0, 1.0)
-        return _solve_vector(terms, w)
+        return _solve_vector(common, [(s, phi, Phi) for s, (phi, Phi)
+                                      in zip(ss, terms)], w)
 
 
 def next_state(c: SpectralCopula, u_prev, w):

@@ -1,9 +1,9 @@
 import sys
 
-import numpy as np
 import pytest
 
 from eigencop import generate_chain_bank, two_sine_model
+from eigencop.estimation import sine_pair_means
 
 CLT_SEED = 7
 CLT_R = 5000
@@ -22,11 +22,7 @@ def model_bank():
 @pytest.fixture(scope="session")
 def pair_means(model_bank):
     """Pair averages of the first two sine products, one per replicate."""
-    def mean_k(k):
-        p = np.sqrt(2.0) * np.sin(2.0 * np.pi * k * model_bank)
-        return np.mean(p[:, :-1] * p[:, 1:], axis=1)
-
-    return mean_k(1), mean_k(2)
+    return sine_pair_means(model_bank)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

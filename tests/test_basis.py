@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numpy.polynomial import legendre
+
 from eigencop.basis import (Cosine, PiecewiseSign, ShiftedLegendre,
-                            SineCosine, TwoValueStep, check_index, eval_phi,
-                            eval_Phi, extrema, is_step, jump_points)
+                            SineCosine, TermTable, TwoValueStep, check_index,
+                            eval_phi, eval_Phi, extrema, is_step, jump_points)
 from eigencop.quadrature import composite_rule, gauss_legendre_01
 
 FAMILIES = [
@@ -161,3 +163,78 @@ def test_step_phi_integrates_to_zero_property(alpha, x):
     # antiderivative stays bounded by its breakpoint value
     peak = math.sqrt(alpha) * fam.breakpoint
     assert abs(eval_Phi(fam, 1, x)) <= peak + 1e-12
+
+
+# -- the term table ----------------------------------------------------------
+
+TABLES = [
+    (SineCosine(), [("sin", 1), ("cos", 1), ("sin", 2), ("cos", 3), ("sin", 7),
+                    ("sin", 1024), ("cos", 1024)]),  # shared frequencies
+    (Cosine(), [1, 2, 3, 7, 1024]),
+    (ShiftedLegendre(), list(range(1, 31))),
+    (ShiftedLegendre(), [1, 3, 5]),  # gapped indices
+    (TwoValueStep(0.4), [1]),
+    (PiecewiseSign((0.0, 0.25, 0.6, 1.0)), [1, 2, 3]),
+    (PiecewiseSign((0.0, 0.25, 0.6, 1.0)), [3]),
+]
+
+
+def _table_points(family):
+    # grid points, both endpoints, the step knots, the cell edges and midpoints
+    edges = list(family.breakpoints) if isinstance(family, PiecewiseSign) else []
+    special = [0.0, 1.0, *jump_points(family), *edges]
+    return np.concatenate([np.linspace(0.0, 1.0, 257), (np.arange(128) + 0.5) / 128,
+                           np.array(special)])
+
+
+@pytest.mark.parametrize("family,ks", TABLES)
+def test_term_table_float_form_equals_array_form(family, ks):
+    table = TermTable(family, ks)
+    x = _table_points(family)
+    phi, Phi = table.phi(x), table.Phi(x)
+    assert len(phi) == len(Phi) == len(ks)
+    for j, xj in enumerate(x.tolist()):
+        p, P = table.phi(xj), table.Phi(xj)
+        assert all(type(v) is float for v in p + P)
+        assert p == [a[j] for a in phi]
+        assert P == [a[j] for a in Phi]
+    for k, a, b in zip(ks, phi, Phi):
+        assert np.array_equal(a, eval_phi(family, k, x))
+        assert np.array_equal(b, eval_Phi(family, k, x))
+
+
+def _trig_oracle(family, k, x):
+    # sqrt(2) sin/cos straight from the definitions, with their antiderivatives
+    part, w = ("cos", k * np.pi) if isinstance(family, Cosine) else (k[0], 2 * np.pi * k[1])
+    if part == "sin":
+        return np.sqrt(2) * np.sin(w * x), np.sqrt(2) * (1 - np.cos(w * x)) / w
+    return np.sqrt(2) * np.cos(w * x), np.sqrt(2) * np.sin(w * x) / w
+
+
+def _legendre_oracle(k, x):
+    # numpy's Legendre series: P_k by Clenshaw, its antiderivative from -1
+    p = legendre.Legendre.basis(k)
+    s = math.sqrt(2 * k + 1)
+    return s * p(2 * x - 1), 0.5 * s * p.integ(lbnd=-1)(2 * x - 1)
+
+
+@pytest.mark.parametrize("family,ks", [t for t in TABLES if not is_step(t[0])])
+def test_term_table_matches_independent_oracles(family, ks):
+    # 1e-12: the recurrence error grows about k*eps (1.3e-13 seen at k = 30),
+    # and a harmonic recurrence for the trig families would stay within it
+    # up to k = 1024
+    x = _table_points(family)
+    table = TermTable(family, ks)
+    for k, a, b in zip(ks, table.phi(x), table.Phi(x)):
+        want_a, want_b = (_legendre_oracle(k, x) if isinstance(family, ShiftedLegendre)
+                          else _trig_oracle(family, k, x))
+        assert np.max(np.abs(a - want_a)) <= 1e-12
+        assert np.max(np.abs(b - want_b)) <= 1e-12
+
+
+def test_term_table_rejects_bad_indices():
+    with pytest.raises(ValueError):
+        TermTable(ShiftedLegendre(), [1, 0])
+    with pytest.raises(ValueError):
+        TermTable(TwoValueStep(1.0), [2])
+    assert TermTable(Cosine(), []).phi(0.3) == []

@@ -359,6 +359,25 @@ def test_cli_coverage_json(capsys, tmp_path):
         assert row["error"] is None
 
 
+def test_cli_coverage_cell_failure_exits_four(capsys, tmp_path, monkeypatch):
+    import eigencop.coverage as cov
+
+    def boom(*args, **kwargs):
+        raise ValueError("synthetic failure")
+
+    monkeypatch.setattr(cov, "generate_chain_bank", boom)
+    cfgp = _coverage_config(tmp_path)
+    code, out, _ = _run(capsys, "coverage", "--config", cfgp)
+    assert code == 4
+    # the table is still written in full, one error row per cell
+    lines = [l for l in out.split("\r\n") if l]
+    assert len(lines) == 3
+    assert all(l.endswith("ValueError: synthetic failure") for l in lines[1:])
+    code, out, _ = _run(capsys, "coverage", "--config", cfgp, "--json")
+    assert code == 4
+    assert [r["error"] for r in json.loads(out)["rows"]] == ["ValueError: synthetic failure"] * 2
+
+
 def test_cli_counterexample(capsys):
     code, out, _ = _run(capsys, "counterexample", "--terms", "10")
     assert code == 0

@@ -6,9 +6,8 @@ import pytest
 from eigencop import (chi2_statistic, estimate_mu, estimate_mu_weighted,
                       generate_chain_bank, indicator_zero_effect_closed,
                       indicator_zero_effect_threshold, mean_ci,
-                      sigma2_custom, sigma2_exponential, sigma2_f,
-                      sigma2_indicator, sigma2_uniform_mean, two_sine_model,
-                      wald_interval)
+                      sigma2_custom, sigma2_exponential, sigma2_indicator,
+                      sigma2_uniform_mean, two_sine_model, wald_interval)
 
 from conftest import CLT_N, CLT_R
 
@@ -121,14 +120,6 @@ def test_sigma2_custom_accepts_known_marginal_variance():
     mu1 = 0.05
     got = sigma2_custom(lambda x: x, mu1, -4 * mu1, marginal_variance=1.0 / 12.0)
     assert got == pytest.approx(sigma2_uniform_mean(mu1), abs=1e-14)
-
-
-def test_sigma2_dispatcher():
-    assert sigma2_f("indicator", {"a": 0.3, "mu1": 0.05}) == sigma2_indicator(0.3, 0.05)
-    assert sigma2_f("exponential", {"rate": 2.0, "mu1": 0.05}) == sigma2_exponential(2.0, 0.05)
-    assert sigma2_f("uniform_mean", {"mu1": 0.05}) == sigma2_uniform_mean(0.05)
-    with pytest.raises(ValueError):
-        sigma2_f("nope", {})
 
 
 def test_weighted_estimator_degenerates_at_full_weight():

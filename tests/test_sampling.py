@@ -10,13 +10,16 @@ from eigencop import (Bernoulli, Exponential, Uniform, Verdict, apply_transform,
                       cosine_copula, fgm, generate_chain, generate_chain_bank,
                       independence, innovation_stream, next_state,
                       piecewise_sign, sample_wl, shifted_legendre_copula,
-                      two_sine_model, two_value_step, zero_association_model)
+                      sine_cosine_copula, two_sine_model, two_value_step,
+                      zero_association_model)
 from eigencop.statutil import chi2_gof, ks_uniform, lag1_autocorrelation
 
 SMOOTH = [
     cosine_copula({1: 0.35, 2: -0.1}),  # VALID, margin 0.1
     shifted_legendre_copula({1: 0.3, 2: 0.15}),
     two_sine_model(0.2, -0.15),
+    shifted_legendre_copula({1: 0.1, 3: 0.05, 5: 0.02}),  # VALID, margin 0.13
+    sine_cosine_copula(sin={1: 0.1}, cos={1: 0.1, 3: 0.05}),  # VALID, margin 0.5
 ]
 STEPS = [
     two_value_step(1.0, 0.6),
