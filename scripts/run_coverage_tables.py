@@ -17,7 +17,9 @@ varies it:
 Replicate counts mirror the published studies (rows of R=100 plus one
 R=1000 row for the Bernoulli case); --quick cuts them down for a smoke
 run.  Every cell stream is keyed by (master seed, repeat, cell,
-replicate), so reruns with the same seed are byte-identical.
+replicate), so reruns with the same seed are byte-identical.  Every table
+is written in full; the exit status is 4 when any row carries an error,
+as for `eigencop coverage`, and 0 otherwise.
 """
 
 import argparse
@@ -71,7 +73,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out-dir", default="coverage_tables",
                     help="directory for the CSV outputs")
     ap.add_argument("--seed", type=int, default=19)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--quick", action="store_true",
                     help="small replicate counts for a fast smoke run")
     args = ap.parse_args(argv)
@@ -80,17 +81,19 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.time()
+    failed = 0
     for name, raw in studies(args.seed, args.quick):
         cfg = load_experiment(raw)
         t1 = time.time()
-        table = run_coverage(cfg, threads=args.threads)
+        table = run_coverage(cfg)
         dest = out_dir / f"{name}.csv"
         dest.write_text(table.to_csv(), encoding="utf-8", newline="")
-        bad = [r for r in table.rows if r.error]
-        status = f"{len(bad)} failed cells" if bad else "ok"
+        bad = sum(1 for r in table.rows if r.error)
+        failed += bad
+        status = f"{bad} failed cells" if bad else "ok"
         print(f"{name:14s} {len(table.rows):3d} rows  {time.time() - t1:6.1f}s  {status}")
     print(f"total {time.time() - t0:.1f}s -> {out_dir}")
-    return 0
+    return 4 if failed else 0
 
 
 if __name__ == "__main__":

@@ -156,7 +156,7 @@ def _cmd_coverage(args) -> int:
         raw = dict(cfg.raw)
         raw["master_seed"] = args.seed
         cfg = load_experiment(raw)
-    table = coverage.run_coverage(cfg, threads=args.threads)
+    table = coverage.run_coverage(cfg)
     if args.json:
         _emit(_json_text(table.to_json()), args.out)
     else:
@@ -218,7 +218,6 @@ def _build_parser() -> _Parser:
 
     p = add("coverage", _cmd_coverage, "run a coverage-probability study")
     p.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
 
     p = add("counterexample", _cmd_counterexample,

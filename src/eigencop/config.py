@@ -314,6 +314,11 @@ def parse_experiment_config(obj) -> ExperimentConfig:
             if not 0.0 <= w <= 1.0:
                 raise ConfigError(f"weights[{i}]", "must be in [0,1]")
         mu1_values = real_list("mu1_values")
+        for i, mu1 in enumerate(mu1_values):
+            try:
+                zero_association_model(mu1)
+            except ValueError as exc:
+                raise ConfigError(f"mu1_values[{i}]", str(exc)) from exc
         if "copula" in obj:
             raise ConfigError("copula", "coverage_mu_w derives its copulas from mu1_values")
     else:

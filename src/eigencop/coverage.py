@@ -15,19 +15,19 @@ published with and "iid" the delta-method variance from the joint CLT of
 the two pair averages.
 
 Replicate r of cell c in repeat j draws its innovations from the stream
-keyed (master_seed, j, c, r), so results are reproducible and independent
-of scheduling; cells that share chains (thresholds, sample sizes, weights)
-use cell key 0 and reuse one bank per repeat, and the exponential study
-steps all its rate cells in one bank per repeat.
+keyed (master_seed, j, c, r), so results are reproducible; cells that share
+chains (thresholds, sample sizes, weights) use cell key 0 and reuse one
+bank per repeat, and the exponential study steps all its rate cells in one
+bank per repeat.  A ValueError or ArithmeticError while drawing a bank
+becomes error rows for that bank, and one while computing a row an error
+row for that row; any other exception propagates.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,14 +38,7 @@ from .estimation import (sigma2_exponential, sigma2_indicator,
 from .sampling import generate_chain_bank
 from .statutil import normal_quantile
 
-WORKERS_ENV = "EIGENCOP_WORKERS"
-
-_PARAM_COLS = {
-    "coverage_bernoulli": ("a",),
-    "coverage_exponential": ("rate",),
-    "coverage_mean": ("sample_size",),
-    "coverage_mu_w": ("mu1", "w"),
-}
+_NUMERICAL = (ValueError, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -60,16 +53,7 @@ class CoverageRow:
     error: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "repeat": self.repeat,
-            "params": dict(self.params),
-            "coverage": self.coverage,
-            "covered_count": self.covered_count,
-            "replicates": self.replicates,
-            "mean_estimate": self.mean_estimate,
-            "mean_halfwidth": self.mean_halfwidth,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -84,7 +68,7 @@ class CoverageTable:
         }
 
     def to_csv(self) -> str:
-        cols = _PARAM_COLS[self.config.kind]
+        cols = _STUDIES[self.config.kind][0]
         buf = io.StringIO()
         wr = csv.writer(buf)  # RFC-4180: minimal quoting, CRLF rows
         wr.writerow(["repeat", *cols, "coverage", "covered", "replicates",
@@ -114,139 +98,93 @@ def _cover(est, sigma2, n_eff: int, z: float, target: float):
     return covered, half
 
 
-def _error_rows(repeat: int, params_list, n_rep: int, exc: Exception):
+def _error_row(repeat: int, params: dict, n_rep: int, exc: Exception) -> CoverageRow:
     msg = f"{type(exc).__name__}: {exc}"
-    return [CoverageRow(repeat, p, None, None, n_rep, None, None, msg)
-            for p in params_list]
+    return CoverageRow(repeat, params, None, None, n_rep, None, None, msg)
 
 
-def _bank(cfg: ExperimentConfig, copula, repeat: int, *cells: int) -> np.ndarray:
-    """Rows keyed (master_seed, repeat, cell, r), cell by cell."""
-    keys = [(cfg.master_seed, repeat, cell, r)
-            for cell in cells for r in range(cfg.replicates)]
-    return generate_chain_bank(copula, cfg.n, keys)
+def _bernoulli(cfg: ExperimentConfig, bank, i: int, p: dict):
+    a = p["a"]
+    est = np.mean(bank <= a, axis=1)
+    if cfg.variance_mode == "model":
+        return est, sigma2_indicator(a, _mu1_of(cfg.copula)), cfg.n, a
+    return est, est * (1.0 - est), cfg.n, a
 
 
-def _run_bernoulli(cfg: ExperimentConfig, z: float, repeat: int):
-    params = [{"a": a} for a in cfg.thresholds]
-    try:
-        bank = _bank(cfg, cfg.copula, repeat, 0)
-    except Exception as exc:
-        return _error_rows(repeat, params, cfg.replicates, exc)
-    mu1 = _mu1_of(cfg.copula)
-    rows = []
-    for a, p in zip(cfg.thresholds, params):
-        try:
-            est = np.mean(bank <= a, axis=1)
-            if cfg.variance_mode == "model":
-                s2 = sigma2_indicator(a, mu1)
-            else:
-                s2 = est * (1.0 - est)
-            covered, half = _cover(est, s2, cfg.n, z, a)
-            rows.append(_summarize(repeat, p, covered, est, half, cfg.replicates))
-        except Exception as exc:
-            rows.extend(_error_rows(repeat, [p], cfg.replicates, exc))
-    return rows
+def _exponential(cfg: ExperimentConfig, bank, i: int, p: dict):
+    rate, n_rep = p["rate"], cfg.replicates
+    x = -rate * np.log1p(-bank[i * n_rep:(i + 1) * n_rep])
+    est = np.mean(x, axis=1)
+    if cfg.variance_mode == "model":
+        return est, sigma2_exponential(rate, _mu1_of(cfg.copula)), cfg.n, rate
+    return est, est * est, cfg.n, rate
 
 
-def _run_exponential(cfg: ExperimentConfig, z: float, repeat: int):
-    params = [{"rate": rate} for rate in cfg.rates]
-    n_rep = cfg.replicates
-    try:
-        bank = _bank(cfg, cfg.copula, repeat, *range(len(cfg.rates)))
-    except Exception as exc:
-        return _error_rows(repeat, params, n_rep, exc)
-    mu1 = _mu1_of(cfg.copula)
-    rows = []
-    for cell, (rate, p) in enumerate(zip(cfg.rates, params)):
-        try:
-            x = -rate * np.log1p(-bank[cell * n_rep:(cell + 1) * n_rep])
-            est = np.mean(x, axis=1)
-            if cfg.variance_mode == "model":
-                s2 = sigma2_exponential(rate, mu1)
-            else:
-                s2 = est * est
-            covered, half = _cover(est, s2, cfg.n, z, rate)
-            rows.append(_summarize(repeat, p, covered, est, half, n_rep))
-        except Exception as exc:
-            rows.extend(_error_rows(repeat, [p], n_rep, exc))
-    return rows
+def _mean(cfg: ExperimentConfig, bank, i: int, p: dict):
+    m = p["sample_size"]
+    est = np.mean(bank[:, :m], axis=1)
+    if cfg.variance_mode == "model":
+        return est, sigma2_uniform_mean(_mu1_of(cfg.copula)), m, 0.5
+    return est, 1.0 / 12.0, m, 0.5
 
 
-def _run_mean(cfg: ExperimentConfig, z: float, repeat: int):
-    params = [{"sample_size": m} for m in cfg.sample_sizes]
-    try:
-        bank = _bank(cfg, cfg.copula, repeat, 0)
-    except Exception as exc:
-        return _error_rows(repeat, params, cfg.replicates, exc)
-    mu1 = _mu1_of(cfg.copula)
-    rows = []
-    for m, p in zip(cfg.sample_sizes, params):
-        try:
-            est = np.mean(bank[:, :m], axis=1)
-            if cfg.variance_mode == "model":
-                s2 = sigma2_uniform_mean(mu1)
-            else:
-                s2 = 1.0 / 12.0
-            covered, half = _cover(est, s2, m, z, 0.5)
-            rows.append(_summarize(repeat, p, covered, est, half, cfg.replicates))
-        except Exception as exc:
-            rows.extend(_error_rows(repeat, [p], cfg.replicates, exc))
-    return rows
-
-
-def _run_mu_w(cfg: ExperimentConfig, z: float, repeat: int, cell: int):
-    mu1 = cfg.mu1_values[cell]
-    params = [{"mu1": mu1, "w": w} for w in cfg.weights]
-    try:
-        copula = zero_association_model(mu1)
-        m1, m2 = sine_pair_means(_bank(cfg, copula, repeat, cell))
-    except Exception as exc:
-        return _error_rows(repeat, params, cfg.replicates, exc)
+def _mu_w(cfg: ExperimentConfig, pair_means, i: int, p: dict):
     n_pairs = cfg.n - 1
-    rows = []
-    for w, p in zip(cfg.weights, params):
-        try:
-            wm = weighted_mu(m1, m2, w, n_pairs)
-            s2 = wm.variance if cfg.variance_mode == "model" else wm.variance_delta
-            covered, half = _cover(wm.estimate, s2, n_pairs, z, mu1)
-            rows.append(_summarize(repeat, p, covered, wm.estimate, half,
-                                   cfg.replicates))
-        except Exception as exc:
-            rows.extend(_error_rows(repeat, [p], cfg.replicates, exc))
-    return rows
+    wm = weighted_mu(*pair_means, p["w"], n_pairs)
+    s2 = wm.variance if cfg.variance_mode == "model" else wm.variance_delta
+    return wm.estimate, s2, n_pairs, p["mu1"]
 
 
-def run_coverage(config: ExperimentConfig, threads: int = None) -> CoverageTable:
+# Per kind: the CSV parameter columns; the banks of one repeat, each as
+# (copula, cells, row parameters, reduction of the bank or None); and the
+# statistic giving (estimate, variance, n_eff, target) for row i of a bank.
+_STUDIES = {
+    "coverage_bernoulli": (
+        ("a",),
+        lambda cfg: [(cfg.copula, (0,), [{"a": a} for a in cfg.thresholds], None)],
+        _bernoulli),
+    "coverage_exponential": (
+        ("rate",),
+        lambda cfg: [(cfg.copula, range(len(cfg.rates)),
+                      [{"rate": rate} for rate in cfg.rates], None)],
+        _exponential),
+    "coverage_mean": (
+        ("sample_size",),
+        lambda cfg: [(cfg.copula, (0,),
+                      [{"sample_size": m} for m in cfg.sample_sizes], None)],
+        _mean),
+    "coverage_mu_w": (
+        ("mu1", "w"),
+        lambda cfg: [(zero_association_model(mu1), (cell,),
+                      [{"mu1": mu1, "w": w} for w in cfg.weights], sine_pair_means)
+                     for cell, mu1 in enumerate(cfg.mu1_values)],
+        _mu_w),
+}
+
+
+def run_coverage(config: ExperimentConfig) -> CoverageTable:
     """Run the study described by `config`; rows come back ordered by
-    (repeat, cell) regardless of the worker count."""
-    if threads is None:
-        threads = int(os.environ.get(WORKERS_ENV, "1"))
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-
+    (repeat, bank, parameter)."""
+    _, banks, statistic = _STUDIES[config.kind]
     z = normal_quantile(0.5 * (1.0 + config.level))
-    kind = config.kind
-
-    tasks = []
+    n_rep = config.replicates
+    rows = []
     for repeat in range(config.repeats):
-        if kind == "coverage_bernoulli":
-            tasks.append(lambda j=repeat: _run_bernoulli(config, z, j))
-        elif kind == "coverage_mean":
-            tasks.append(lambda j=repeat: _run_mean(config, z, j))
-        elif kind == "coverage_exponential":
-            tasks.append(lambda j=repeat: _run_exponential(config, z, j))
-        elif kind == "coverage_mu_w":
-            for cell in range(len(config.mu1_values)):
-                tasks.append(lambda j=repeat, c=cell: _run_mu_w(config, z, j, c))
-        else:
-            raise ValueError(f"unknown experiment kind {kind!r}")
-
-    if threads == 1:
-        results = [t() for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: t(), tasks))
-
-    rows = [row for sub in results for row in sub]
+        for copula, cells, params, reduce in banks(config):
+            keys = [(config.master_seed, repeat, cell, r)
+                    for cell in cells for r in range(n_rep)]
+            try:
+                data = generate_chain_bank(copula, config.n, keys)
+                if reduce is not None:
+                    data = reduce(data)
+            except _NUMERICAL as exc:
+                rows.extend(_error_row(repeat, p, n_rep, exc) for p in params)
+                continue
+            for i, p in enumerate(params):
+                try:
+                    est, s2, n_eff, target = statistic(config, data, i, p)
+                    covered, half = _cover(est, s2, n_eff, z, target)
+                    rows.append(_summarize(repeat, p, covered, est, half, n_rep))
+                except _NUMERICAL as exc:
+                    rows.append(_error_row(repeat, p, n_rep, exc))
     return CoverageTable(tuple(rows), config)

@@ -27,7 +27,7 @@ replicate banks run through a lane-vectorized path, one numpy array per
 time step, on its array form, with the same operations in the same order,
 so a one-lane bank reproduces the scalar chain.  Each path is
 deterministic for a given seed key; per-replicate seed keys make banks
-independent of scheduling and thread count.
+independent of how the replicates are batched.
 """
 
 from __future__ import annotations

@@ -209,10 +209,8 @@ def test_criterion_07_coverage_pattern():
         "master_seed": 19,
     }
     lo, hi = binomial_central_band(1000, 0.95, 0.99)
-    model = run_coverage(load_experiment({**base, "variance_mode": "model"}),
-                         threads=4).rows
-    iid = run_coverage(load_experiment({**base, "variance_mode": "iid"}),
-                       threads=4).rows
+    model = run_coverage(load_experiment({**base, "variance_mode": "model"})).rows
+    iid = run_coverage(load_experiment({**base, "variance_mode": "iid"})).rows
     model_ok = all(lo <= r.covered_count <= hi for r in model)
     mid = [r for r in iid if 0.35 <= r.params["a"] <= 0.65]
     iid_breaks = any(not lo <= r.covered_count <= hi for r in mid)

@@ -190,6 +190,14 @@ def test_experiment_config_errors():
     ok = parse_experiment_config(_base_experiment(copula={"fgm": 0.3},
                                                   variance_mode="iid"))
     assert ok.variance_mode == "iid"
+    # each mu1 cell must build a zero-association copula
+    with pytest.raises(ConfigError) as e:
+        parse_experiment_config({
+            "schema": "eigencop-experiment/1", "experiment": "coverage_mu_w",
+            "n": 50, "replicates": 8, "weights": [0.5],
+            "mu1_values": [0.05, 0.2]})
+    assert _field_of(e) == "mu1_values[1]"
+    assert "0.11" in str(e.value)
 
 
 # -- command line -----------------------------------------------------------
@@ -338,8 +346,9 @@ def test_cli_coverage_csv_shape_and_determinism(capsys, tmp_path):
     assert len([l for l in lines if l]) == 3  # header + 2 cells
     code, out2, _ = _run(capsys, "coverage", "--config", cfgp)
     assert out2 == out1
-    code, out4, _ = _run(capsys, "coverage", "--config", cfgp, "--threads", "3")
-    assert out4 == out1
+    with pytest.raises(SystemExit) as e:  # the thread option is gone
+        main(["coverage", "--config", cfgp, "--threads", "3"])
+    assert e.value.code == 1
     code, out5, _ = _run(capsys, "coverage", "--config", cfgp, "--seed", "99")
     assert out5 != out1
 

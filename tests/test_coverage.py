@@ -71,16 +71,6 @@ def test_repeats_produce_fresh_streams():
     assert len({r.mean_estimate for r in rows}) == 3
 
 
-def test_thread_pool_preserves_row_order():
-    cfg = _cfg("coverage_bernoulli", copula={"zero_association": 0.05},
-               thresholds=[0.2, 0.5, 0.8], repeats=2)
-    seq = run_coverage(cfg, threads=1).rows
-    par = run_coverage(cfg, threads=4).rows
-    assert [(r.repeat, tuple(r.params.values())) for r in seq] == \
-           [(r.repeat, tuple(r.params.values())) for r in par]
-    assert [r.coverage for r in seq] == [r.coverage for r in par]
-
-
 def test_cell_failure_yields_error_rows_not_exception(monkeypatch):
     import eigencop.coverage as cov
 
@@ -101,6 +91,41 @@ def test_cell_failure_yields_error_rows_not_exception(monkeypatch):
     assert "None" not in body
 
 
+def test_non_numerical_bank_failure_propagates(monkeypatch):
+    # only numerical errors become error rows; a TypeError is a bug
+    import eigencop.coverage as cov
+
+    def broken(*args, **kwargs):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(cov, "generate_chain_bank", broken)
+    cfg = _cfg("coverage_bernoulli", copula={"zero_association": 0.05},
+               thresholds=[0.3, 0.5])
+    with pytest.raises(TypeError, match="synthetic bug"):
+        run_coverage(cfg)
+
+
+def test_row_failure_yields_one_error_row(monkeypatch):
+    import eigencop.coverage as cov
+
+    cfg = _cfg("coverage_exponential", copula={"zero_association": 0.05},
+               rates=[1.0, 2.0, 5.0])
+    clean = run_coverage(cfg).rows
+    real = cov.sigma2_exponential
+
+    def fails_at_two(rate, mu1):
+        if rate == 2.0:
+            raise ValueError("synthetic row failure")
+        return real(rate, mu1)
+
+    monkeypatch.setattr(cov, "sigma2_exponential", fails_at_two)
+    rows = run_coverage(cfg).rows
+    assert [r.params["rate"] for r in rows] == [1.0, 2.0, 5.0]
+    assert rows[1].error == "ValueError: synthetic row failure"
+    assert rows[1].coverage is None and rows[1].mean_estimate is None
+    assert rows[0] == clean[0] and rows[2] == clean[2]
+
+
 def test_csv_matches_rows():
     cfg = _cfg("coverage_bernoulli", copula={"zero_association": 0.05},
                thresholds=[0.4])
@@ -114,12 +139,3 @@ def test_csv_matches_rows():
     assert float(cells[2]) == row.coverage
     assert int(cells[3]) == row.covered_count
     assert int(cells[4]) == row.replicates
-
-
-def test_workers_env_variable(monkeypatch):
-    cfg = _cfg("coverage_bernoulli", copula={"zero_association": 0.05},
-               thresholds=[0.5], repeats=2)
-    base = run_coverage(cfg).rows
-    monkeypatch.setenv("EIGENCOP_WORKERS", "3")
-    env = run_coverage(cfg).rows
-    assert [r.coverage for r in base] == [r.coverage for r in env]
