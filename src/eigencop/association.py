@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (Cosine, PiecewiseSign, ShiftedLegendre, SineCosine,
-                    TwoValueStep, is_step, jump_points)
+                    TwoValueStep, jump_points)
 from .copula import SpectralCopula
 from .quadrature import composite_rule, gauss_legendre_01
 

@@ -116,10 +116,6 @@ def check_index(family: Family, k: Index) -> None:
         raise ValueError(f"PiecewiseSign with {family.n_cells} cells has no index {k}")
 
 
-def is_step(family: Family) -> bool:
-    return isinstance(family, (TwoValueStep, PiecewiseSign))
-
-
 def jump_points(family: Family) -> tuple:
     """Interior discontinuity locations of the family (and of the
     antiderivatives' kinks), used to split quadrature panels."""
@@ -309,7 +305,7 @@ def _eval_one(values, x, what: str):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any((arr < 0.0) | (arr > 1.0)):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError(f"{what} are defined on [0,1]")
     out = values(arr)[0]
     return float(out[0]) if scalar else out

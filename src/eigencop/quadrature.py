@@ -1,4 +1,4 @@
-"""Quadrature rules on [0,1] and [0,1]^2.
+"""Quadrature rules on [0,1].
 
 Smooth integrands get Gauss-Legendre nodes; piecewise-constant basis
 functions get composite rules split at their jump points, which makes the
@@ -39,26 +39,6 @@ def composite_rule(cuts, points_per_cell: int = 8) -> tuple[np.ndarray, np.ndarr
         nodes.append(a + h * x0)
         weights.append(h * w0)
     return np.concatenate(nodes), np.concatenate(weights)
-
-
-def integrate_01(f, rule: tuple[np.ndarray, np.ndarray]) -> float:
-    """Integrate a vectorized function over [0,1] with the given rule."""
-    x, w = rule
-    return float(np.dot(w, f(x)))
-
-
-def integrate_square(f, rule_u, rule_v=None) -> float:
-    """Integrate f(u, v) over the unit square.
-
-    f must accept broadcast arrays. Separate 1-d rules may be supplied for
-    the two axes (needed when the two coordinates carry different bases).
-    """
-    xu, wu = rule_u
-    xv, wv = rule_v if rule_v is not None else rule_u
-    U = xu[:, None]
-    V = xv[None, :]
-    vals = f(U, V)
-    return float(wu @ vals @ wv)
 
 
 def log_weighted_sine_integral(k: int) -> float:

@@ -5,18 +5,24 @@ the next state is the root v of
 
     g(v) = d1C(u, v) - w = v + sum_k lambda_k * phi_k(u) * Phi_k(v) - w.
 
-Step families make d1C piecewise linear in v, so the solve is exact knot
-interpolation.  Smooth families use safeguarded Newton iteration, the
-numerical inversion of Devroye (1986, II.2): g'(v) is the copula density
-c(u, v) = 1 + sum_k lambda_k * phi_k(u) * phi_k(v), built from the same
-terms.  Iteration starts at v = w inside the bracket [0, 1], where
+Every family is solved by one algorithm, safeguarded Newton iteration,
+the numerical inversion of Devroye (1986, II.2): g'(v) is the copula
+density c(u, v) = 1 + sum_k lambda_k * phi_k(u) * phi_k(v), built from the
+same terms.  Iteration starts at v = w inside the bracket [0, 1], where
 g(0) = -w and g(1) = 1 - w, and the sign of g at each iterate narrows the
 bracket.  The next iterate is the Newton step v - g/c, or the bracket
 midpoint when c <= 0 or the step leaves the open bracket; the midpoint
 fallback keeps boundary copulas, whose density reaches 0, convergent.
 Iteration stops when |g| <= RESIDUAL_TOL and returns the iterate, or when
 the bracket is narrower than BRACKET_TOL and returns its midpoint; after
-MAX_ITER iterations the last iterate is returned.
+MAX_ITER iterations the last iterate is returned.  With no terms g(w) = 0,
+so the innovation itself is returned.
+
+On a step family g is piecewise linear in v, so a Newton step from a
+point of the root's piece lands on the root, and Newton reaches that
+piece in a few iterations.  Where the density is 0 on an interval, g is
+flat there and every point of the flat is a root; the solver returns the
+first one it meets.
 
 Copulas that validate() calls INVALID are refused: their d1C(u, .) need
 not be monotone, so a root need not be a conditional quantile.
@@ -37,7 +43,6 @@ from typing import Union
 
 import numpy as np
 
-from .basis import is_step, jump_points
 from .copula import SpectralCopula, Verdict
 
 RESIDUAL_TOL = 1e-12
@@ -174,96 +179,40 @@ def _solve_vector(common, terms, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_knots(c: SpectralCopula) -> np.ndarray:
-    return np.unique(np.concatenate(([0.0], np.asarray(jump_points(c.family)), [1.0])))
-
-
 class _Sampler:
-    """Prepared per-copula evaluation tables for chain generation."""
+    """A copula's terms, prepared for chain generation."""
 
     def __init__(self, c: SpectralCopula):
         if c.validate().verdict is Verdict.INVALID:
             raise ValueError("cannot sample an INVALID copula: its d1C(u, .) "
                              "is not a distribution function")
-        self.copula = c
-        self.step = is_step(c.family)
         self.lams = c.coeffs.values
         table = c.terms
         self.floats, self.arrays = table.floats, table.arrays
-        if self.step:
-            self.knots = _step_knots(c)
-            # antiderivative values at the knots, one row per term
-            self.Phi_at_knots = np.array(table.Phi(self.knots)).reshape(
-                len(self.lams), self.knots.size)
-            # the same tables as plain floats for the scalar path
-            self.knot_list = self.knots.tolist()
-            self.Phi_rows = self.Phi_at_knots.tolist()
-
-    # scalar path
 
     def next_scalar(self, u: float, w: float) -> float:
-        if not self.lams:
-            return w
         common, terms = self.floats
         x = u if common is None else common(u)
-        if self.step:
-            knots = self.knot_list
-            gk = knots
-            for lam, (phi, _), row in zip(self.lams, terms, self.Phi_rows):
-                s = lam * phi(x)
-                gk = [g + s * p for g, p in zip(gk, row)]
-            j = 0
-            for idx in range(len(knots) - 1):
-                if gk[idx] <= w:
-                    j = idx
-                else:
-                    break
-            dg = gk[j + 1] - gk[j]
-            if dg <= 0.0:
-                v = knots[j]
-            else:
-                v = knots[j] + (w - gk[j]) * (knots[j + 1] - knots[j]) / dg
-            return min(max(v, 0.0), 1.0)
         return _solve_scalar(common, [(lam * phi(x), phi, Phi) for lam, (phi, Phi)
                                       in zip(self.lams, terms)], w)
 
-    # vector path
-
     def next_vector(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        if not self.lams:
-            return w.copy()
         common, terms = self.arrays
         x = u if common is None else common(u)
-        ss = [lam * phi(x) for lam, (phi, _) in zip(self.lams, terms)]
-        if self.step:
-            knots = self.knots
-            g = np.broadcast_to(knots, (u.size, knots.size)).copy()
-            for s, row in zip(ss, self.Phi_at_knots):
-                g += s[:, None] * row[None, :]
-            j = np.clip(np.sum(g <= w[:, None], axis=1) - 1, 0, knots.size - 2)
-            rows = np.arange(u.size)
-            gj = g[rows, j]
-            gj1 = g[rows, j + 1]
-            dg = gj1 - gj
-            safe = np.where(dg > 0.0, dg, 1.0)
-            v = knots[j] + (w - gj) * (knots[j + 1] - knots[j]) / safe
-            v = np.where(dg > 0.0, v, knots[j])
-            return np.clip(v, 0.0, 1.0)
-        return _solve_vector(common, [(s, phi, Phi) for s, (phi, Phi)
-                                      in zip(ss, terms)], w)
+        return _solve_vector(common, [(lam * phi(x), phi, Phi) for lam, (phi, Phi)
+                                      in zip(self.lams, terms)], w)
 
 
 def next_state(c: SpectralCopula, u_prev, w):
     """Solve d1C(u_prev, v) = w for v.
 
-    Scalars in, scalar out; same-shape arrays in, array out.  Step
-    families are inverted exactly; smooth families to the tolerances in
-    the module header.
+    Scalars in, scalar out; same-shape arrays in, array out.  Every
+    family is solved to the tolerances in the module header.
     """
     sampler = _Sampler(c)
     u_arr = np.asarray(u_prev, dtype=float)
     w_arr = np.asarray(w, dtype=float)
-    if np.any((u_arr < 0.0) | (u_arr > 1.0)) or np.any((w_arr < 0.0) | (w_arr > 1.0)):
+    if not (np.all((u_arr >= 0.0) & (u_arr <= 1.0)) and np.all((w_arr >= 0.0) & (w_arr <= 1.0))):
         raise ValueError("u_prev and w must lie in [0,1]")
     if u_arr.ndim == 0 and w_arr.ndim == 0:
         return sampler.next_scalar(float(u_arr), float(w_arr))
@@ -286,7 +235,7 @@ def sample_wl(lam: float, u_prev, q):
     d_minus = (1.0 - lam) if lam != 1.0 else 1.0
     if isinstance(u_prev, (int, float)) and isinstance(q, (int, float)):
         u, qq = float(u_prev), float(q)
-        if u < 0.0 or u > 1.0 or qq < 0.0 or qq > 1.0:
+        if not (0.0 <= u <= 1.0 and 0.0 <= qq <= 1.0):
             raise ValueError("u_prev and q must lie in [0,1]")
         if u < 0.5:
             v = qq / d_plus if qq < 0.5 * (1.0 + lam) else (qq - lam) / d_minus
@@ -296,7 +245,7 @@ def sample_wl(lam: float, u_prev, q):
     u = np.asarray(u_prev, dtype=float)
     qq = np.asarray(q, dtype=float)
     scalar = u.ndim == 0 and qq.ndim == 0
-    if np.any((u < 0.0) | (u > 1.0)) or np.any((qq < 0.0) | (qq > 1.0)):
+    if not (np.all((u >= 0.0) & (u <= 1.0)) and np.all((qq >= 0.0) & (qq <= 1.0))):
         raise ValueError("u_prev and q must lie in [0,1]")
     low_u = u < 0.5
     thr = np.where(low_u, 0.5 * (1.0 + lam), 0.5 * (1.0 - lam))

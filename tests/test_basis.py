@@ -9,7 +9,7 @@ from numpy.polynomial import legendre
 
 from eigencop.basis import (Cosine, PiecewiseSign, ShiftedLegendre,
                             SineCosine, TermTable, TwoValueStep, check_index,
-                            eval_phi, eval_Phi, extrema, is_step, jump_points)
+                            eval_phi, eval_Phi, extrema, jump_points)
 from eigencop.quadrature import composite_rule, gauss_legendre_01
 
 FAMILIES = [
@@ -107,7 +107,6 @@ def test_two_value_step_shape():
     assert abs(fam.breakpoint - 0.2) < 1e-15
     assert eval_phi(fam, 1, 0.1) == 2.0
     assert eval_phi(fam, 1, 0.5) == -0.5
-    assert is_step(fam)
 
 
 def test_piecewise_sign_cells_and_support():
@@ -218,7 +217,7 @@ def _legendre_oracle(k, x):
     return s * p(2 * x - 1), 0.5 * s * p.integ(lbnd=-1)(2 * x - 1)
 
 
-@pytest.mark.parametrize("family,ks", [t for t in TABLES if not is_step(t[0])])
+@pytest.mark.parametrize("family,ks", [t for t in TABLES if not jump_points(t[0])])
 def test_term_table_matches_independent_oracles(family, ks):
     # 1e-12: the recurrence error grows about k*eps (1.3e-13 seen at k = 30),
     # and a harmonic recurrence for the trig families would stay within it

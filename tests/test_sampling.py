@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencop import sampling
+from eigencop.basis import Cosine, eval_phi, eval_Phi
 from eigencop import (Bernoulli, Exponential, Uniform, Verdict, apply_transform,
                       cosine_copula, fgm, generate_chain, generate_chain_bank,
                       independence, innovation_stream, next_state,
@@ -70,6 +71,27 @@ def test_next_state_validates_inputs():
         next_state(c, 1.2, 0.5)
     with pytest.raises(ValueError):
         next_state(c, np.array([0.1, 0.2]), np.array([0.3]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: next_state(two_sine_model(0.05, -0.2), math.nan, 0.5),
+    lambda: next_state(two_sine_model(0.05, -0.2), 0.5, math.nan),
+    lambda: next_state(two_value_step(1.0, 0.5), 0.5, math.nan),
+    lambda: next_state(two_sine_model(0.05, -0.2), np.array([0.5, math.nan]),
+                       np.array([0.5, 0.5])),
+    lambda: next_state(two_value_step(1.0, 0.5), np.array([0.5, 0.5]),
+                       np.array([math.nan, 0.5])),
+    lambda: sample_wl(0.5, math.nan, 0.3),
+    lambda: sample_wl(0.5, 0.3, math.nan),
+    lambda: sample_wl(0.5, np.array([0.3, math.nan]), np.array([0.3, 0.3])),
+    lambda: eval_phi(Cosine(), 1, math.nan),
+    lambda: eval_Phi(Cosine(), 1, np.array([0.5, math.nan])),
+], ids=["next_state-u", "next_state-w", "next_state-step-w", "next_state-array-u",
+        "next_state-step-array-w", "sample_wl-u", "sample_wl-q", "sample_wl-array",
+        "eval_phi", "eval_Phi-array"])
+def test_nan_inputs_are_rejected(call):
+    with pytest.raises(ValueError, match=r"\[0,1\]"):
+        call()
 
 
 def test_sample_wl_four_branches_by_hand():
@@ -172,18 +194,25 @@ def _worst_residual(c, u, seed):
     return float(np.max(np.abs(c.conditional_cdf(u[:-1], u[1:]) - w)))
 
 
-def test_newton_converges_within_eight_iterations(monkeypatch):
+@pytest.mark.parametrize("c", [two_sine_model(0.05, -0.2)] + STEPS)
+def test_newton_converges_within_eight_iterations(monkeypatch, c):
+    # on a step family g is piecewise linear, so Newton lands on the root
+    # once it reaches the root's piece
     monkeypatch.setattr(sampling, "MAX_ITER", 8)
-    c = two_sine_model(0.05, -0.2)
     chain = generate_chain(c, 3000, 41).values
     assert _worst_residual(c, chain, 41) <= 1e-12
     bank = generate_chain_bank(c, 3000, [41])[0]
     assert np.array_equal(bank, chain)
 
 
-@pytest.mark.parametrize("c", [cosine_copula({1: 0.5}), fgm(1.0)])
+@pytest.mark.parametrize("c", [
+    cosine_copula({1: 0.5}), fgm(1.0),
+    # step copulas whose density is 0 on whole blocks
+    two_value_step(1.0, 1.0), two_value_step(1.0, -1.0), two_value_step(2.0, 1.0),
+    piecewise_sign((0.0, 0.5, 1.0), (1.0, -1.0)),
+])
 def test_boundary_copulas_invert_to_tolerance(c):
-    # the density reaches 0 at a corner, where Newton falls back to bisection
+    # where the density reaches 0, Newton falls back to bisection
     assert c.validate().verdict is Verdict.VALID_BOUNDARY
     chain = generate_chain(c, 3000, 42).values
     assert np.all((chain >= 0.0) & (chain <= 1.0))
