@@ -15,12 +15,13 @@ published with and "iid" the delta-method variance from the joint CLT of
 the two pair averages.
 
 Replicate r of cell c in repeat j draws its innovations from the stream
-keyed (master_seed, j, c, r), so results are reproducible; cells that share
-chains (thresholds, sample sizes, weights) use cell key 0 and reuse one
-bank per repeat, and the exponential study steps all its rate cells in one
-bank per repeat.  A ValueError or ArithmeticError while drawing a bank
-becomes error rows for that bank, and one while computing a row an error
-row for that row; any other exception propagates.
+keyed (master_seed, j, c, r), so results are reproducible; rows that share
+chains (thresholds, sample sizes, weights) share a cell.  One bank steps
+every repeat and cell of a study, each lane with its cell's copula, and a
+row depends only on its keys and copula.  A ValueError or ArithmeticError
+while drawing the bank becomes error rows for every row of the study, and
+one while computing a row an error row for that row; any other exception
+propagates.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def _error_row(repeat: int, params: dict, n_rep: int, exc: Exception) -> Coverag
     return CoverageRow(repeat, params, None, None, n_rep, None, None, msg)
 
 
-def _bernoulli(cfg: ExperimentConfig, bank, i: int, p: dict):
+def _bernoulli(cfg: ExperimentConfig, bank, p: dict):
     a = p["a"]
     est = np.mean(bank <= a, axis=1)
     if cfg.variance_mode == "model":
@@ -111,16 +112,15 @@ def _bernoulli(cfg: ExperimentConfig, bank, i: int, p: dict):
     return est, est * (1.0 - est), cfg.n, a
 
 
-def _exponential(cfg: ExperimentConfig, bank, i: int, p: dict):
-    rate, n_rep = p["rate"], cfg.replicates
-    x = -rate * np.log1p(-bank[i * n_rep:(i + 1) * n_rep])
-    est = np.mean(x, axis=1)
+def _exponential(cfg: ExperimentConfig, bank, p: dict):
+    rate = p["rate"]
+    est = np.mean(-rate * np.log1p(-bank), axis=1)
     if cfg.variance_mode == "model":
         return est, sigma2_exponential(rate, _mu1_of(cfg.copula)), cfg.n, rate
     return est, est * est, cfg.n, rate
 
 
-def _mean(cfg: ExperimentConfig, bank, i: int, p: dict):
+def _mean(cfg: ExperimentConfig, bank, p: dict):
     m = p["sample_size"]
     est = np.mean(bank[:, :m], axis=1)
     if cfg.variance_mode == "model":
@@ -128,63 +128,66 @@ def _mean(cfg: ExperimentConfig, bank, i: int, p: dict):
     return est, 1.0 / 12.0, m, 0.5
 
 
-def _mu_w(cfg: ExperimentConfig, pair_means, i: int, p: dict):
+def _mu_w(cfg: ExperimentConfig, pair_means, p: dict):
     n_pairs = cfg.n - 1
-    wm = weighted_mu(*pair_means, p["w"], n_pairs)
+    wm = weighted_mu(*pair_means.T, p["w"], n_pairs)
     s2 = wm.variance if cfg.variance_mode == "model" else wm.variance_delta
     return wm.estimate, s2, n_pairs, p["mu1"]
 
 
-# Per kind: the CSV parameter columns; the banks of one repeat, each as
-# (copula, cells, row parameters, reduction of the bank or None); and the
-# statistic giving (estimate, variance, n_eff, target) for row i of a bank.
+# Per kind: the CSV parameter columns; the cells of one repeat, each as
+# (copula, row parameters); the row-wise reduction of the bank, or None;
+# and the statistic giving (estimate, variance, n_eff, target) for one row
+# from the block of its cell.
 _STUDIES = {
     "coverage_bernoulli": (
         ("a",),
-        lambda cfg: [(cfg.copula, (0,), [{"a": a} for a in cfg.thresholds], None)],
-        _bernoulli),
+        lambda cfg: [(cfg.copula, [{"a": a} for a in cfg.thresholds])],
+        None, _bernoulli),
     "coverage_exponential": (
         ("rate",),
-        lambda cfg: [(cfg.copula, range(len(cfg.rates)),
-                      [{"rate": rate} for rate in cfg.rates], None)],
-        _exponential),
+        lambda cfg: [(cfg.copula, [{"rate": rate}]) for rate in cfg.rates],
+        None, _exponential),
     "coverage_mean": (
         ("sample_size",),
-        lambda cfg: [(cfg.copula, (0,),
-                      [{"sample_size": m} for m in cfg.sample_sizes], None)],
-        _mean),
+        lambda cfg: [(cfg.copula, [{"sample_size": m} for m in cfg.sample_sizes])],
+        None, _mean),
     "coverage_mu_w": (
         ("mu1", "w"),
-        lambda cfg: [(zero_association_model(mu1), (cell,),
-                      [{"mu1": mu1, "w": w} for w in cfg.weights], sine_pair_means)
-                     for cell, mu1 in enumerate(cfg.mu1_values)],
-        _mu_w),
+        lambda cfg: [(zero_association_model(mu1),
+                      [{"mu1": mu1, "w": w} for w in cfg.weights])
+                     for mu1 in cfg.mu1_values],
+        lambda bank: np.column_stack(sine_pair_means(bank)), _mu_w),
 }
 
 
 def run_coverage(config: ExperimentConfig) -> CoverageTable:
-    """Run the study described by `config`; rows come back ordered by
-    (repeat, bank, parameter)."""
-    _, banks, statistic = _STUDIES[config.kind]
+    """Run the study described by `config`, every repeat and cell in one
+    bank; rows come back ordered by (repeat, cell, parameter)."""
+    _, cells, reduce, statistic = _STUDIES[config.kind]
     z = normal_quantile(0.5 * (1.0 + config.level))
     n_rep = config.replicates
+    blocks = [(repeat, cell, copula, params) for repeat in range(config.repeats)
+              for cell, (copula, params) in enumerate(cells(config))]
+    keys = [(config.master_seed, repeat, cell, r)
+            for repeat, cell, _, _ in blocks for r in range(n_rep)]
+    copulas = [copula for _, _, copula, _ in blocks for _ in range(n_rep)]
+    try:
+        data = generate_chain_bank(copulas, config.n, keys)
+        if reduce is not None:
+            data = reduce(data)
+    except _NUMERICAL as exc:
+        return CoverageTable(tuple(_error_row(repeat, p, n_rep, exc)
+                                   for repeat, _, _, params in blocks
+                                   for p in params), config)
     rows = []
-    for repeat in range(config.repeats):
-        for copula, cells, params, reduce in banks(config):
-            keys = [(config.master_seed, repeat, cell, r)
-                    for cell in cells for r in range(n_rep)]
+    for b, (repeat, _, _, params) in enumerate(blocks):
+        block = data[b * n_rep:(b + 1) * n_rep]
+        for p in params:
             try:
-                data = generate_chain_bank(copula, config.n, keys)
-                if reduce is not None:
-                    data = reduce(data)
+                est, s2, n_eff, target = statistic(config, block, p)
+                covered, half = _cover(est, s2, n_eff, z, target)
+                rows.append(_summarize(repeat, p, covered, est, half, n_rep))
             except _NUMERICAL as exc:
-                rows.extend(_error_row(repeat, p, n_rep, exc) for p in params)
-                continue
-            for i, p in enumerate(params):
-                try:
-                    est, s2, n_eff, target = statistic(config, data, i, p)
-                    covered, half = _cover(est, s2, n_eff, z, target)
-                    rows.append(_summarize(repeat, p, covered, est, half, n_rep))
-                except _NUMERICAL as exc:
-                    rows.append(_error_row(repeat, p, n_rep, exc))
+                rows.append(_error_row(repeat, p, n_rep, exc))
     return CoverageTable(tuple(rows), config)

@@ -32,12 +32,14 @@ chains run through a plain-float scalar path on the table's float form;
 replicate banks run through a lane-vectorized path, one numpy array per
 time step, on its array form, with the same operations in the same order,
 so a one-lane bank reproduces the scalar chain.  Each path is
-deterministic for a given seed key; per-replicate seed keys make banks
-independent of how the replicates are batched.
+deterministic for a given seed key; per-replicate seed keys and
+elementwise lane arithmetic make banks independent of how the replicates,
+and the copulas of their lanes, are batched.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -152,6 +154,8 @@ def _solve_vector(common, terms, w: np.ndarray) -> np.ndarray:
     hi = np.ones_like(w)
     v = w
     for _ in range(MAX_ITER):
+        if not lane.size:
+            return out
         g = v - w
         c = 1.0
         x = v if common is None else common(v)
@@ -170,8 +174,6 @@ def _solve_vector(common, terms, w: np.ndarray) -> np.ndarray:
         if done.any():
             out[lane[done]] = np.where(hit, v, mid)[done]
             keep = ~done
-            if not keep.any():
-                return out
             lane, w, lo, hi, nxt = (a[keep] for a in (lane, w, lo, hi, nxt))
             terms = [(s[keep], phi, Phi) for s, phi, Phi in terms]
         v = nxt
@@ -180,14 +182,27 @@ def _solve_vector(common, terms, w: np.ndarray) -> np.ndarray:
 
 
 class _Sampler:
-    """A copula's terms, prepared for chain generation."""
+    """A copula's terms, prepared for chain generation; given one copula
+    per lane, each coefficient is an array with one value per lane.  A
+    copula without terms joins any index set with coefficients 0, which
+    leave g and c unchanged, so its lanes still return w."""
 
-    def __init__(self, c: SpectralCopula):
-        if c.validate().verdict is Verdict.INVALID:
-            raise ValueError("cannot sample an INVALID copula: its d1C(u, .) "
-                             "is not a distribution function")
-        self.lams = c.coeffs.values
-        table = c.terms
+    def __init__(self, c):
+        lanes = [c] if isinstance(c, SpectralCopula) else list(c)
+        distinct = list(dict.fromkeys(lanes))
+        base = max(distinct, key=lambda d: len(d.coeffs))
+        table = base.terms
+        for d in distinct:
+            if (d.family != base.family
+                    or tuple(k for k, _ in d.coeffs.entries) not in ((), table.indices)):
+                raise ValueError("copulas of one bank must share one family "
+                                 "and one index set")
+            if d.validate().verdict is Verdict.INVALID:
+                raise ValueError("cannot sample an INVALID copula: its d1C(u, .) "
+                                 "is not a distribution function")
+        zeros = (0.0,) * len(table.indices)
+        self.lams = (c.coeffs.values if isinstance(c, SpectralCopula) else
+                     tuple(np.array([d.coeffs.values or zeros for d in lanes]).T))
         self.floats, self.arrays = table.floats, table.arrays
 
     def next_scalar(self, u: float, w: float) -> float:
@@ -294,17 +309,25 @@ def generate_chain(c: SpectralCopula, n: int, seed: int,
     return ChainSample(u, apply_transform(transform, u), seed, c, transform)
 
 
-def generate_chain_bank(c: SpectralCopula, n: int, seed_keys) -> np.ndarray:
+def generate_chain_bank(c: SpectralCopula | Sequence[SpectralCopula], n: int,
+                        seed_keys) -> np.ndarray:
     """Replicate bank of chains, shape (len(seed_keys), n).
 
     Each row r is driven by its own stream keyed by seed_keys[r] (an int
     or tuple of ints), with the same draw order as generate_chain, and the
     whole bank advances one vectorized time step at a time.
+
+    `c` is one copula for every row, or a sequence of copulas, one per
+    key, sharing one family and one index set (a copula without terms may
+    join any), else ValueError; each distinct copula is validated once.
+    Every row equals the row its key and copula give in a bank of their own.
     """
     keys = [k if isinstance(k, tuple) else (k,) for k in seed_keys]
     if not isinstance(n, int) or n < 1:
         raise ValueError("chain length must be a positive integer")
     r = len(keys)
+    if not isinstance(c, SpectralCopula) and len(c) != r:
+        raise ValueError("need one copula per seed key")
     if r == 0:
         return np.empty((0, n))
     u = np.empty((r, n))

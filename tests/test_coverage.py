@@ -71,6 +71,30 @@ def test_repeats_produce_fresh_streams():
     assert len({r.mean_estimate for r in rows}) == 3
 
 
+@pytest.mark.parametrize("kind, over", [
+    ("coverage_bernoulli", {"copula": {"zero_association": 0.05}, "thresholds": [0.3, 0.5]}),
+    ("coverage_exponential", {"copula": {"zero_association": 0.05}, "rates": [1.0, 2.0]}),
+    ("coverage_mean", {"copula": {"zero_association": 0.05}, "sample_sizes": [40, 80]}),
+    ("coverage_mu_w", {"weights": [0.5, 1.0], "mu1_values": [0.02, 0.05]}),
+])
+def test_rows_of_a_repeat_do_not_depend_on_the_other_repeats(kind, over):
+    one = run_coverage(_cfg(kind, **over)).rows
+    three = run_coverage(_cfg(kind, repeats=3, **over)).rows
+    assert [r for r in three if r.repeat == 0] == list(one)
+    assert len(three) == 3 * len(one)
+
+
+@pytest.mark.parametrize("grid, alone", [
+    ([0.05, 0.1, 0.11], [0.05]),
+    ([0.0, 0.05], [0.0]),  # mu1 = 0 is the independence copula
+])
+def test_mu_w_rows_of_a_cell_do_not_depend_on_the_other_cells(grid, alone):
+    rows = run_coverage(_cfg("coverage_mu_w", weights=[0.5, 1.0], mu1_values=grid)).rows
+    single = run_coverage(_cfg("coverage_mu_w", weights=[0.5, 1.0], mu1_values=alone)).rows
+    assert list(rows[:2]) == list(single)
+    assert all(r.error is None for r in rows)
+
+
 def test_cell_failure_yields_error_rows_not_exception(monkeypatch):
     import eigencop.coverage as cov
 
@@ -89,6 +113,21 @@ def test_cell_failure_yields_error_rows_not_exception(monkeypatch):
     body = table.to_csv().split("\r\n")[1]
     assert "ValueError: synthetic failure" in body
     assert "None" not in body
+
+
+def test_bank_failure_marks_every_row_of_the_study(monkeypatch):
+    # one bank serves every repeat and cell, so its failure marks them all
+    import eigencop.coverage as cov
+
+    def boom(*args, **kwargs):
+        raise ArithmeticError("synthetic failure")
+
+    monkeypatch.setattr(cov, "generate_chain_bank", boom)
+    cfg = _cfg("coverage_mu_w", weights=[0.5, 1.0], mu1_values=[0.02, 0.05], repeats=2)
+    rows = run_coverage(cfg).rows
+    assert [(r.repeat, r.params["mu1"], r.params["w"]) for r in rows] == [
+        (j, mu1, w) for j in (0, 1) for mu1 in (0.02, 0.05) for w in (0.5, 1.0)]
+    assert all(r.error == "ArithmeticError: synthetic failure" for r in rows)
 
 
 def test_non_numerical_bank_failure_propagates(monkeypatch):

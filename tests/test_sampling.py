@@ -186,6 +186,66 @@ def test_bank_matches_scalar_chain_for_int_keys(c):
     assert np.array_equal(bank[0], chain.values)
 
 
+def test_solver_stops_at_once_on_no_lanes():
+    # with no lane left there is nothing to iterate; the terms are never
+    # evaluated
+    c = two_sine_model(0.2, -0.15)
+    common, terms = c.terms.arrays
+    calls = []
+
+    def counted(f):
+        def wrapped(x):
+            calls.append(f)
+            return f(x)
+        return wrapped
+
+    empty = np.array([])
+    out = sampling._solve_vector(
+        common, [(empty, counted(phi), counted(Phi)) for phi, Phi in terms], empty)
+    assert out.shape == (0,) and calls == []
+    assert next_state(c, empty, empty).shape == (0,)
+
+
+@pytest.mark.parametrize("models", [
+    [zero_association_model(0.05), zero_association_model(0.1),
+     zero_association_model(0.11)],
+    [shifted_legendre_copula({1: 0.3, 2: 0.15}),
+     shifted_legendre_copula({1: -0.2, 2: 0.1})],
+    # mu1 = 0 drops both terms: the family's independence copula joins
+    [zero_association_model(0.0), zero_association_model(0.05)],
+])
+def test_bank_with_per_row_copulas_equals_single_copula_banks(models):
+    keys = [(13, i) for i in range(12)]
+    rows = [models[i % len(models)] for i in range(12)]
+    bank = generate_chain_bank(rows, 200, keys)
+    for j, c in enumerate(models):
+        mine = list(range(j, 12, len(models)))
+        alone = generate_chain_bank(c, 200, [keys[i] for i in mine])
+        assert np.array_equal(bank[mine], alone)
+
+
+def test_bank_with_one_copula_list_equals_plain_call():
+    c = two_sine_model(0.2, -0.15)
+    keys = [(3, r) for r in range(5)]
+    assert np.array_equal(generate_chain_bank([c] * 5, 100, keys),
+                          generate_chain_bank(c, 100, keys))
+
+
+@pytest.mark.parametrize("models", [
+    [zero_association_model(0.05), cosine_copula({1: 0.1, 2: 0.1})],
+    [shifted_legendre_copula({1: 0.1, 2: 0.1}), shifted_legendre_copula({1: 0.1, 3: 0.1})],
+    [shifted_legendre_copula({1: 0.1, 2: 0.1}), shifted_legendre_copula({1: 0.1})],
+])
+def test_bank_rejects_copulas_of_another_family_or_index_set(models):
+    with pytest.raises(ValueError, match="one family and one index set"):
+        generate_chain_bank(models, 10, [(1,), (2,)])
+
+
+def test_bank_needs_one_copula_per_key():
+    with pytest.raises(ValueError, match="one copula per seed key"):
+        generate_chain_bank([fgm(0.5)] * 3, 10, [(1,), (2,)])
+
+
 def _worst_residual(c, u, seed):
     """max |d1C(u_t, u_{t+1}) - w_t| over a chain drawn from stream (seed,)."""
     rng = innovation_stream(seed)
@@ -232,6 +292,8 @@ def test_samplers_refuse_invalid_copula():
         generate_chain(c, 10, 1)
     with pytest.raises(ValueError, match="INVALID"):
         generate_chain_bank(c, 10, [(1,), (2,)])
+    with pytest.raises(ValueError, match="INVALID"):
+        generate_chain_bank([cosine_copula({1: 0.3}), c], 10, [(1,), (2,)])
     with pytest.raises(ValueError, match="INVALID"):
         next_state(c, 0.3, 0.6)
 
