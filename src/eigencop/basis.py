@@ -11,7 +11,8 @@ bisection: an estimate, not a proven bound.
 The formulas for phi_k and Phi_k are written once, in the per-family term
 builders behind `TermTable`, which evaluates all of a copula's terms at x
 in one call, as plain floats or as arrays.  `eval_phi`/`eval_Phi` and every
-other module read them from there.
+other module read them from there.  Next to each builder sits the family's
+moment table (`moment_table`), r_k = 12 (int Phi_k)^2 and G_kj = int phi_k Phi_j.
 
 Families
 --------
@@ -184,6 +185,9 @@ def _legendre_even_min(k: int) -> float:
 # calls these closures directly, once per term and Newton iteration: in that
 # loop a Python call costs about as much as a transcendental, and a list
 # built per call costs more.
+#
+# A moment builder turns a family into the (r, g) pair `moment_table`
+# returns.  Integrating by parts, g(j, k) = -g(k, j), so g(k, k) = 0.
 
 
 class _FloatOps:
@@ -214,6 +218,19 @@ def _trig_terms(family, indices, ops):
     return None, [wave(part == "sin", 2.0 * math.pi * m) for part, m in indices]
 
 
+def _trig_moments(family):
+    if isinstance(family, Cosine):
+        # int Phi_k = 2 sqrt(2) / (k pi)^2 for odd k and 0 for even k;
+        # phi_k and Phi_j are orthogonal unless k + j is odd
+        return (lambda k: 96.0 / (math.pi ** 4 * k**4) if k % 2 else 0.0,
+                lambda k, j: 4.0 / (math.pi ** 2 * (j * j - k * k)) if (k + j) % 2 else 0.0)
+    # int Phi = sqrt(2) / (2 pi m) for a sine wave and 0 for a cosine wave;
+    # only a sine and a cosine wave of the same frequency m couple
+    return (lambda k: 6.0 / (math.pi ** 2 * k[1] ** 2) if k[0] == "sin" else 0.0,
+            lambda k, j: ((1.0 if k[0] == "sin" else -1.0) / (2.0 * math.pi * k[1])
+                          if k[1] == j[1] and k[0] != j[0] else 0.0))
+
+
 def _legendre_terms(family, indices, ops):
     # P_0..P_{K+1} at y = 2x - 1 from one recurrence pass serve every term
     top = max(indices, default=0) + 1
@@ -229,6 +246,14 @@ def _legendre_terms(family, indices, ops):
     return common, [term(k) for k in indices]
 
 
+def _legendre_moments(family):
+    # int Phi_1 = -1 / (2 sqrt 3) and int Phi_k = 0 for k >= 2; Phi_j lives
+    # on P_{j-1} and P_{j+1}, so only neighbouring indices couple
+    return (lambda k: 1.0 if k == 1 else 0.0,
+            lambda k, j: ((k - j) / (2.0 * math.sqrt((2 * k + 1) * (2 * j + 1)))
+                          if abs(k - j) == 1 else 0.0))
+
+
 def _two_value_terms(family, indices, ops):
     where = ops.where
     c = family.breakpoint
@@ -237,6 +262,12 @@ def _two_value_terms(family, indices, ops):
     return None, [(lambda x: where(x < c, ra, low),
                     lambda x: where(x < c, ra * x, ra * c - (x - c) / ra))
                    for _ in indices]
+
+
+def _two_value_moments(family):
+    # int Phi_1 = sqrt(alpha) / (2 (1 + alpha)); G_11 = 0
+    a = family.alpha
+    return (lambda k: 3.0 * a / (1.0 + a) ** 2), (lambda k, j: 0.0)
 
 
 def _sign_terms(family, indices, ops):
@@ -258,9 +289,26 @@ def _sign_terms(family, indices, ops):
     return None, [cell(k) for k in indices]
 
 
-_TERMS = {SineCosine: _trig_terms, Cosine: _trig_terms,
-          ShiftedLegendre: _legendre_terms, TwoValueStep: _two_value_terms,
-          PiecewiseSign: _sign_terms}
+def _sign_moments(family):
+    # int Phi_k = -w^(3/2) / 4 on a cell of width w; the cells are disjoint,
+    # so G = 0
+    bp = family.breakpoints
+    return (lambda k: 0.75 * (bp[k] - bp[k - 1]) ** 3), (lambda k, j: 0.0)
+
+
+# per family: (term builder, moment builder)
+_BUILDERS = {SineCosine: (_trig_terms, _trig_moments),
+             Cosine: (_trig_terms, _trig_moments),
+             ShiftedLegendre: (_legendre_terms, _legendre_moments),
+             TwoValueStep: (_two_value_terms, _two_value_moments),
+             PiecewiseSign: (_sign_terms, _sign_moments)}
+
+
+def moment_table(family: Family):
+    """(r, g) for the family: r(k) = 12 (int Phi_k)^2 and
+    g(k, j) = int phi_k Phi_j, the entries of an antisymmetric matrix G.
+    Vanishing entries are exact zeros.  Indices are not checked."""
+    return _BUILDERS[type(family)][1](family)
 
 
 class TermTable:
@@ -281,12 +329,12 @@ class TermTable:
         self.indices = tuple(indices)
         for k in self.indices:
             check_index(family, k)
-        self.arrays = _TERMS[type(family)](family, self.indices, np)
+        self.arrays = _BUILDERS[type(family)][0](family, self.indices, np)
 
     @cached_property
     def floats(self):
         # only the samplers' scalar path and plain-float calls need it
-        return _TERMS[type(self.family)](self.family, self.indices, _FloatOps)
+        return _BUILDERS[type(self.family)][0](self.family, self.indices, _FloatOps)
 
     def _at(self, x):
         common, terms = self.floats if isinstance(x, float) else self.arrays

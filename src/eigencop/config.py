@@ -35,6 +35,13 @@ EXPERIMENT_KINDS = ("coverage_bernoulli", "coverage_exponential",
                     "coverage_mean", "coverage_mu_w")
 
 
+# the JSON name of each basis family, read both ways
+_FAMILY_NAMES = {"sine_cosine": SineCosine, "cosine": Cosine,
+                 "shifted_legendre": ShiftedLegendre,
+                 "two_value_step": TwoValueStep, "piecewise_sign": PiecewiseSign}
+_FAMILY_OF_CLASS = {cls: name for name, cls in _FAMILY_NAMES.items()}
+
+
 class ConfigError(ValueError):
     """Malformed configuration; `field` names the offending entry."""
 
@@ -73,11 +80,9 @@ def parse_basis(obj) -> Family:
     if not isinstance(obj, dict):
         raise ConfigError("basis", "expected an object with a 'family' tag")
     name = obj.get("family")
-    known = {"sine_cosine", "cosine", "shifted_legendre", "two_value_step",
-             "piecewise_sign"}
-    if name not in known:
-        raise ConfigError("basis.family",
-                          f"unknown family {name!r}; expected one of {sorted(known)}")
+    if not isinstance(name, str) or name not in _FAMILY_NAMES:
+        raise ConfigError("basis.family", f"unknown family {name!r}; "
+                          f"expected one of {sorted(_FAMILY_NAMES)}")
     extra = set(obj) - {"family", "alpha", "breakpoints"}
     if extra:
         raise ConfigError(f"basis.{sorted(extra)[0]}", "unexpected key")
@@ -97,8 +102,7 @@ def parse_basis(obj) -> Family:
             raise ConfigError("basis.breakpoints", str(exc)) from exc
     if "alpha" in obj or "breakpoints" in obj:
         raise ConfigError("basis", f"family {name!r} takes no parameters")
-    return {"sine_cosine": SineCosine, "cosine": Cosine,
-            "shifted_legendre": ShiftedLegendre}[name]()
+    return _FAMILY_NAMES[name]()
 
 
 def parse_copula_config(obj) -> SpectralCopula:
@@ -151,22 +155,17 @@ def parse_copula_config(obj) -> SpectralCopula:
 def copula_to_config(c: SpectralCopula) -> dict:
     """Echo a copula as its explicit JSON record."""
     fam = c.family
+    if type(fam) not in _FAMILY_OF_CLASS:
+        raise TypeError(f"unknown family {fam!r}")
+    basis = {"family": _FAMILY_OF_CLASS[type(fam)]}
     if isinstance(fam, SineCosine):
-        basis = {"family": "sine_cosine"}
         sin_pairs = [[k[1], lam] for k, lam in c.coeffs.entries if k[0] == "sin"]
         cos_pairs = [[k[1], lam] for k, lam in c.coeffs.entries if k[0] == "cos"]
-        out = {"basis": basis, "lambda": cos_pairs, "mu": sin_pairs}
-        return out
-    if isinstance(fam, Cosine):
-        basis = {"family": "cosine"}
-    elif isinstance(fam, ShiftedLegendre):
-        basis = {"family": "shifted_legendre"}
-    elif isinstance(fam, TwoValueStep):
-        basis = {"family": "two_value_step", "alpha": fam.alpha}
+        return {"basis": basis, "lambda": cos_pairs, "mu": sin_pairs}
+    if isinstance(fam, TwoValueStep):
+        basis["alpha"] = fam.alpha
     elif isinstance(fam, PiecewiseSign):
-        basis = {"family": "piecewise_sign", "breakpoints": list(fam.breakpoints)}
-    else:
-        raise TypeError(f"unknown family {fam!r}")
+        basis["breakpoints"] = list(fam.breakpoints)
     return {"basis": basis, "lambda": [[k, lam] for k, lam in c.coeffs.entries]}
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .basis import (Cosine, Family, PiecewiseSign, ShiftedLegendre,
                     SineCosine, TermTable, TwoValueStep, check_index,
                     extrema, jump_points)
-from .quadrature import composite_rule, gauss_legendre_01
+from .quadrature import split_rule
 
 DENSITY_GRID_N = 512
 BOUNDARY_TOL = 1e-12
@@ -212,6 +212,8 @@ class SpectralCopula:
                               fold_base=base, fold_power=power)
 
     def validate(self, grid_n: int = DENSITY_GRID_N) -> ValidityReport:
+        if grid_n < 2:
+            raise ValueError("grid_n must be at least 2")
         return _validate_cached(self.family, self.coeffs, grid_n)
 
     def density_grid(self, grid_n: int = DENSITY_GRID_N) -> tuple[np.ndarray, np.ndarray]:
@@ -304,10 +306,7 @@ def star_product(a: SpectralCopula, b: SpectralCopula, n_nodes: int = 64):
     with the star product of a copula with itself.
     """
     cuts = sorted(set(jump_points(a.family)) | set(jump_points(b.family)))
-    if cuts:
-        t, w = composite_rule(tuple(cuts), points_per_cell=16)
-    else:
-        t, w = gauss_legendre_01(n_nodes)
+    t, w = split_rule(cuts, 16, n_nodes)
 
     def dens(u, v):
         U = _as_unit_array(u, "u")

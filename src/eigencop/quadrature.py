@@ -41,6 +41,15 @@ def composite_rule(cuts, points_per_cell: int = 8) -> tuple[np.ndarray, np.ndarr
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def split_rule(cuts, points_per_cell: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rule for an integrand with jumps at `cuts`: the composite rule
+    split there, or the n_nodes-point Gauss-Legendre rule when there are
+    none."""
+    if cuts:
+        return composite_rule(tuple(cuts), points_per_cell)
+    return gauss_legendre_01(n_nodes)
+
+
 def log_weighted_sine_integral(k: int) -> float:
     """Value of the integral of sin(2*pi*k*t) * log(1-t) over [0,1].
 

@@ -9,7 +9,6 @@ from eigencop import (associate, cosine_copula, fgm, independence,
                       kendall_tau, piecewise_sign, shifted_legendre_copula,
                       sine_cosine_copula, spearman_rho, two_value_step,
                       zero_association_model)
-from eigencop.association import has_closed_forms
 
 PI2 = math.pi**2
 PI4 = math.pi**4
@@ -113,23 +112,29 @@ def test_two_value_step_closed_forms():
         assert abs(kendall_tau(c, method="numeric") - want_tau) < 1e-8
 
 
-def test_piecewise_sign_falls_back_to_quadrature():
-    c = piecewise_sign((0.0, 0.4, 1.0), (0.5, -0.3))
-    assert not has_closed_forms(c)
-    report = associate(c)
-    assert report.closed_fallback
-    assert report.rho_closed == report.rho_numeric
-    assert report.tau_closed == report.tau_numeric
+def test_piecewise_sign_closed_forms():
+    # rho = (3/4) sum lambda_k w_k^3 and tau = (1/2) sum lambda_k w_k^3
+    for bps, thetas in (((0.0, 0.4, 1.0), (0.5, -0.3)),
+                        ((0.0, 0.25, 0.6, 1.0), (0.9, -0.7, 0.4)),
+                        ((0.0, 1.0), (-0.8,))):
+        c = piecewise_sign(bps, thetas)
+        s = sum(lam * (bps[k] - bps[k - 1]) ** 3 for k, lam in c.coeffs.entries)
+        report = associate(c)
+        assert abs(report.rho_closed - 0.75 * s) < 1e-15
+        assert abs(report.tau_closed - 0.5 * s) < 1e-15
+        assert report.rho_closed == spearman_rho(c)
+        assert report.tau_closed == kendall_tau(c)
+        assert report.rho_gap <= 1e-12
+        assert report.tau_gap <= 1e-12
 
 
 def test_association_report_gaps():
     report = associate(cosine_copula({1: 0.5}))
-    assert not report.closed_fallback
     assert report.rho_gap < 1e-10
     assert report.tau_gap < 1e-10
     d = report.as_dict()
-    assert set(d) >= {"rho_closed", "tau_closed", "rho_numeric",
-                      "tau_numeric", "rho_gap", "tau_gap", "closed_fallback"}
+    assert set(d) == {"rho_closed", "tau_closed", "rho_numeric",
+                      "tau_numeric", "rho_gap", "tau_gap"}
 
 
 def test_zero_association_sweep():
@@ -165,8 +170,11 @@ def test_sine_cosine_range_caps():
 
 
 def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        spearman_rho(independence(), method="magic")
+    for c in (independence(), piecewise_sign((0.0, 0.4, 1.0), (0.5, -0.3))):
+        with pytest.raises(ValueError):
+            spearman_rho(c, method="magic")
+        with pytest.raises(ValueError):
+            kendall_tau(c, method="magic")
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,7 +9,8 @@ from numpy.polynomial import legendre
 
 from eigencop.basis import (Cosine, PiecewiseSign, ShiftedLegendre,
                             SineCosine, TermTable, TwoValueStep, check_index,
-                            eval_phi, eval_Phi, extrema, jump_points)
+                            eval_phi, eval_Phi, extrema, jump_points,
+                            moment_table)
 from eigencop.quadrature import composite_rule, gauss_legendre_01
 
 FAMILIES = [
@@ -229,6 +230,24 @@ def test_term_table_matches_independent_oracles(family, ks):
                           else _trig_oracle(family, k, x))
         assert np.max(np.abs(a - want_a)) <= 1e-12
         assert np.max(np.abs(b - want_b)) <= 1e-12
+
+
+@pytest.mark.parametrize("family,ks", TABLES)
+def test_moment_table_matches_quadrature(family, ks):
+    # 16-point Gauss on 2048 panels (split at the jumps) resolves every
+    # product phi_k Phi_j up to index 1024; sums along the last axis are
+    # pairwise, so rounding stays far below the tolerance
+    cuts = sorted(set(jump_points(family)) | {i / 2048 for i in range(1, 2048)})
+    x, w = composite_rule(tuple(cuts), points_per_cell=16)
+    table = TermTable(family, ks)
+    phi, Phi = np.array(table.phi(x)), np.array(table.Phi(x))
+    r_of, g_of = moment_table(family)
+    r = np.array([r_of(k) for k in ks])
+    G = np.array([[g_of(k, j) for j in ks] for k in ks])
+    assert np.max(np.abs(r - 12.0 * np.sum(w * Phi, axis=-1) ** 2)) <= 1e-14
+    for row, p in zip(G, phi):
+        assert np.max(np.abs(row - np.sum(w * p * Phi, axis=-1))) <= 1e-14
+    assert np.array_equal(G + G.T, np.zeros_like(G))
 
 
 def test_term_table_rejects_bad_indices():

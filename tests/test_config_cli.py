@@ -52,6 +52,13 @@ def _field_of(excinfo):
     return excinfo.value.field
 
 
+@pytest.mark.parametrize("name", [["cosine"], {"a": 1}, 3])
+def test_family_name_that_is_not_a_string_is_a_config_error(name):
+    with pytest.raises(ConfigError) as e:
+        parse_copula_config({"basis": {"family": name}})
+    assert _field_of(e) == "basis.family"
+
+
 def test_copula_config_errors_name_their_field():
     with pytest.raises(ConfigError) as e:
         parse_copula_config({"lambda": [[1, 0.3]]})
@@ -225,6 +232,14 @@ def test_cli_validate_inline_json(capsys):
     assert json.loads(out)["report"]["verdict"] == "valid"
 
 
+def test_cli_validate_rejects_grid_without_two_points(capsys):
+    code, out, err = _run(capsys, "validate", "--config",
+                          '{"basis": {"family": "cosine"}, "lambda": [[1, 0.9], [2, 0.9]]}',
+                          "--grid-n", "0")
+    assert code == 1 and out == ""
+    assert "grid_n must be at least 2" in err
+
+
 def test_cli_cdf(capsys):
     code, out, _ = _run(capsys, "cdf", "--config", '{"fgm": 0.5}',
                         "--u", "0.3", "--v", "0.6")
@@ -282,7 +297,7 @@ def test_cli_associate(capsys):
     doc = json.loads(out)
     assert doc["rho_closed"] == pytest.approx(48 / np.pi ** 4)
     assert doc["tau_closed"] == pytest.approx(32 / np.pi ** 4)
-    assert doc["rho_gap"] < 1e-12 and not doc["closed_fallback"]
+    assert doc["rho_gap"] < 1e-12 and "closed_fallback" not in doc
 
 
 def test_cli_mixing_exit_codes(capsys):

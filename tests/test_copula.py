@@ -196,6 +196,14 @@ def test_density_range_equals_full_grid(c, grid_n):
         (float(m.min()), float(m.max()))
 
 
+@pytest.mark.parametrize("grid_n", [0, 1, -3])
+@pytest.mark.parametrize("c", [cosine_copula({1: 0.9}),
+                               cosine_copula({1: 0.9, 2: 0.9})])
+def test_validate_rejects_grid_without_two_points(c, grid_n):
+    with pytest.raises(ValueError, match="grid_n must be at least 2"):
+        c.validate(grid_n)
+
+
 def test_fold_powers_coefficients():
     c = cosine_copula({1: 0.4, 2: -0.3})
     f3 = c.fold(3)
