@@ -20,8 +20,8 @@ from .coverage import CoverageRow, CoverageTable, run_coverage
 from .estimation import (MeanCI, MuEstimate, WeightedMuEstimate,
                          chi2_statistic, estimate_mu, estimate_mu_weighted,
                          indicator_zero_effect_closed,
-                         indicator_zero_effect_threshold, mean_ci,
-                         sigma2_custom, sigma2_exponential, sigma2_indicator,
+                         indicator_zero_effect_threshold, long_run_variance,
+                         mean_ci, sigma2_exponential, sigma2_indicator,
                          sigma2_uniform_mean, wald_interval)
 from .mixing import Certificate, MixingReport, certify_psi, rho_sequence
 from .sampling import (Bernoulli, ChainSample, Exponential, Uniform,

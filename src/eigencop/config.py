@@ -89,7 +89,11 @@ def parse_basis(obj) -> Family:
     if name == "two_value_step":
         if "alpha" not in obj:
             raise ConfigError("basis.alpha", "two_value_step requires 'alpha'")
-        return TwoValueStep(_real(obj["alpha"], "basis.alpha"))
+        alpha = _real(obj["alpha"], "basis.alpha")
+        try:
+            return TwoValueStep(alpha)
+        except ValueError as exc:
+            raise ConfigError("basis.alpha", str(exc)) from exc
     if name == "piecewise_sign":
         bps = obj.get("breakpoints")
         if not isinstance(bps, list) or len(bps) < 2:
@@ -232,24 +236,6 @@ class ExperimentConfig:
         return out
 
 
-def _model_mu1(c: SpectralCopula) -> float:
-    """mu1 of a zero-association-shaped copula, or raise.
-
-    The model-variance formulas assume sine coefficients (mu1, -4*mu1)
-    and nothing else, so anything outside that family cannot use
-    variance_mode "model"."""
-    if not isinstance(c.family, SineCosine):
-        raise ConfigError("variance_mode",
-                          "'model' needs a sine-family zero-association copula")
-    keys = dict(c.coeffs.entries)
-    mu1 = keys.pop(("sin", 1), 0.0)
-    mu2 = keys.pop(("sin", 2), 0.0)
-    if keys or abs(mu2 + 4.0 * mu1) > 1e-12:
-        raise ConfigError("variance_mode",
-                          "'model' needs sine coefficients (mu1, -4*mu1)")
-    return mu1
-
-
 def parse_experiment_config(obj) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("experiment", "expected an object")
@@ -324,8 +310,6 @@ def parse_experiment_config(obj) -> ExperimentConfig:
         if "copula" not in obj:
             raise ConfigError("copula", "missing")
         copula = parse_copula_config(obj["copula"])
-        if variance_mode == "model":
-            _model_mu1(copula)
         if kind == "coverage_bernoulli":
             thresholds = real_list("thresholds", lo=0.0, hi=1.0)
         elif kind == "coverage_exponential":

@@ -218,6 +218,8 @@ class SpectralCopula:
 
     def density_grid(self, grid_n: int = DENSITY_GRID_N) -> tuple[np.ndarray, np.ndarray]:
         """Midpoint grid and the density matrix on it."""
+        if grid_n < 2:
+            raise ValueError("grid_n must be at least 2")
         g = (np.arange(grid_n) + 0.5) / grid_n
         m = np.ones((grid_n, grid_n))
         for lam, p in zip(self.coeffs.values, self.terms.phi(g)):

@@ -3,8 +3,9 @@
 For each parameter cell the harness simulates `replicates` independent
 stationary chains, builds a Wald interval for the cell's target from each
 chain, and reports the fraction of intervals containing the truth.  Two
-variance modes are offered: "model" plugs in the closed-form long-run
-variance of the chain functional, "iid" uses the variance one would use
+variance modes are offered: "model" plugs in the long-run variance of the
+chain functional under the cell's copula (`estimation.long_run_variance`,
+closed form for every family), "iid" uses the variance one would use
 for independent data (Bernoulli p(1-p), exponential mean^2, uniform 1/12).
 The gap between the two is the point of the study: intervals built as if
 the data were independent undercover once the chain is dependent.
@@ -34,9 +35,8 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .copula import zero_association_model
-from .estimation import (sigma2_exponential, sigma2_indicator,
-                         sigma2_uniform_mean, sine_pair_means, weighted_mu)
-from .sampling import generate_chain_bank
+from .estimation import long_run_variance, sine_pair_means, weighted_mu
+from .sampling import Bernoulli, Exponential, Uniform, generate_chain_bank
 from .statutil import normal_quantile
 
 _NUMERICAL = (ValueError, ArithmeticError)
@@ -83,10 +83,6 @@ class CoverageTable:
         return buf.getvalue()
 
 
-def _mu1_of(c) -> float:
-    return c.coeffs.get(("sin", 1), 0.0)
-
-
 def _summarize(repeat: int, params: dict, covered, est, half, n_rep: int) -> CoverageRow:
     count = int(np.count_nonzero(covered))
     return CoverageRow(repeat, params, 100.0 * count / n_rep, count, n_rep,
@@ -108,7 +104,7 @@ def _bernoulli(cfg: ExperimentConfig, bank, p: dict):
     a = p["a"]
     est = np.mean(bank <= a, axis=1)
     if cfg.variance_mode == "model":
-        return est, sigma2_indicator(a, _mu1_of(cfg.copula)), cfg.n, a
+        return est, long_run_variance(cfg.copula, Bernoulli(a)), cfg.n, a
     return est, est * (1.0 - est), cfg.n, a
 
 
@@ -116,7 +112,7 @@ def _exponential(cfg: ExperimentConfig, bank, p: dict):
     rate = p["rate"]
     est = np.mean(-rate * np.log1p(-bank), axis=1)
     if cfg.variance_mode == "model":
-        return est, sigma2_exponential(rate, _mu1_of(cfg.copula)), cfg.n, rate
+        return est, long_run_variance(cfg.copula, Exponential(rate)), cfg.n, rate
     return est, est * est, cfg.n, rate
 
 
@@ -124,7 +120,7 @@ def _mean(cfg: ExperimentConfig, bank, p: dict):
     m = p["sample_size"]
     est = np.mean(bank[:, :m], axis=1)
     if cfg.variance_mode == "model":
-        return est, sigma2_uniform_mean(_mu1_of(cfg.copula)), m, 0.5
+        return est, long_run_variance(cfg.copula, Uniform()), m, 0.5
     return est, 1.0 / 12.0, m, 0.5
 
 

@@ -1,17 +1,16 @@
-"""Estimators and central-limit machinery for chains driven by the
-two-sine copula family (density 1 + mu1*phi1(u)phi1(v) + mu2*phi2(u)phi2(v)
-with phi_k(x) = sqrt(2)*sin(2*pi*k*x)).
+"""Estimators and central-limit machinery for copula-driven chains.
 
-The pair averages
+For the two-sine family (density 1 + mu1*phi1(u)phi1(v) + mu2*phi2(u)phi2(v)
+with phi_k(x) = sqrt(2)*sin(2*pi*k*x)) the pair averages
 
     mu_hat_k = (1/(n-1)) * sum_i phi_k(U_i) * phi_k(U_{i+1})
 
 are asymptotically normal with covariance [[1, -mu1*mu2], [-mu1*mu2, 1]],
-which yields a two-degree chi-square statistic for joint hypotheses and
-Wald intervals for smooth functionals of the chain.  Long-run variances
-for the functionals studied in the coverage experiments (indicator of a
-threshold, exponential transform, plain mean) have closed forms; a
-generic quadrature route covers arbitrary transforms.
+which yields a two-degree chi-square statistic for joint hypotheses.
+`long_run_variance` gives the variance behind Wald intervals for the mean
+of a marginal transform along the chain of any copula; the
+zero-association closed forms (indicator, exponential, plain mean) stay
+as the published formulas it is tested against.
 """
 
 from __future__ import annotations
@@ -21,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SineCosine, TermTable
-from .quadrature import gauss_legendre_01, log_weighted_sine_integral
+from .basis import SineCosine, TermTable, jump_points, moment_table
+from .copula import SpectralCopula
+from .quadrature import composite_rule, log_weighted_sine_integral
+from .sampling import Bernoulli, Exponential, MarginalTransform, Uniform
 from .statutil import normal_quantile
 
 _PI2 = math.pi ** 2
@@ -147,21 +148,44 @@ def sigma2_uniform_mean(mu1: float) -> float:
     return 1.0 / 12.0 + 5.0 * mu1 * mu1 / (_PI2 * (1.0 - mu1) * (1.0 + 4.0 * mu1))
 
 
-def sigma2_custom(f, mu1: float, mu2: float, marginal_variance: float = None,
-                  n_nodes: int = 256) -> float:
-    """Long-run variance of the mean of f(U_i) for a general transform f
-    under a general two-sine chain: marginal variance plus the geometric
-    series of lagged covariances through the first two sine projections."""
-    x, w = gauss_legendre_01(n_nodes)
-    fx = np.asarray(f(x), dtype=float)
-    if marginal_variance is None:
-        mean = float(np.dot(w, fx))
-        marginal_variance = float(np.dot(w, (fx - mean) ** 2))
-    p1, p2 = _SINES.phi(x)
-    a1 = float(np.dot(w, fx * p1))
-    a2 = float(np.dot(w, fx * p2))
-    return marginal_variance + 2.0 * (mu1 * a1 * a1 / (1.0 - mu1)
-                                      + mu2 * a2 * a2 / (1.0 - mu2))
+# panel edges 1 - 2^-j: no panel below the last lies nearer to 1 than its width
+_TOWARD_ONE = tuple(1.0 - 0.5 ** j for j in range(1, 25))
+
+
+def _series(var: float, lams, a2) -> float:
+    return math.fsum([var] + [2.0 * lam * sq / (1.0 - lam) for lam, sq in zip(lams, a2)])
+
+
+def long_run_variance(c: SpectralCopula, transform: MarginalTransform) -> float:
+    """Long-run variance of the mean of f(U_i), f the transform, along the
+    chain of c: Var f + 2 sum_k lambda_k a_k^2 / (1 - lambda_k), a_k = int f phi_k.
+    Uniform: a_k^2 = r_k / 12 (`basis.moment_table`).  Bernoulli(a):
+    a_k = Phi_k(a).  Exponential(rate): a_k = -rate int Phi_k / (1 - x) by
+    parts, bounded as Phi_k(1) = 0, on 16-point Gauss panels split at the
+    jumps, at _TOWARD_ONE (the pole of 1/(1-x)) and at 2^m uniform cuts, m
+    growing until two rules agree.  ValueError when some |lambda_k| >= 1:
+    that chain does not mix and has no finite long-run variance."""
+    lams = c.coeffs.values
+    if any(abs(lam) >= 1.0 for lam in lams):
+        raise ValueError("a coefficient with |lambda| >= 1: the chain does not "
+                         "mix and has no finite long-run variance")
+    if isinstance(transform, Uniform):
+        r = moment_table(c.family)[0]
+        return _series(1.0 / 12.0, lams, [r(k) / 12.0 for k, _ in c.coeffs.entries])
+    if isinstance(transform, Bernoulli):
+        a = float(transform.threshold)
+        return _series(a * (1.0 - a), lams, [p * p for p in c.terms.Phi(a)])
+    if not isinstance(transform, Exponential):
+        raise TypeError(f"unknown transform {transform!r}")
+    rate, last, cuts = transform.rate, math.nan, jump_points(c.family) + _TOWARD_ONE
+    for m in range(3, 13):
+        x, w = composite_rule(cuts + tuple(np.arange(1, 2 ** m) / 2 ** m), 16)
+        ws = rate * w / (1.0 - x)
+        s2 = _series(rate * rate, lams, [float(np.dot(ws, p)) ** 2 for p in c.terms.Phi(x)])
+        if abs(s2 - last) <= 1e-14 * abs(s2):
+            return s2
+        last = s2
+    raise ArithmeticError("the exponential projections did not converge")
 
 
 # -- weighted coefficient estimator ---------------------------------------

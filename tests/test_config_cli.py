@@ -75,6 +75,12 @@ def test_copula_config_errors_name_their_field():
     with pytest.raises(ConfigError) as e:
         parse_copula_config({"basis": {"family": "two_value_step"}})
     assert _field_of(e) == "basis.alpha"
+    for alpha in (-1.0, 0.0):
+        with pytest.raises(ConfigError) as e:
+            parse_copula_config({"basis": {"family": "two_value_step", "alpha": alpha},
+                                 "lambda": [[1, 0.3]]})
+        assert _field_of(e) == "basis.alpha"
+        assert "alpha > 0" in str(e.value)
     with pytest.raises(ConfigError) as e:
         parse_copula_config({"basis": {"family": "piecewise_sign",
                                        "breakpoints": [0.0, 0.7, 0.5, 1.0]}})
@@ -190,13 +196,12 @@ def test_experiment_config_errors():
     with pytest.raises(ConfigError) as e:
         parse_experiment_config(_base_experiment(bogus=1))
     assert _field_of(e) == "bogus"
-    # model variance formulas only exist for the zero-association family
-    with pytest.raises(ConfigError) as e:
-        parse_experiment_config(_base_experiment(copula={"fgm": 0.3}))
-    assert _field_of(e) == "variance_mode"
-    ok = parse_experiment_config(_base_experiment(copula={"fgm": 0.3},
-                                                  variance_mode="iid"))
-    assert ok.variance_mode == "iid"
+    # the long-run variance has one formula for every copula, so both
+    # variance modes parse for a non-sine chain
+    for mode in ("model", "iid"):
+        ok = parse_experiment_config(_base_experiment(copula={"fgm": 0.3},
+                                                      variance_mode=mode))
+        assert ok.variance_mode == mode
     # each mu1 cell must build a zero-association copula
     with pytest.raises(ConfigError) as e:
         parse_experiment_config({
@@ -236,6 +241,14 @@ def test_cli_validate_rejects_grid_without_two_points(capsys):
     code, out, err = _run(capsys, "validate", "--config",
                           '{"basis": {"family": "cosine"}, "lambda": [[1, 0.9], [2, 0.9]]}',
                           "--grid-n", "0")
+    assert code == 1 and out == ""
+    assert "grid_n must be at least 2" in err
+
+
+@pytest.mark.parametrize("grid_n", ["0", "1", "-2"])
+def test_cli_density_grid_rejects_grid_without_two_points(capsys, grid_n):
+    code, out, err = _run(capsys, "density-grid", "--config", '{"fgm": 0.5}',
+                          "--grid-n", grid_n)
     assert code == 1 and out == ""
     assert "grid_n must be at least 2" in err
 

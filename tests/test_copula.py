@@ -204,6 +204,12 @@ def test_validate_rejects_grid_without_two_points(c, grid_n):
         c.validate(grid_n)
 
 
+@pytest.mark.parametrize("grid_n", [0, 1, -3])
+def test_density_grid_rejects_grid_without_two_points(grid_n):
+    with pytest.raises(ValueError, match="grid_n must be at least 2"):
+        fgm(0.5).density_grid(grid_n)
+
+
 def test_fold_powers_coefficients():
     c = cosine_copula({1: 0.4, 2: -0.3})
     f3 = c.fold(3)

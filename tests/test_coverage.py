@@ -1,7 +1,11 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from eigencop import load_experiment, run_coverage
+from eigencop.statutil import binomial_central_band
 
 
 def _cfg(kind, **over):
@@ -150,14 +154,14 @@ def test_row_failure_yields_one_error_row(monkeypatch):
     cfg = _cfg("coverage_exponential", copula={"zero_association": 0.05},
                rates=[1.0, 2.0, 5.0])
     clean = run_coverage(cfg).rows
-    real = cov.sigma2_exponential
+    real = cov.long_run_variance
 
-    def fails_at_two(rate, mu1):
-        if rate == 2.0:
+    def fails_at_two(c, transform):
+        if transform.rate == 2.0:
             raise ValueError("synthetic row failure")
-        return real(rate, mu1)
+        return real(c, transform)
 
-    monkeypatch.setattr(cov, "sigma2_exponential", fails_at_two)
+    monkeypatch.setattr(cov, "long_run_variance", fails_at_two)
     rows = run_coverage(cfg).rows
     assert [r.params["rate"] for r in rows] == [1.0, 2.0, 5.0]
     assert rows[1].error == "ValueError: synthetic row failure"
@@ -178,3 +182,44 @@ def test_csv_matches_rows():
     assert float(cells[2]) == row.coverage
     assert int(cells[3]) == row.covered_count
     assert int(cells[4]) == row.replicates
+
+
+_COSINE_MEAN = (pathlib.Path(__file__).resolve().parents[1]
+                / "scripts" / "configs" / "experiment_cosine_mean.json")
+
+
+@pytest.mark.parametrize("over, n_rows", [
+    ({}, 1),
+    ({"experiment": "coverage_bernoulli", "thresholds": [0.3, 0.5, 0.7],
+      "sample_sizes": None}, 3),
+], ids=["mean", "bernoulli"])
+def test_model_variance_covers_on_a_cosine_chain(over, n_rows):
+    # the long-run variance is not tied to the sine family: on a strongly
+    # dependent cosine chain the model intervals hold their level, the iid
+    # ones undercover
+    obj = {**json.loads(_COSINE_MEAN.read_text()), **over}
+    lo, hi = binomial_central_band(400, 0.95, 0.999)
+    for mode in ("model", "iid"):
+        cfg = load_experiment({**{k: v for k, v in obj.items() if v is not None},
+                               "variance_mode": mode})
+        rows = run_coverage(cfg).rows
+        assert len(rows) == n_rows
+        for r in rows:
+            assert r.error is None
+            if mode == "model":
+                assert lo <= r.covered_count <= hi, r
+            else:
+                assert r.covered_count < lo, r
+
+
+def test_model_variance_on_non_mixing_chain_gives_error_rows():
+    # a boundary step copula with lambda = 1 samples, but its chain does not
+    # mix: every model-variance row is an error row, the iid rows are not
+    step = {"basis": {"family": "two_value_step", "alpha": 1.0}, "lambda": [[1, 1.0]]}
+    model = run_coverage(_cfg("coverage_mean", copula=step, sample_sizes=[40, 80])).rows
+    assert [r.error for r in model] == ["ValueError: a coefficient with |lambda| >= 1: the "
+                                        "chain does not mix and has no finite long-run "
+                                        "variance"] * 2
+    iid = run_coverage(_cfg("coverage_mean", copula=step, sample_sizes=[40, 80],
+                            variance_mode="iid")).rows
+    assert all(r.error is None for r in iid)

@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from eigencop import (chi2_statistic, estimate_mu, estimate_mu_weighted,
+from eigencop import (Bernoulli, Exponential, Uniform, chi2_statistic,
+                      cosine_copula, estimate_mu, estimate_mu_weighted, fgm,
                       generate_chain_bank, indicator_zero_effect_closed,
-                      indicator_zero_effect_threshold, mean_ci,
-                      sigma2_custom, sigma2_exponential, sigma2_indicator,
-                      sigma2_uniform_mean, two_sine_model, wald_interval)
+                      indicator_zero_effect_threshold, long_run_variance,
+                      mean_ci, piecewise_sign, shifted_legendre_copula,
+                      sigma2_exponential, sigma2_indicator, sigma2_uniform_mean,
+                      sine_cosine_copula, two_sine_model, two_value_step,
+                      wald_interval, zero_association_model)
+from eigencop.basis import jump_points
+from eigencop.quadrature import composite_rule
 
 from conftest import CLT_N, CLT_R
 
@@ -101,25 +106,77 @@ def test_sigma2_uniform_mean_values():
     assert sigma2_uniform_mean(0.05) == pytest.approx(0.08444431122414843, abs=1e-14)
 
 
-def test_sigma2_custom_agrees_with_closed_forms():
-    mu1 = 0.05
-    # identity transform: the quadrature route is exact for polynomials
-    got = sigma2_custom(lambda x: x, mu1, -4 * mu1)
-    assert got == pytest.approx(sigma2_uniform_mean(mu1), abs=1e-12)
-    # exponential transform: projections of log(1-u) converge slowly, the
-    # generic route lands within quadrature error of the split-rule value
-    got = sigma2_custom(lambda x: -np.log1p(-x), mu1, -4 * mu1)
-    assert abs(got - sigma2_exponential(1.0, mu1)) < 1e-3
-    # indicator transform: discontinuous, needs a denser rule to land close
-    got = sigma2_custom(lambda x: (x <= 0.3).astype(float), mu1, -4 * mu1,
-                        n_nodes=1024)
-    assert abs(got - sigma2_indicator(0.3, mu1)) < 1e-3
+def test_long_run_variance_agrees_with_closed_forms():
+    c = zero_association_model(0.05)
+    got = long_run_variance(c, Uniform())
+    assert got == pytest.approx(sigma2_uniform_mean(0.05), abs=1e-15)
+    got = long_run_variance(c, Exponential(1.0))
+    assert got == pytest.approx(sigma2_exponential(1.0, 0.05), rel=1e-14)
+    got = long_run_variance(c, Bernoulli(0.3))
+    assert got == pytest.approx(sigma2_indicator(0.3, 0.05), abs=1e-15)
 
 
-def test_sigma2_custom_accepts_known_marginal_variance():
-    mu1 = 0.05
-    got = sigma2_custom(lambda x: x, mu1, -4 * mu1, marginal_variance=1.0 / 12.0)
-    assert got == pytest.approx(sigma2_uniform_mean(mu1), abs=1e-14)
+@pytest.mark.parametrize("mu1", np.linspace(-0.11, 0.11, 23))
+def test_long_run_variance_equals_zero_association_formulas(mu1):
+    mu1 = float(mu1)
+    c = zero_association_model(mu1)
+    for a in (0.1, 0.3, 0.5, 0.7, 0.9):
+        assert abs(long_run_variance(c, Bernoulli(a)) - sigma2_indicator(a, mu1)) <= 1e-15
+    assert abs(long_run_variance(c, Uniform()) - sigma2_uniform_mean(mu1)) <= 1e-15
+    for rate in (0.5, 1.0, 2.0):
+        closed = sigma2_exponential(rate, mu1)
+        assert abs(long_run_variance(c, Exponential(rate)) - closed) <= 1e-14 * closed
+
+
+def _reference_long_run_variance(c, transform):
+    """Var f + 2 sum lam a^2 / (1 - lam) with a_k = int f phi_k taken
+    directly on 1024 composite panels split at the family's jumps (and the
+    threshold); the exponential integral runs in s = 1 - x, with dyadic
+    panels toward s = 0 resolving log s."""
+    cuts = set(jump_points(c.family)) | set(np.linspace(0.0, 1.0, 1025)[1:-1])
+    if isinstance(transform, Exponential):
+        cuts = {1.0 - q for q in cuts} | {0.5 ** j for j in range(11, 200)}
+        s, w = composite_rule(tuple(sorted(cuts)), 16)
+        x, f = 1.0 - s, -transform.rate * np.log(s)
+        total = transform.rate ** 2
+    else:
+        if isinstance(transform, Bernoulli):
+            cuts.add(transform.threshold)
+        x, w = composite_rule(tuple(sorted(cuts)), 16)
+        f = x if isinstance(transform, Uniform) else (x <= transform.threshold) * 1.0
+        total = float(np.dot(w, (f - np.dot(w, f)) ** 2))
+    for lam, p in zip(c.coeffs.values, c.terms.phi(x)):
+        a = float(np.dot(w, f * p))
+        total += 2.0 * lam * a * a / (1.0 - lam)
+    return total
+
+
+@pytest.mark.parametrize("c", [
+    fgm(0.8),
+    cosine_copula({1: 0.4, 2: -0.2, 3: 0.1}),
+    # 16 periods: a handful of 16-point panels does not resolve them
+    cosine_copula({32: 0.3}),
+    shifted_legendre_copula({1: 0.3, 2: -0.2, 3: 0.1}),
+    sine_cosine_copula(sin={1: 0.2}, cos={1: -0.15, 2: 0.1}),
+    two_value_step(2.0, 0.5),
+    # a jump close to 1: the pole of 1/(1-x) sits near the end of a panel
+    two_value_step(0.02, 0.5),
+    piecewise_sign([0.0, 0.3, 0.7, 1.0], [0.5, -0.4, 0.6]),
+], ids=["fgm", "cosine", "cosine_high", "legendre", "sine_cosine", "step", "step_near_one",
+        "sign"])
+def test_long_run_variance_against_composite_rule(c):
+    for t in (Uniform(), Bernoulli(0.3), Bernoulli(0.62), Exponential(1.0),
+              Exponential(2.5)):
+        assert abs(long_run_variance(c, t) - _reference_long_run_variance(c, t)) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [two_value_step(1.0, 1.0),
+                               piecewise_sign([0.0, 0.5, 1.0], [2.0, 0.5]),
+                               two_value_step(1.0, -1.0)])
+def test_long_run_variance_refuses_non_mixing_chain(c):
+    for t in (Uniform(), Bernoulli(0.5), Exponential(1.0)):
+        with pytest.raises(ValueError, match="does not mix"):
+            long_run_variance(c, t)
 
 
 def test_weighted_estimator_degenerates_at_full_weight():
