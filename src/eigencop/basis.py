@@ -12,7 +12,10 @@ The formulas for phi_k and Phi_k are written once, in the per-family term
 builders behind `TermTable`, which evaluates all of a copula's terms at x
 in one call, as plain floats or as arrays.  `eval_phi`/`eval_Phi` and every
 other module read them from there.  Next to each builder sits the family's
-moment table (`moment_table`), r_k = 12 (int Phi_k)^2 and G_kj = int phi_k Phi_j.
+moment table (`moment_table`), r_k = 12 (int Phi_k)^2 and G_kj = int phi_k Phi_j,
+and its slope bound D_k = sup |phi_k'| (`TermTable.slopes`), which the
+sampler's stopping rule reads; the step families have none, since their
+functions jump.
 
 Families
 --------
@@ -188,6 +191,8 @@ def _legendre_even_min(k: int) -> float:
 #
 # A moment builder turns a family into the (r, g) pair `moment_table`
 # returns.  Integrating by parts, g(j, k) = -g(k, j), so g(k, k) = 0.
+#
+# A slope builder gives D_k = sup |phi_k'| over [0, 1] for (family, k).
 
 
 class _FloatOps:
@@ -231,6 +236,11 @@ def _trig_moments(family):
                           if k[1] == j[1] and k[0] != j[0] else 0.0))
 
 
+def _trig_slope(family, k):
+    # sqrt(2) w for a wave of angular frequency w
+    return _SQRT2 * (k * math.pi if isinstance(family, Cosine) else 2.0 * math.pi * k[1])
+
+
 def _legendre_terms(family, indices, ops):
     # P_0..P_{K+1} at y = 2x - 1 from one recurrence pass serve every term
     top = max(indices, default=0) + 1
@@ -252,6 +262,11 @@ def _legendre_moments(family):
     return (lambda k: 1.0 if k == 1 else 0.0,
             lambda k, j: ((k - j) / (2.0 * math.sqrt((2 * k + 1) * (2 * j + 1)))
                           if abs(k - j) == 1 else 0.0))
+
+
+def _legendre_slope(family, k):
+    # |P_k'| peaks at y = +-1, where it is k(k+1)/2, and dy/dx = 2
+    return math.sqrt(2 * k + 1) * k * (k + 1)
 
 
 def _two_value_terms(family, indices, ops):
@@ -296,12 +311,12 @@ def _sign_moments(family):
     return (lambda k: 0.75 * (bp[k] - bp[k - 1]) ** 3), (lambda k, j: 0.0)
 
 
-# per family: (term builder, moment builder)
-_BUILDERS = {SineCosine: (_trig_terms, _trig_moments),
-             Cosine: (_trig_terms, _trig_moments),
-             ShiftedLegendre: (_legendre_terms, _legendre_moments),
-             TwoValueStep: (_two_value_terms, _two_value_moments),
-             PiecewiseSign: (_sign_terms, _sign_moments)}
+# per family: (term builder, moment builder, slope builder or None)
+_BUILDERS = {SineCosine: (_trig_terms, _trig_moments, _trig_slope),
+             Cosine: (_trig_terms, _trig_moments, _trig_slope),
+             ShiftedLegendre: (_legendre_terms, _legendre_moments, _legendre_slope),
+             TwoValueStep: (_two_value_terms, _two_value_moments, None),
+             PiecewiseSign: (_sign_terms, _sign_moments, None)}
 
 
 def moment_table(family: Family):
@@ -336,6 +351,13 @@ class TermTable:
         # only the samplers' scalar path and plain-float calls need it
         return _BUILDERS[type(self.family)][0](self.family, self.indices, _FloatOps)
 
+    @cached_property
+    def slopes(self):
+        """(D_k, ...) with D_k = sup |phi_k'| over [0, 1], in index order, or
+        None for a step family."""
+        slope = _BUILDERS[type(self.family)][2]
+        return None if slope is None else tuple(slope(self.family, k) for k in self.indices)
+
     def _at(self, x):
         common, terms = self.floats if isinstance(x, float) else self.arrays
         return (x if common is None else common(x)), terms
@@ -359,14 +381,23 @@ def _eval_one(values, x, what: str):
     return float(out[0]) if scalar else out
 
 
+@lru_cache(maxsize=256)
+def _one_term(family: Family, k: Index) -> TermTable:
+    # families are frozen dataclasses; k is checked before the lookup, so
+    # the cache never equates an invalid index with a valid one (1.0 == 1)
+    return TermTable(family, (k,))
+
+
 def eval_phi(family: Family, k: Index, x):
     """Evaluate basis function k at x (scalar or array), vectorized."""
-    return _eval_one(TermTable(family, (k,)).phi, x, "basis functions")
+    check_index(family, k)
+    return _eval_one(_one_term(family, k).phi, x, "basis functions")
 
 
 def eval_Phi(family: Family, k: Index, x):
     """Closed-form antiderivative of basis function k, zero at 0 and 1."""
-    return _eval_one(TermTable(family, (k,)).Phi, x, "antiderivatives")
+    check_index(family, k)
+    return _eval_one(_one_term(family, k).Phi, x, "antiderivatives")
 
 
 def extrema(family: Family, k: Index) -> tuple[float, float]:

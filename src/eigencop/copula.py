@@ -89,12 +89,6 @@ class SpectralCoefficients:
     def sup_abs(self) -> float:
         return max((abs(lam) for _, lam in self.entries), default=0.0)
 
-    def get(self, k, default=0.0) -> float:
-        for key, lam in self.entries:
-            if key == k:
-                return lam
-        return default
-
     def __len__(self):
         return len(self.entries)
 

@@ -256,3 +256,42 @@ def test_term_table_rejects_bad_indices():
     with pytest.raises(ValueError):
         TermTable(TwoValueStep(1.0), [2])
     assert TermTable(Cosine(), []).phi(0.3) == []
+
+
+def _max_difference_quotient(f):
+    # largest |f(x') - f(x)| / (x' - x) over 10^4 cells, then over 10^4
+    # cells across the coarse cell of the maximum and its neighbours
+    x = np.linspace(0.0, 1.0, 10001)
+    j = int(np.argmax(np.abs(np.diff(f(x)))))
+    x = np.linspace(x[max(j - 1, 0)], x[min(j + 2, x.size - 1)], 10001)
+    return float(np.max(np.abs(np.diff(f(x)) / np.diff(x)))), float(x[1] - x[0])
+
+
+@pytest.mark.parametrize("family,ks", [t for t in FAMILIES if not jump_points(t[0])])
+def test_slope_bound_is_the_largest_difference_quotient(family, ks):
+    # each quotient is phi_k' somewhere inside its cell, so none exceeds
+    # D_k = sup |phi_k'| beyond the rounding of the two values it divides;
+    # at the fine spacing (3e-8) the largest is within 1e-6 (relative) of it
+    for k, bound in zip(ks, TermTable(family, ks).slopes):
+        f = ((lambda x: _legendre_oracle(k, x)[0]) if isinstance(family, ShiftedLegendre)
+             else (lambda x: _trig_oracle(family, k, x)[0]))
+        quotient, h = _max_difference_quotient(f)
+        rounding = 16.0 * np.finfo(float).eps * max(map(abs, extrema(family, k))) / h
+        assert bound * (1.0 - 1e-6) <= quotient <= bound + rounding, (k, bound, quotient)
+
+
+def test_step_families_have_no_slope_bound():
+    for family, ks in FAMILIES:
+        assert (TermTable(family, ks).slopes is None) == bool(jump_points(family))
+
+
+def test_eval_one_term_tables_are_reused_without_loosening_the_index_check():
+    # 1.0 == 1 and ("sin", 1.0) == ("sin", 1) as cache keys, yet neither is
+    # a valid index
+    x = np.array([0.25, 0.5])
+    assert np.array_equal(eval_phi(Cosine(), 1, x), eval_phi(Cosine(), 1, x))
+    eval_Phi(SineCosine(), ("sin", 1), x)
+    with pytest.raises(ValueError):
+        eval_phi(Cosine(), 1.0, x)
+    with pytest.raises(ValueError):
+        eval_Phi(SineCosine(), ("sin", 1.0), x)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from eigencop import load_experiment, run_coverage
-from eigencop.statutil import binomial_central_band
+
+from stat_helpers import binomial_central_band
 
 
 def _cfg(kind, **over):

@@ -13,7 +13,8 @@ from eigencop import (Bernoulli, Exponential, Uniform, Verdict, apply_transform,
                       piecewise_sign, sample_wl, shifted_legendre_copula,
                       sine_cosine_copula, two_sine_model, two_value_step,
                       zero_association_model)
-from eigencop.statutil import chi2_gof, ks_uniform, lag1_autocorrelation
+
+from stat_helpers import chi2_gof, ks_uniform, lag1_autocorrelation
 
 SMOOTH = [
     cosine_copula({1: 0.35, 2: -0.1}),  # VALID, margin 0.1
@@ -201,9 +202,85 @@ def test_solver_stops_at_once_on_no_lanes():
 
     empty = np.array([])
     out = sampling._solve_vector(
-        common, [(empty, counted(phi), counted(Phi)) for phi, Phi in terms], empty)
+        common, [(empty, counted(phi), counted(Phi)) for phi, Phi in terms], empty, empty)
     assert out.shape == (0,) and calls == []
     assert next_state(c, empty, empty).shape == (0,)
+
+
+def _random_smooth_copulas(seed=17, per_family=4):
+    """VALID copulas of the three smooth families with random signed
+    coefficients: sum |lambda_k| sup phi_k^2 = 0.9 keeps the density
+    above 0.1.  Legendre indices reach 5."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(per_family):
+        def draw(keys, sup2):
+            keys = [keys[i] for i in sorted(rng.choice(len(keys), rng.integers(1, 4),
+                                                       replace=False))]
+            weight = rng.random(len(keys)) * rng.choice([-1.0, 1.0], len(keys))
+            scale = 0.9 / sum(abs(a) * sup2(k) for a, k in zip(weight, keys))
+            return {k: float(a * scale) for a, k in zip(weight, keys)}
+        out.append(cosine_copula(draw([1, 2, 3, 4, 5], lambda k: 2.0)))
+        out.append(shifted_legendre_copula(draw([1, 2, 3, 4, 5], lambda k: 2 * k + 1)))
+        lam = draw([("sin", 1), ("sin", 2), ("cos", 1), ("cos", 3)], lambda k: 2.0)
+        out.append(sine_cosine_copula(sin={k[1]: a for k, a in lam.items() if k[0] == "sin"},
+                                      cos={k[1]: a for k, a in lam.items() if k[0] == "cos"}))
+    return out
+
+
+@pytest.mark.parametrize("c", [cosine_copula({1: 0.5}),  # boundary: density 0 at corners
+                               shifted_legendre_copula({1: 0.1, 3: 0.05, 5: 0.02})]
+                         + _random_smooth_copulas())
+def test_early_stop_returns_the_full_iterations_roots(c):
+    # without the slope bound every root is confirmed by one more
+    # evaluation of g; with it, that evaluation is skipped where it could
+    # only confirm, and the root is the same float
+    rng = np.random.default_rng(5)
+    u = np.concatenate([rng.random(300), [0.0, 1.0, 0.0, 1.0]])
+    w = np.concatenate([rng.random(300), [0.0, 1.0, 1.0, 0.0]])
+    bounded, plain = sampling._Sampler(c), sampling._Sampler(c)
+    assert bounded.bounds is not None
+    plain.bounds = None
+    assert np.array_equal(bounded.next_vector(u, w), plain.next_vector(u, w))
+
+    calls = []
+    for sampler in (bounded, plain):
+        common, terms = sampler.floats
+        sampler.floats = common, [(phi, lambda x, Phi=Phi: calls.append(1) or Phi(x))
+                                  for phi, Phi in terms]
+    early = 0
+    for a, b in zip(u.tolist(), w.tolist()):
+        n0 = len(calls)
+        v = bounded.next_scalar(a, b)
+        n1 = len(calls)
+        assert plain.next_scalar(a, b) == v
+        saved = (len(calls) - n1) - (n1 - n0)
+        assert saved in (0, len(terms))  # at most one evaluation saved
+        if saved:
+            early += 1
+            assert abs(c.conditional_cdf(a, v) - b) <= sampling.RESIDUAL_TOL
+    assert early > 0
+
+
+ROUTED = [SMOOTH[0], SMOOTH[1], SMOOTH[2], STEPS[0], STEPS[2],
+          [zero_association_model(0.0), zero_association_model(0.05),
+           zero_association_model(0.1)]]
+
+
+@pytest.mark.parametrize("c", ROUTED)
+def test_bank_rows_do_not_depend_on_the_width_routing(c):
+    # banks narrower than FLOAT_PATH_LANES step lane by lane on plain
+    # floats, wider ones on arrays; a row is the same either way
+    width = sampling.FLOAT_PATH_LANES
+    keys = [(23, r) for r in range(2 * width)]
+
+    def bank(m):
+        lanes = [c[i % len(c)] for i in range(m)] if isinstance(c, list) else c
+        return generate_chain_bank(lanes, 60, keys[:m])
+
+    wide = bank(2 * width)
+    for m in (1, width - 1, width):
+        assert np.array_equal(bank(m), wide[:m])
 
 
 @pytest.mark.parametrize("models", [

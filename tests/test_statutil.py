@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 
-from eigencop.statutil import (binomial_central_band, chi2_cdf, chi2_gof,
-                               chi2_quantile, kolmogorov_sf, ks_two_sample,
-                               ks_uniform, lag1_autocorrelation, normal_cdf,
-                               normal_quantile)
+from eigencop.statutil import chi2_cdf, normal_cdf, normal_quantile
+
+from stat_helpers import (binomial_central_band, chi2_gof, chi2_quantile,
+                          kolmogorov_sf, ks_two_sample, ks_uniform,
+                          lag1_autocorrelation)
 
 
 def test_normal_quantile_known_values():
