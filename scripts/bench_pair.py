@@ -4,9 +4,9 @@
     python3 scripts/bench_pair.py --base <rev> --label <label> \\
         --plan coverage_quick=10,wide_bank=4,scalar_chains=4,verdicts=4
 
-The base revision is exported with `git archive` into a fresh directory, as
-its committed files alone; the head is the working tree unless --head names
-a revision, which is exported the same way.  Each tree's own
+The base and head revisions (head: HEAD unless --head names another) are
+each exported with `git archive` into a fresh directory, as their committed
+files alone, the way the benchmark is run on a change.  Each tree's own
 `perfbench/run.py` runs from its root (run.py imports `eigencop` from that
 tree's `src/`), one run at a time.  Pair i of a workload runs both trees on
 seed seed0 + i; even pairs run the base first, odd pairs the head, so a
@@ -103,7 +103,7 @@ def failed_share(runs: list, side: str) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="revision to compare against")
-    ap.add_argument("--head", help="revision to measure (default: the working tree)")
+    ap.add_argument("--head", default="HEAD", help="revision to measure (default: HEAD)")
     ap.add_argument("--label", required=True, help="the output is BENCH_<label>.json")
     ap.add_argument("--plan", default="coverage_quick=10",
                     help="comma-separated workload=pairs (default coverage_quick=10)")
@@ -112,23 +112,19 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--workdir", help="where the exported trees go (default: a new "
                                       "temporary directory)")
-    ap.add_argument("--out", help="output path (default: BENCH_<label>.json at the root)")
     args = ap.parse_args(argv)
     plan = [(w, int(n)) for w, n in (item.split("=") for item in args.plan.split(","))]
 
     work = pathlib.Path(args.workdir or tempfile.mkdtemp(prefix="bench_pair_"))
-    trees = {"base": export(args.base, work / "base"),
-             "head": export(args.head, work / "head") if args.head else ROOT}
+    trees = {side: export(rev, work / side) for side, rev in (("base", args.base),
+                                                              ("head", args.head))}
     manifest = json.loads((trees["base"] / "BENCHMARK.json").read_text())
     metrics = manifest["end_to_end"] + manifest["per_layer"]
-    out_path = pathlib.Path(args.out or ROOT / f"BENCH_{args.label}.json")
-    dirty = bool(git("status", "--porcelain")) if not args.head else False
+    out_path = ROOT / f"BENCH_{args.label}.json"
     record = {
         "label": args.label,
-        "base": {"rev": git("rev-parse", args.base), "src_lines": src_lines(trees["base"])},
-        "head": {"rev": git("rev-parse", args.head or "HEAD"),
-                 "working_tree": not args.head, "uncommitted_changes": dirty,
-                 "src_lines": src_lines(trees["head"])},
+        **{side: {"rev": git("rev-parse", rev), "src_lines": src_lines(trees[side])}
+           for side, rev in (("base", args.base), ("head", args.head))},
         "seconds": args.seconds, "trace": args.trace,
         "python": platform.python_version(),
         "numpy": subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
