@@ -5,8 +5,9 @@
         --plan coverage_quick=10,wide_bank=4,scalar_chains=4,verdicts=4
 
 The base and head revisions (head: HEAD unless --head names another) are
-each exported with `git archive` into a fresh directory, as their committed
-files alone, the way the benchmark is run on a change.  Each tree's own
+each exported with `git archive` into a temporary directory, as their
+committed files alone, the way the benchmark is run on a change; the
+directory is removed when the series ends.  Each tree's own
 `perfbench/run.py` runs from its root (run.py imports `eigencop` from that
 tree's `src/`), one run at a time.  Pair i of a workload runs both trees on
 seed seed0 + i; even pairs run the base first, odd pairs the head, so a
@@ -110,14 +111,17 @@ def main(argv=None) -> int:
     ap.add_argument("--seed0", type=int, default=9101, help="seed of the first pair")
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--workdir", help="where the exported trees go (default: a new "
-                                      "temporary directory)")
     args = ap.parse_args(argv)
-    plan = [(w, int(n)) for w, n in (item.split("=") for item in args.plan.split(","))]
+    with tempfile.TemporaryDirectory(prefix="bench_pair_") as work:
+        trees = {side: export(rev, pathlib.Path(work) / side)
+                 for side, rev in (("base", args.base), ("head", args.head))}
+        return series(args, trees)
 
-    work = pathlib.Path(args.workdir or tempfile.mkdtemp(prefix="bench_pair_"))
-    trees = {side: export(rev, work / side) for side, rev in (("base", args.base),
-                                                              ("head", args.head))}
+
+def series(args, trees: dict) -> int:
+    """Run the plan's pairs on the exported trees, rewriting the output
+    file after every run; 1 if any run failed, else 0."""
+    plan = [(w, int(n)) for w, n in (item.split("=") for item in args.plan.split(","))]
     manifest = json.loads((trees["base"] / "BENCHMARK.json").read_text())
     metrics = manifest["end_to_end"] + manifest["per_layer"]
     out_path = ROOT / f"BENCH_{args.label}.json"

@@ -18,21 +18,24 @@ the bracket is narrower than BRACKET_TOL and returns its midpoint; after
 MAX_ITER iterations the last iterate is returned.  With no terms g(w) = 0,
 so the innovation itself is returned.
 
-On the smooth families a Newton step is also returned without evaluating
-g there when that evaluation could only confirm it.  For every u and v,
-|g''(v)| = |sum_k lambda_k * phi_k(u) * phi_k'(v)| <= M = sum_k |lambda_k| *
-S_k * D_k, where S_k = sup |phi_k| and D_k = sup |phi_k'| is the family's
-slope bound (`TermTable.slopes`); M is one number per lane.  For a Newton
-step t = v - q with q = g(v)/g'(v), Taylor's theorem gives |g(t)| <=
-M q^2 / 2.  So when M q^2 <= RESIDUAL_TOL the exact residual at t is at
-most RESIDUAL_TOL / 2, and the other half covers the rounding of the
-evaluated g, about 1e-15: the full iteration would evaluate g(t), find
-|g| <= RESIDUAL_TOL and return t.  The early stop returns the same t one
-evaluation sooner, so every root is bit-identical to the full iteration's.
-On the two-sine model it cuts the evaluations per step from 4.2 to 3.3.
-Replacing S_k by |phi_k(u)|, a bound formed afresh at each step, would
-save 0.03 evaluations more and cost more than that to form.  The step
-families have kinks in g, no slope bound and no early stop.
+On the float path the smooth families also return a Newton step without
+evaluating g there when that evaluation could only confirm it.  For every
+u and v, |g''(v)| = |sum_k lambda_k * phi_k(u) * phi_k'(v)| <= M =
+sum_k |lambda_k| * S_k * D_k, where S_k = sup |phi_k| and D_k = sup |phi_k'|
+is the family's slope bound (`TermTable.slopes`); M is one number per
+copula.  For a Newton step t = v - q with q = g(v)/g'(v), Taylor's theorem
+gives |g(t)| <= M q^2 / 2.  So when M q^2 <= RESIDUAL_TOL the exact
+residual at t is at most RESIDUAL_TOL / 2, and the other half covers the
+rounding of the evaluated g, about 1e-15: the full iteration would
+evaluate g(t), find |g| <= RESIDUAL_TOL and return t.  The early stop
+returns the same t one evaluation sooner, so every root is bit-identical
+to the full iteration's.  On the two-sine model it cuts the evaluations
+per step from 4.2 to 3.3.  Replacing S_k by |phi_k(u)|, a bound formed
+afresh at each step, would save 0.03 evaluations more and cost more than
+that to form.  The step families have kinks in g, no slope bound and no
+early stop.  The array path keeps the full iteration: a vector step ends
+only with its slowest lane, and on banks of 60 to 120 lanes the extra
+array operations showed no clear gain.
 
 On a step family g is piecewise linear in v, so a Newton step from a
 point of the root's piece lands on the root, and Newton reaches that
@@ -177,10 +180,10 @@ def _solve_scalar(common, terms, w: float, bound) -> float:
     return v
 
 
-def _solve_vector(common, terms, w: np.ndarray, bound) -> np.ndarray:
+def _solve_vector(common, terms, w: np.ndarray) -> np.ndarray:
     """_solve_scalar lane by lane, with the same operations in the same
-    order, on the array form of the table; each s_k and the bound, unless
-    it is None, hold one value per lane.  Finished lanes leave the working
+    order but without the early stop, on the array form of the table; each
+    s_k holds one value per lane.  Finished lanes leave the working
     arrays."""
     out = np.empty_like(w)
     lane = np.arange(w.size)
@@ -203,17 +206,13 @@ def _solve_vector(common, terms, w: np.ndarray, bound) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         done = hit | (hi - lo <= BRACKET_TOL)
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = g / c
-            t = v - q
-            newton = (c > 0.0) & (lo < t) & (t < hi)
-            stop = done if bound is None else done | (newton & (bound * q * q <= RESIDUAL_TOL))
-        nxt = np.where(newton, t, mid)
-        if stop.any():
-            out[lane[stop]] = np.where(hit, v, np.where(done, mid, t))[stop]
-            keep = ~stop
+            t = v - g / c
+        nxt = np.where((c > 0.0) & (lo < t) & (t < hi), t, mid)
+        if done.any():
+            out[lane[done]] = np.where(hit, v, mid)[done]
+            keep = ~done
             lane, w, lo, hi, nxt = (a[keep] for a in (lane, w, lo, hi, nxt))
             terms = [(s[keep], phi, Phi) for s, phi, Phi in terms]
-            bound = None if bound is None else bound[keep]
         v = nxt
     out[lane] = v
     return out
@@ -221,11 +220,12 @@ def _solve_vector(common, terms, w: np.ndarray, bound) -> np.ndarray:
 
 class _Sampler:
     """A copula's terms, prepared for chain generation; given one copula
-    per lane, `rows` holds each lane's coefficients, `lams` one array per
-    term with one value per lane, and `bounds` each lane's bound M on |g''|
-    (None for a step family).  A copula without terms joins any index set
-    with coefficients 0, which leave g and c unchanged, so its lanes still
-    return w."""
+    per lane, `rows` holds each lane's coefficients for the float path,
+    `lams` one array per term with one value per lane for the array path,
+    and `bounds` each lane's bound M on |g''| for the float path's early
+    stop (None for a step family).  A copula without terms joins any index
+    set with coefficients 0, which leave g and c unchanged, so its lanes
+    still return w."""
 
     def __init__(self, c):
         lanes = [c] if isinstance(c, SpectralCopula) else list(c)
@@ -242,13 +242,7 @@ class _Sampler:
                                  "is not a distribution function")
         zeros = (0.0,) * len(table.indices)
         self.rows = [d.coeffs.values or zeros for d in lanes]
-        self.bounds = None
-        if table.slopes is not None:
-            # M bounds |g''| = |sum_k lambda_k phi_k(u) phi_k'(v)| for every u and v
-            weights = [d * max(map(abs, extrema(table.family, k)))
-                       for d, k in zip(table.slopes, table.indices)]
-            self.bounds = [sum(abs(lam) * wk for lam, wk in zip(row, weights))
-                           for row in self.rows]
+        self.table = table
         self.floats, self.arrays = table.floats, table.arrays
 
     @cached_property
@@ -256,8 +250,14 @@ class _Sampler:
         return tuple(np.array(self.rows).T)
 
     @cached_property
-    def bound_array(self):
-        return None if self.bounds is None else np.array(self.bounds)
+    def bounds(self):
+        table = self.table
+        if table.slopes is None:
+            return None
+        # M bounds |g''| = |sum_k lambda_k phi_k(u) phi_k'(v)| for every u and v
+        weights = [d * max(map(abs, extrema(table.family, k)))
+                   for d, k in zip(table.slopes, table.indices)]
+        return [sum(abs(lam) * wk for lam, wk in zip(row, weights)) for row in self.rows]
 
     def next_scalar(self, u: float, w: float, lane: int = 0) -> float:
         common, terms = self.floats
@@ -276,10 +276,8 @@ class _Sampler:
     def next_vector(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         common, terms = self.arrays
         x = u if common is None else common(u)
-        terms = [(lam * phi(x), phi, Phi) for lam, (phi, Phi) in zip(self.lams, terms)]
-        bound = self.bound_array
-        return _solve_vector(common, terms, w,
-                             None if bound is None else np.broadcast_to(bound, w.shape))
+        return _solve_vector(common, [(lam * phi(x), phi, Phi) for lam, (phi, Phi)
+                                      in zip(self.lams, terms)], w)
 
 
 def next_state(c: SpectralCopula, u_prev, w):

@@ -56,7 +56,7 @@ def test_vector_path_matches_scalar_path(c):
     w = rng.random(64)
     vec = next_state(c, u, w)
     scal = np.array([next_state(c, float(a), float(b)) for a, b in zip(u, w)])
-    assert np.max(np.abs(vec - scal)) < 1e-9
+    assert np.array_equal(vec, scal)
 
 
 def test_next_state_independence_passthrough():
@@ -182,9 +182,12 @@ def test_bank_rows_deterministic_and_independent_of_batch():
 
 @pytest.mark.parametrize("c", SMOOTH + STEPS)
 def test_bank_matches_scalar_chain_for_int_keys(c):
-    bank = generate_chain_bank(c, 80, [(31,)])
+    # a one-lane bank runs on the float path, a bank of FLOAT_PATH_LANES
+    # lanes on the array path; both reproduce the scalar chain
     chain = generate_chain(c, 80, 31)
-    assert np.array_equal(bank[0], chain.values)
+    assert np.array_equal(generate_chain_bank(c, 80, [(31,)])[0], chain.values)
+    keys = [(31,)] + [(31, r) for r in range(1, sampling.FLOAT_PATH_LANES)]
+    assert np.array_equal(generate_chain_bank(c, 80, keys)[0], chain.values)
 
 
 def test_solver_stops_at_once_on_no_lanes():
@@ -202,7 +205,7 @@ def test_solver_stops_at_once_on_no_lanes():
 
     empty = np.array([])
     out = sampling._solve_vector(
-        common, [(empty, counted(phi), counted(Phi)) for phi, Phi in terms], empty, empty)
+        common, [(empty, counted(phi), counted(Phi)) for phi, Phi in terms], empty)
     assert out.shape == (0,) and calls == []
     assert next_state(c, empty, empty).shape == (0,)
 
@@ -234,14 +237,14 @@ def _random_smooth_copulas(seed=17, per_family=4):
 def test_early_stop_returns_the_full_iterations_roots(c):
     # without the slope bound every root is confirmed by one more
     # evaluation of g; with it, that evaluation is skipped where it could
-    # only confirm, and the root is the same float
+    # only confirm, and the root is the same float, also the array path's,
+    # which has no early stop
     rng = np.random.default_rng(5)
     u = np.concatenate([rng.random(300), [0.0, 1.0, 0.0, 1.0]])
     w = np.concatenate([rng.random(300), [0.0, 1.0, 1.0, 0.0]])
     bounded, plain = sampling._Sampler(c), sampling._Sampler(c)
     assert bounded.bounds is not None
     plain.bounds = None
-    assert np.array_equal(bounded.next_vector(u, w), plain.next_vector(u, w))
 
     calls = []
     for sampler in (bounded, plain):
@@ -249,9 +252,11 @@ def test_early_stop_returns_the_full_iterations_roots(c):
         sampler.floats = common, [(phi, lambda x, Phi=Phi: calls.append(1) or Phi(x))
                                   for phi, Phi in terms]
     early = 0
+    roots = []
     for a, b in zip(u.tolist(), w.tolist()):
         n0 = len(calls)
         v = bounded.next_scalar(a, b)
+        roots.append(v)
         n1 = len(calls)
         assert plain.next_scalar(a, b) == v
         saved = (len(calls) - n1) - (n1 - n0)
@@ -260,14 +265,11 @@ def test_early_stop_returns_the_full_iterations_roots(c):
             early += 1
             assert abs(c.conditional_cdf(a, v) - b) <= sampling.RESIDUAL_TOL
     assert early > 0
+    assert np.array_equal(bounded.next_vector(u, w), roots)
 
 
-ROUTED = [SMOOTH[0], SMOOTH[1], SMOOTH[2], STEPS[0], STEPS[2],
-          [zero_association_model(0.0), zero_association_model(0.05),
-           zero_association_model(0.1)]]
-
-
-@pytest.mark.parametrize("c", ROUTED)
+@pytest.mark.parametrize("c", SMOOTH + STEPS + [
+    [zero_association_model(0.0), zero_association_model(0.05), zero_association_model(0.1)]])
 def test_bank_rows_do_not_depend_on_the_width_routing(c):
     # banks narrower than FLOAT_PATH_LANES step lane by lane on plain
     # floats, wider ones on arrays; a row is the same either way
@@ -338,8 +340,10 @@ def test_newton_converges_within_eight_iterations(monkeypatch, c):
     monkeypatch.setattr(sampling, "MAX_ITER", 8)
     chain = generate_chain(c, 3000, 41).values
     assert _worst_residual(c, chain, 41) <= 1e-12
-    bank = generate_chain_bank(c, 3000, [41])[0]
-    assert np.array_equal(bank, chain)
+    # rows of a one-lane bank (float path) and of an array-path bank
+    assert np.array_equal(generate_chain_bank(c, 3000, [41])[0], chain)
+    keys = [(41,)] + [(41, r) for r in range(1, sampling.FLOAT_PATH_LANES)]
+    assert np.array_equal(generate_chain_bank(c, 3000, keys)[0], chain)
 
 
 @pytest.mark.parametrize("c", [
