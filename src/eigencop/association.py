@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .basis import jump_points, moment_table
-from .copula import SpectralCopula
+from .copula import Record, SpectralCopula
 from .quadrature import split_rule
 
 
@@ -74,23 +74,13 @@ def kendall_tau(c: SpectralCopula, method: str = "closed") -> float:
 
 
 @dataclass(frozen=True)
-class AssociationReport:
+class AssociationReport(Record):
     rho_closed: float
     tau_closed: float
     rho_numeric: float
     tau_numeric: float
     rho_gap: float
     tau_gap: float
-
-    def as_dict(self) -> dict:
-        return {
-            "rho_closed": self.rho_closed,
-            "tau_closed": self.tau_closed,
-            "rho_numeric": self.rho_numeric,
-            "tau_numeric": self.tau_numeric,
-            "rho_gap": self.rho_gap,
-            "tau_gap": self.tau_gap,
-        }
 
 
 def associate(c: SpectralCopula) -> AssociationReport:

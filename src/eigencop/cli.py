@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Every subcommand reads a JSON config (see `config`), writes machine
-readable JSON or CSV to stdout or --out, and exits 0 on success and 1 on
+Every subcommand reads a JSON config (see `config` and `coverage`), writes
+machine readable JSON or CSV to stdout or --out, and exits 0 on success and 1 on
 any usage or config error.  The mixing subcommand additionally maps its
 verdict onto the exit code: 0 when a certificate was found, 2 on a
 boundary (non-mixing) verdict, 3 when the search was inconclusive.  The
@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import association, coverage, estimation, mixing, sampling
-from .config import ConfigError, copula_to_config, load_copula, load_experiment
+from .config import ConfigError, copula_to_config, load_copula
 from .copula import sine_counterexample
 from .statutil import chi2_cdf
 
@@ -151,11 +151,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    cfg = load_experiment(args.config)
+    cfg = coverage.load_experiment(args.config)
     if args.seed is not None:
-        raw = dict(cfg.raw)
-        raw["master_seed"] = args.seed
-        cfg = load_experiment(raw)
+        cfg = coverage.parse_experiment_config({**cfg.as_dict(), "master_seed": args.seed})
     table = coverage.run_coverage(cfg)
     if args.json:
         _emit(_json_text(table.to_json()), args.out)

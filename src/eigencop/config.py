@@ -1,4 +1,4 @@
-"""JSON wire format for copulas and coverage experiments.
+"""JSON wire format for copulas, and the parsing helpers every record uses.
 
 A copula record is
 
@@ -14,26 +14,19 @@ records build common models directly:
     {"two_sine": [mu1, mu2]}
     {"zero_association": mu1}
 
-Experiment records are versioned ({"schema": "eigencop-experiment/1"})
-and drive the coverage harness; see `parse_experiment_config`.
+Experiment records, which embed a copula record, are declared with the
+studies they drive in `coverage`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .basis import (Cosine, Family, PiecewiseSign, ShiftedLegendre,
                     SineCosine, TwoValueStep)
 from .copula import (SpectralCopula, fgm, sine_cosine_copula,
                      two_sine_model, zero_association_model,
                      SpectralCoefficients)
-
-EXPERIMENT_SCHEMA = "eigencop-experiment/1"
-
-EXPERIMENT_KINDS = ("coverage_bernoulli", "coverage_exponential",
-                    "coverage_mean", "coverage_mu_w")
-
 
 # the JSON name of each basis family, read both ways
 _FAMILY_NAMES = {"sine_cosine": SineCosine, "cosine": Cosine,
@@ -173,177 +166,21 @@ def copula_to_config(c: SpectralCopula) -> dict:
     return {"basis": basis, "lambda": [[k, lam] for k, lam in c.coeffs.entries]}
 
 
+def load_record(source, parse, field_name: str):
+    """Parse a dict, an inline JSON object or a path to a JSON file with
+    `parse`; invalid JSON is a ConfigError on `field_name`."""
+    if not isinstance(source, dict):
+        text = source
+        if not source.lstrip().startswith("{"):
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        try:
+            source = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(field_name, f"invalid JSON: {exc}") from exc
+    return parse(source)
+
+
 def load_copula(source) -> SpectralCopula:
     """Accept a dict, a JSON string, or a path to a JSON file."""
-    if isinstance(source, dict):
-        return parse_copula_config(source)
-    text = source
-    if not source.lstrip().startswith("{"):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("copula", f"invalid JSON: {exc}") from exc
-    return parse_copula_config(obj)
-
-
-# -- experiment records ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One coverage study: a chain model, an experiment kind with its
-    per-cell parameter list, and the Monte Carlo shape."""
-
-    kind: str
-    copula: SpectralCopula | None
-    n: int
-    replicates: int
-    level: float
-    master_seed: int
-    variance_mode: str
-    repeats: int = 1
-    thresholds: tuple = ()
-    rates: tuple = ()
-    sample_sizes: tuple = ()
-    weights: tuple = ()
-    mu1_values: tuple = ()
-    raw: dict = field(default=None, compare=False, repr=False)
-
-    def as_dict(self) -> dict:
-        out = {
-            "schema": EXPERIMENT_SCHEMA,
-            "experiment": self.kind,
-            "n": self.n,
-            "replicates": self.replicates,
-            "level": self.level,
-            "master_seed": self.master_seed,
-            "variance_mode": self.variance_mode,
-            "repeats": self.repeats,
-        }
-        if self.copula is not None:
-            out["copula"] = copula_to_config(self.copula)
-        if self.kind == "coverage_bernoulli":
-            out["thresholds"] = list(self.thresholds)
-        elif self.kind == "coverage_exponential":
-            out["rates"] = list(self.rates)
-        elif self.kind == "coverage_mean":
-            out["sample_sizes"] = list(self.sample_sizes)
-        elif self.kind == "coverage_mu_w":
-            out["weights"] = list(self.weights)
-            out["mu1_values"] = list(self.mu1_values)
-        return out
-
-
-def parse_experiment_config(obj) -> ExperimentConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("experiment", "expected an object")
-    if obj.get("schema") != EXPERIMENT_SCHEMA:
-        raise ConfigError("schema", f"expected {EXPERIMENT_SCHEMA!r}")
-    kind = obj.get("experiment")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError("experiment",
-                          f"unknown kind {kind!r}; expected one of {list(EXPERIMENT_KINDS)}")
-
-    allowed = {"schema", "experiment", "copula", "n", "replicates", "R",
-               "level", "master_seed", "variance_mode", "repeats",
-               "thresholds", "rates", "sample_sizes", "weights", "mu1_values"}
-    extra = set(obj) - allowed
-    if extra:
-        raise ConfigError(sorted(extra)[0], "unexpected key")
-
-    n = _integer(obj.get("n", 0), "n")
-    if n < 2:
-        raise ConfigError("n", "chain length must be at least 2")
-    if "replicates" in obj and "R" in obj:
-        raise ConfigError("R", "give either 'replicates' or 'R', not both")
-    rep_key = "replicates" if "replicates" in obj else "R"
-    replicates = _integer(obj.get(rep_key, 0), rep_key)
-    if replicates < 1:
-        raise ConfigError(rep_key, "replicate count must be at least 1")
-    level = _real(obj.get("level", 0.95), "level")
-    if not 0.0 < level < 1.0:
-        raise ConfigError("level", "level must be in (0,1)")
-    master_seed = _integer(obj.get("master_seed", 0), "master_seed")
-    if master_seed < 0:
-        raise ConfigError("master_seed", "must be nonnegative")
-    variance_mode = obj.get("variance_mode", "model")
-    if variance_mode not in ("model", "iid"):
-        raise ConfigError("variance_mode", "expected 'model' or 'iid'")
-    repeats = _integer(obj.get("repeats", 1), "repeats")
-    if repeats < 1:
-        raise ConfigError("repeats", "must be at least 1")
-
-    def real_list(key, positive=False, lo=None, hi=None):
-        vals = obj.get(key)
-        if not isinstance(vals, list) or not vals:
-            raise ConfigError(key, f"kind {kind!r} requires a nonempty list")
-        out = []
-        for i, v in enumerate(vals):
-            x = _real(v, f"{key}[{i}]")
-            if positive and not x > 0.0:
-                raise ConfigError(f"{key}[{i}]", "must be positive")
-            if lo is not None and not lo < x < hi:
-                raise ConfigError(f"{key}[{i}]", f"must be in ({lo},{hi})")
-            out.append(x)
-        return tuple(out)
-
-    thresholds = rates = sample_sizes = weights = mu1_values = ()
-    copula = None
-
-    if kind == "coverage_mu_w":
-        # each cell builds its own zero-association copula from mu1
-        weights = real_list("weights")
-        for i, w in enumerate(weights):
-            if not 0.0 <= w <= 1.0:
-                raise ConfigError(f"weights[{i}]", "must be in [0,1]")
-        mu1_values = real_list("mu1_values")
-        for i, mu1 in enumerate(mu1_values):
-            try:
-                zero_association_model(mu1)
-            except ValueError as exc:
-                raise ConfigError(f"mu1_values[{i}]", str(exc)) from exc
-        if "copula" in obj:
-            raise ConfigError("copula", "coverage_mu_w derives its copulas from mu1_values")
-    else:
-        if "copula" not in obj:
-            raise ConfigError("copula", "missing")
-        copula = parse_copula_config(obj["copula"])
-        if kind == "coverage_bernoulli":
-            thresholds = real_list("thresholds", lo=0.0, hi=1.0)
-        elif kind == "coverage_exponential":
-            rates = real_list("rates", positive=True)
-        elif kind == "coverage_mean":
-            if "sample_sizes" in obj:
-                raw_sizes = obj["sample_sizes"]
-                if not isinstance(raw_sizes, list) or not raw_sizes:
-                    raise ConfigError("sample_sizes", "expected a nonempty list")
-                sizes = []
-                for i, v in enumerate(raw_sizes):
-                    m = _integer(v, f"sample_sizes[{i}]")
-                    if m < 2 or m > n:
-                        raise ConfigError(f"sample_sizes[{i}]",
-                                          "must be between 2 and n")
-                    sizes.append(m)
-                sample_sizes = tuple(sizes)
-            else:
-                sample_sizes = (n,)
-
-    return ExperimentConfig(kind, copula, n, replicates, level, master_seed,
-                            variance_mode, repeats, thresholds, rates,
-                            sample_sizes, weights, mu1_values, raw=dict(obj))
-
-
-def load_experiment(source) -> ExperimentConfig:
-    if isinstance(source, dict):
-        return parse_experiment_config(source)
-    text = source
-    if not source.lstrip().startswith("{"):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("experiment", f"invalid JSON: {exc}") from exc
-    return parse_experiment_config(obj)
+    return load_record(source, parse_copula_config, "copula")

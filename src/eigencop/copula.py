@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -93,6 +93,22 @@ class SpectralCoefficients:
         return len(self.entries)
 
 
+class Record:
+    """Base of the frozen report dataclasses: `as_dict` gives the fields in
+    declaration order, enums as their values and tuples as lists."""
+
+    def as_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(x):
+    if isinstance(x, enum.Enum):
+        return x.value
+    if isinstance(x, tuple):
+        return [_plain(v) for v in x]
+    return x
+
+
 class Verdict(enum.Enum):
     VALID = "valid"
     VALID_BOUNDARY = "valid_boundary"
@@ -100,7 +116,7 @@ class Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Record):
     """Outcome of the two-route validity check.
 
     `analytic_margin` is the lower bound on the density implied by the
@@ -119,16 +135,6 @@ class ValidityReport:
     grid_max_density: float
     verdict: Verdict
     grid_shape: tuple = (DENSITY_GRID_N, DENSITY_GRID_N)
-
-    def as_dict(self) -> dict:
-        return {
-            "analytic_ok": self.analytic_ok,
-            "analytic_margin": self.analytic_margin,
-            "grid_min_density": self.grid_min_density,
-            "grid_max_density": self.grid_max_density,
-            "verdict": self.verdict.value,
-            "grid_shape": list(self.grid_shape),
-        }
 
 
 def _as_unit_array(x, name: str) -> np.ndarray:
@@ -393,7 +399,7 @@ def zero_association_model(mu1: float) -> SpectralCopula:
 
 
 @dataclass(frozen=True)
-class CounterexampleRecord:
+class CounterexampleRecord(Record):
     """Measurements for the half-period sine system used as a CDF recipe
     directly (no constant eigenfunction): the top margin C(u, 1) cannot
     reach u with any finite number of terms."""
@@ -403,15 +409,6 @@ class CounterexampleRecord:
     argmax_u: float
     total_mass: float
     verdict: Verdict
-
-    def as_dict(self) -> dict:
-        return {
-            "n_terms": self.n_terms,
-            "max_deviation": self.max_deviation,
-            "argmax_u": self.argmax_u,
-            "total_mass": self.total_mass,
-            "verdict": self.verdict.value,
-        }
 
 
 class SineMarginalCandidate:
@@ -453,6 +450,8 @@ class SineMarginalCandidate:
         return self.cdf(u, np.ones_like(np.asarray(u, dtype=float)))
 
     def validate(self, grid_n: int = DENSITY_GRID_N) -> ValidityReport:
+        if grid_n < 2:
+            raise ValueError("grid_n must be at least 2")
         g = (np.arange(grid_n) + 0.5) / grid_n
         m = self.density(g[:, None], g[None, :])
         dev = float(np.max(np.abs(self.top_margin(g) - g)))
@@ -465,6 +464,8 @@ class SineMarginalCandidate:
 def sine_counterexample(n_terms: int, grid_points: int = 4001) -> CounterexampleRecord:
     """Measure how far the truncated sine-system candidate stays from
     having a uniform top margin."""
+    if grid_points < 2:
+        raise ValueError("grid_points must be at least 2")
     cand = SineMarginalCandidate(n_terms)
     u = np.linspace(0.0, 1.0, grid_points)
     dev = np.abs(cand.top_margin(u) - u)

@@ -1,5 +1,10 @@
 """Coverage-probability studies for functionals of copula-driven chains.
 
+A study is an experiment record ({"schema": "eigencop-experiment/1",
+"experiment": kind, ...}) giving n, replicates (or R), master_seed and
+optionally level, variance_mode and repeats; `_STUDIES` declares each
+kind's parameter lists and whether it takes a "copula" record.
+
 For each parameter cell the harness simulates `replicates` independent
 stationary chains, builds a Wald interval for the cell's target from each
 chain, and reports the fraction of intervals containing the truth.  Two
@@ -29,21 +34,135 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
-from .copula import zero_association_model
+from .config import (ConfigError, _integer, _real, copula_to_config,
+                     load_record, parse_copula_config)
+from .copula import Record, SpectralCopula, zero_association_model
 from .estimation import long_run_variance, sine_pair_means, weighted_mu
 from .sampling import Bernoulli, Exponential, Uniform, generate_chain_bank
 from .statutil import normal_quantile
 
 _NUMERICAL = (ValueError, ArithmeticError)
 
+EXPERIMENT_SCHEMA = "eigencop-experiment/1"
+
 
 @dataclass(frozen=True)
-class CoverageRow:
+class ExperimentConfig:
+    """One coverage study: a chain model, an experiment kind with its
+    parameter lists, and the Monte Carlo shape."""
+
+    kind: str
+    copula: SpectralCopula | None
+    n: int
+    replicates: int
+    level: float
+    master_seed: int
+    variance_mode: str
+    repeats: int
+    lists: tuple  # ((key, values), ...) in the order of the kind's table entry
+
+    def as_dict(self) -> dict:
+        out = {
+            "schema": EXPERIMENT_SCHEMA,
+            "experiment": self.kind,
+            "n": self.n,
+            "replicates": self.replicates,
+            "level": self.level,
+            "master_seed": self.master_seed,
+            "variance_mode": self.variance_mode,
+            "repeats": self.repeats,
+        }
+        if self.copula is not None:
+            out["copula"] = copula_to_config(self.copula)
+        out.update((key, list(values)) for key, values in self.lists)
+        return out
+
+
+def _entry(convert, ok, message: str):
+    # parser for one list entry: convert it, then require ok(value, n)
+    def parse(obj, field_name: str, n: int):
+        x = convert(obj, field_name)
+        if not ok(x, n):
+            raise ConfigError(field_name, message)
+        return x
+    return parse
+
+
+def _mu1(obj, field_name: str, n: int) -> float:
+    mu1 = _real(obj, field_name)
+    try:
+        zero_association_model(mu1)
+    except ValueError as exc:
+        raise ConfigError(field_name, str(exc)) from exc
+    return mu1
+
+
+def parse_experiment_config(obj) -> ExperimentConfig:
+    """Build a study from its experiment record (see the module docstring)."""
+    if not isinstance(obj, dict):
+        raise ConfigError("experiment", "expected an object")
+    if obj.get("schema") != EXPERIMENT_SCHEMA:
+        raise ConfigError("schema", f"expected {EXPERIMENT_SCHEMA!r}")
+    kind = obj.get("experiment")
+    if not isinstance(kind, str) or kind not in _STUDIES:
+        raise ConfigError("experiment",
+                          f"unknown kind {kind!r}; expected one of {list(_STUDIES)}")
+    extra = set(obj) - _KEYS
+    if extra:
+        raise ConfigError(sorted(extra)[0], "unexpected key")
+
+    n = _integer(obj.get("n", 0), "n")
+    if n < 2:
+        raise ConfigError("n", "chain length must be at least 2")
+    if "replicates" in obj and "R" in obj:
+        raise ConfigError("R", "give either 'replicates' or 'R', not both")
+    rep_key = "replicates" if "replicates" in obj else "R"
+    replicates = _integer(obj.get(rep_key, 0), rep_key)
+    if replicates < 1:
+        raise ConfigError(rep_key, "replicate count must be at least 1")
+    level = _real(obj.get("level", 0.95), "level")
+    if not 0.0 < level < 1.0:
+        raise ConfigError("level", "level must be in (0,1)")
+    master_seed = _integer(obj.get("master_seed", 0), "master_seed")
+    if master_seed < 0:
+        raise ConfigError("master_seed", "must be nonnegative")
+    variance_mode = obj.get("variance_mode", "model")
+    if variance_mode not in ("model", "iid"):
+        raise ConfigError("variance_mode", "expected 'model' or 'iid'")
+    repeats = _integer(obj.get("repeats", 1), "repeats")
+    if repeats < 1:
+        raise ConfigError("repeats", "must be at least 1")
+
+    study = _STUDIES[kind]
+    copula = None
+    if study.copula_from is None:
+        if "copula" not in obj:
+            raise ConfigError("copula", "missing")
+        copula = parse_copula_config(obj["copula"])
+    lists = []
+    for key, entry, default in study.lists:
+        vals = obj.get(key) if key in obj or default is None else default(n)
+        if not isinstance(vals, list) or not vals:
+            raise ConfigError(key, f"kind {kind!r} requires a nonempty list")
+        lists.append((key, tuple(entry(v, f"{key}[{i}]", n) for i, v in enumerate(vals))))
+    if copula is None and "copula" in obj:
+        raise ConfigError("copula", f"{kind} derives its copulas from {study.copula_from}")
+    return ExperimentConfig(kind, copula, n, replicates, level, master_seed,
+                            variance_mode, repeats, tuple(lists))
+
+
+def load_experiment(source) -> ExperimentConfig:
+    """Accept a dict, a JSON string, or a path to a JSON file."""
+    return load_record(source, parse_experiment_config, "experiment")
+
+
+@dataclass(frozen=True)
+class CoverageRow(Record):
     repeat: int
     params: dict
     coverage: float | None
@@ -52,9 +171,6 @@ class CoverageRow:
     mean_estimate: float | None
     mean_halfwidth: float | None
     error: str | None = None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -69,7 +185,7 @@ class CoverageTable:
         }
 
     def to_csv(self) -> str:
-        cols = _STUDIES[self.config.kind][0]
+        cols = _STUDIES[self.config.kind].columns
         buf = io.StringIO()
         wr = csv.writer(buf)  # RFC-4180: minimal quoting, CRLF rows
         wr.writerow(["repeat", *cols, "coverage", "covered", "replicates",
@@ -131,47 +247,76 @@ def _mu_w(cfg: ExperimentConfig, pair_means, p: dict):
     return wm.estimate, s2, n_pairs, p["mu1"]
 
 
-# Per kind: the CSV parameter columns; the cells of one repeat, each as
-# (copula, row parameters); the row-wise reduction of the bank, or None;
-# and the statistic giving (estimate, variance, n_eff, target) for one row
-# from the block of its cell.
+@dataclass(frozen=True)
+class _Study:
+    # the kind's parameter lists, each (key, parser of one entry, the list
+    # a missing one defaults to as a function of n, or None if required)
+    lists: tuple
+    columns: tuple  # the CSV parameter columns
+    # (config, *list values) -> the cells of one repeat, each as
+    # (copula, row parameters)
+    cells: Callable
+    reduce: Callable | None  # row-wise reduction of the bank
+    # (config, block of the row's cell, row parameters) ->
+    # (estimate, variance, n_eff, target)
+    statistic: Callable
+    copula_from: str | None = None  # the list the cells build copulas from
+
+
 _STUDIES = {
-    "coverage_bernoulli": (
+    "coverage_bernoulli": _Study(
+        (("thresholds",
+          _entry(_real, lambda x, n: 0.0 < x < 1.0, "must be in (0.0,1.0)"), None),),
         ("a",),
-        lambda cfg: [(cfg.copula, [{"a": a} for a in cfg.thresholds])],
+        lambda cfg, thresholds: [(cfg.copula, [{"a": a} for a in thresholds])],
         None, _bernoulli),
-    "coverage_exponential": (
+    "coverage_exponential": _Study(
+        (("rates", _entry(_real, lambda x, n: x > 0.0, "must be positive"), None),),
         ("rate",),
-        lambda cfg: [(cfg.copula, [{"rate": rate}]) for rate in cfg.rates],
+        lambda cfg, rates: [(cfg.copula, [{"rate": rate}]) for rate in rates],
         None, _exponential),
-    "coverage_mean": (
+    "coverage_mean": _Study(
+        (("sample_sizes",
+          _entry(_integer, lambda m, n: 2 <= m <= n, "must be between 2 and n"),
+          lambda n: [n]),),
         ("sample_size",),
-        lambda cfg: [(cfg.copula, [{"sample_size": m} for m in cfg.sample_sizes])],
+        lambda cfg, sizes: [(cfg.copula, [{"sample_size": m} for m in sizes])],
         None, _mean),
-    "coverage_mu_w": (
+    "coverage_mu_w": _Study(
+        (("weights",
+          _entry(_real, lambda w, n: 0.0 <= w <= 1.0, "must be in [0,1]"), None),
+         ("mu1_values", _mu1, None)),
         ("mu1", "w"),
-        lambda cfg: [(zero_association_model(mu1),
-                      [{"mu1": mu1, "w": w} for w in cfg.weights])
-                     for mu1 in cfg.mu1_values],
-        lambda bank: np.column_stack(sine_pair_means(bank)), _mu_w),
+        lambda cfg, weights, mu1_values: [
+            (zero_association_model(mu1), [{"mu1": mu1, "w": w} for w in weights])
+            for mu1 in mu1_values],
+        lambda bank: np.column_stack(sine_pair_means(bank)), _mu_w,
+        copula_from="mu1_values"),
 }
+
+# every key an experiment record may carry; a kind ignores the lists of
+# the others
+_KEYS = ({"schema", "experiment", "copula", "n", "replicates", "R", "level",
+          "master_seed", "variance_mode", "repeats"}
+         | {key for study in _STUDIES.values() for key, _, _ in study.lists})
 
 
 def run_coverage(config: ExperimentConfig) -> CoverageTable:
     """Run the study described by `config`, every repeat and cell in one
     bank; rows come back ordered by (repeat, cell, parameter)."""
-    _, cells, reduce, statistic = _STUDIES[config.kind]
+    study = _STUDIES[config.kind]
     z = normal_quantile(0.5 * (1.0 + config.level))
     n_rep = config.replicates
     blocks = [(repeat, cell, copula, params) for repeat in range(config.repeats)
-              for cell, (copula, params) in enumerate(cells(config))]
+              for cell, (copula, params) in enumerate(
+                  study.cells(config, *(values for _, values in config.lists)))]
     keys = [(config.master_seed, repeat, cell, r)
             for repeat, cell, _, _ in blocks for r in range(n_rep)]
     copulas = [copula for _, _, copula, _ in blocks for _ in range(n_rep)]
     try:
         data = generate_chain_bank(copulas, config.n, keys)
-        if reduce is not None:
-            data = reduce(data)
+        if study.reduce is not None:
+            data = study.reduce(data)
     except _NUMERICAL as exc:
         return CoverageTable(tuple(_error_row(repeat, p, n_rep, exc)
                                    for repeat, _, _, params in blocks
@@ -181,7 +326,7 @@ def run_coverage(config: ExperimentConfig) -> CoverageTable:
         block = data[b * n_rep:(b + 1) * n_rep]
         for p in params:
             try:
-                est, s2, n_eff, target = statistic(config, block, p)
+                est, s2, n_eff, target = study.statistic(config, block, p)
                 covered, half = _cover(est, s2, n_eff, z, target)
                 rows.append(_summarize(repeat, p, covered, est, half, n_rep))
             except _NUMERICAL as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SineCosine, TermTable, jump_points, moment_table
-from .copula import SpectralCopula
+from .copula import Record, SpectralCopula
 from .quadrature import composite_rule, log_weighted_sine_integral
 from .sampling import Bernoulli, Exponential, MarginalTransform, Uniform
 from .statutil import normal_quantile
@@ -39,19 +39,11 @@ _SINES = TermTable(SineCosine(), (("sin", 1), ("sin", 2)))
 
 
 @dataclass(frozen=True)
-class MuEstimate:
+class MuEstimate(Record):
     mu1: float
     mu2: float
     n_pairs: int
     covariance: tuple  # 2x2 plug-in covariance of the estimator pair
-
-    def as_dict(self) -> dict:
-        return {
-            "mu1": self.mu1,
-            "mu2": self.mu2,
-            "n_pairs": self.n_pairs,
-            "covariance": [list(row) for row in self.covariance],
-        }
 
 
 def sine_pair_means(values) -> tuple:
@@ -192,7 +184,7 @@ def long_run_variance(c: SpectralCopula, transform: MarginalTransform) -> float:
 
 
 @dataclass(frozen=True)
-class WeightedMuEstimate:
+class WeightedMuEstimate(Record):
     """Convex reweighting of the two pair averages targeting mu1 on the
     zero-association family (where mu2 = -4*mu1).
 
@@ -208,15 +200,6 @@ class WeightedMuEstimate:
     variance: float
     variance_delta: float
     n_pairs: int
-
-    def as_dict(self) -> dict:
-        return {
-            "weight": self.weight,
-            "estimate": self.estimate,
-            "variance": self.variance,
-            "variance_delta": self.variance_delta,
-            "n_pairs": self.n_pairs,
-        }
 
 
 def weighted_mu(mu1_hat, mu2_hat, weight: float, n_pairs: int) -> WeightedMuEstimate:
@@ -242,7 +225,7 @@ def estimate_mu_weighted(values, weight: float) -> WeightedMuEstimate:
 
 
 @dataclass(frozen=True)
-class MeanCI:
+class MeanCI(Record):
     estimate: float
     variance: float
     level: float
@@ -252,16 +235,6 @@ class MeanCI:
 
     def covers(self, target: float) -> bool:
         return self.lower <= target <= self.upper
-
-    def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "variance": self.variance,
-            "level": self.level,
-            "lower": self.lower,
-            "upper": self.upper,
-            "n": self.n,
-        }
 
 
 def wald_interval(estimate: float, sigma2: float, n: int, level: float) -> tuple[float, float]:

@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import ShiftedLegendre, _legendre_even_min
-from .copula import SpectralCopula, _density_range
+from .copula import Record, SpectralCopula, _density_range
 
 SUP_BOUNDARY_TOL = 1e-12
 DENSITY_HEADROOM = 1e-9
@@ -55,7 +55,7 @@ def rho_sequence(c: SpectralCopula, n_max: int):
 
 
 @dataclass(frozen=True)
-class MixingReport:
+class MixingReport(Record):
     sup_coefficient: float
     rho_sequence: tuple
     certificate: Certificate
@@ -64,19 +64,6 @@ class MixingReport:
     decomp_bounds: tuple | None  # ((n, lower, upper), ...) when available
     grid_n: int
     max_n: int
-
-    def as_dict(self) -> dict:
-        return {
-            "sup_coefficient": self.sup_coefficient,
-            "rho_sequence": list(self.rho_sequence),
-            "certificate": self.certificate.value,
-            "certified_n": self.certified_n,
-            "fold_density_ranges": [list(r) for r in self.fold_density_ranges],
-            "decomp_bounds": None if self.decomp_bounds is None
-            else [list(r) for r in self.decomp_bounds],
-            "grid_n": self.grid_n,
-            "max_n": self.max_n,
-        }
 
 
 def _decomp_applicable(c: SpectralCopula) -> bool:

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from eigencop import (ConfigError, cosine_copula, copula_to_config, fgm,
-                      load_copula, load_experiment, parse_copula_config,
-                      parse_experiment_config, piecewise_sign,
+from eigencop import (ConfigError, associate, certify_psi, cosine_copula,
+                      copula_to_config, estimate_mu, estimate_mu_weighted, fgm,
+                      load_copula, load_experiment, mean_ci, parse_copula_config,
+                      parse_experiment_config, piecewise_sign, run_coverage,
                       shifted_legendre_copula, sine_cosine_copula,
-                      two_sine_model, two_value_step, zero_association_model)
+                      sine_counterexample, two_sine_model, two_value_step,
+                      zero_association_model)
 from eigencop.cli import main
 
 # -- copula records ---------------------------------------------------------
@@ -122,7 +124,7 @@ def test_experiment_defaults():
     assert cfg.level == 0.95
     assert cfg.variance_mode == "model"
     assert cfg.repeats == 1
-    assert cfg.thresholds == (0.3, 0.5)
+    assert dict(cfg.lists)["thresholds"] == (0.3, 0.5)
     assert cfg.copula == zero_association_model(0.05)
 
 
@@ -136,19 +138,55 @@ def test_experiment_replicates_alias():
     assert _field_of(e) == "R"
 
 
-def test_experiment_round_trips_through_as_dict():
-    cfg = parse_experiment_config(_base_experiment(level=0.9, repeats=2))
+# one record per experiment kind, with the keys that kind reads
+_KIND_LISTS = {
+    "coverage_bernoulli": {"thresholds": [0.3, 0.5]},
+    "coverage_exponential": {"rates": [0.5, 2.0]},
+    "coverage_mean": {"sample_sizes": [10, 50]},
+    "coverage_mu_w": {"weights": [0.5, 1.0], "mu1_values": [0.05, -0.1]},
+}
+
+
+def _kind_experiment(kind, **over):
+    rec = _base_experiment(experiment=kind)
+    del rec["thresholds"]
+    if kind == "coverage_mu_w":
+        del rec["copula"]
+    return {**rec, **_KIND_LISTS[kind], **over}
+
+
+def _without(rec, key):
+    return {k: v for k, v in rec.items() if k != key}
+
+
+_R_ALIAS = {**_without(_base_experiment(), "replicates"), "R": 9}
+
+
+@pytest.mark.parametrize("record", [
+    _base_experiment(level=0.9, repeats=2),
+    _kind_experiment("coverage_exponential", variance_mode="iid"),
+    _kind_experiment("coverage_mean"),
+    _kind_experiment("coverage_mu_w", repeats=3),
+    _R_ALIAS,
+    _without(_kind_experiment("coverage_mean"), "sample_sizes"),
+], ids=["coverage_bernoulli", "coverage_exponential", "coverage_mean",
+        "coverage_mu_w", "R_alias", "default_sample_sizes"])
+def test_experiment_round_trips_through_as_dict(record):
+    cfg = parse_experiment_config(record)
     again = parse_experiment_config(cfg.as_dict())
     assert again == cfg
+    assert hash(again) == hash(cfg)
+    assert json.dumps(again.as_dict()) == json.dumps(cfg.as_dict())
+    assert parse_experiment_config(json.loads(json.dumps(cfg.as_dict()))) == cfg
 
 
 def test_experiment_mean_kind_defaults_sample_sizes_to_n():
     raw = _base_experiment(experiment="coverage_mean")
     del raw["thresholds"]
     cfg = parse_experiment_config(raw)
-    assert cfg.sample_sizes == (50,)
+    assert dict(cfg.lists)["sample_sizes"] == (50,)
     raw["sample_sizes"] = [10, 50]
-    assert parse_experiment_config(raw).sample_sizes == (10, 50)
+    assert dict(parse_experiment_config(raw).lists)["sample_sizes"] == (10, 50)
     raw["sample_sizes"] = [60]
     with pytest.raises(ConfigError) as e:
         parse_experiment_config(raw)
@@ -166,7 +204,7 @@ def test_experiment_mu_w_kind():
         "master_seed": 1,
     }
     cfg = parse_experiment_config(raw)
-    assert cfg.weights == (0.5, 1.0)
+    assert dict(cfg.lists)["weights"] == (0.5, 1.0)
     assert cfg.copula is None
     raw["copula"] = {"fgm": 0.1}
     with pytest.raises(ConfigError) as e:
@@ -210,6 +248,61 @@ def test_experiment_config_errors():
             "mu1_values": [0.05, 0.2]})
     assert _field_of(e) == "mu1_values[1]"
     assert "0.11" in str(e.value)
+    # a bad entry and a missing list name their field, for every kind
+    mean = _kind_experiment("coverage_mean")
+    mu_w = _kind_experiment("coverage_mu_w")
+    for record, field in [
+            (_without(_base_experiment(), "thresholds"), "thresholds"),
+            (_kind_experiment("coverage_exponential", rates=[1.0, -2.0]), "rates[1]"),
+            (_without(_kind_experiment("coverage_exponential"), "rates"), "rates"),
+            ({**mean, "sample_sizes": [10, 1]}, "sample_sizes[1]"),
+            ({**mean, "sample_sizes": [10, 2.5]}, "sample_sizes[1]"),
+            ({**mean, "sample_sizes": []}, "sample_sizes"),
+            ({**mu_w, "weights": [0.5, 1.5]}, "weights[1]"),
+            (_without(mu_w, "weights"), "weights"),
+            ({**mu_w, "mu1_values": ["0.05"]}, "mu1_values[0]"),
+            (_without(mu_w, "mu1_values"), "mu1_values"),
+            (_without(_base_experiment(), "copula"), "copula"),
+            (_base_experiment(experiment=["coverage_mean"]), "experiment")]:
+        with pytest.raises(ConfigError) as e:
+            parse_experiment_config(record)
+        assert _field_of(e) == field, record
+
+
+_CHAIN = [0.1, 0.7, 0.4, 0.9, 0.2, 0.5]
+
+
+@pytest.mark.parametrize("make, keys", [
+    (lambda: fgm(0.5).validate(16),
+     ["analytic_ok", "analytic_margin", "grid_min_density", "grid_max_density",
+      "verdict", "grid_shape"]),
+    (lambda: sine_counterexample(2, grid_points=11),
+     ["n_terms", "max_deviation", "argmax_u", "total_mass", "verdict"]),
+    (lambda: certify_psi(fgm(0.5), max_n=2, grid_n=16),
+     ["sup_coefficient", "rho_sequence", "certificate", "certified_n",
+      "fold_density_ranges", "decomp_bounds", "grid_n", "max_n"]),
+    (lambda: associate(fgm(0.3)),
+     ["rho_closed", "tau_closed", "rho_numeric", "tau_numeric", "rho_gap", "tau_gap"]),
+    (lambda: estimate_mu(_CHAIN), ["mu1", "mu2", "n_pairs", "covariance"]),
+    (lambda: estimate_mu_weighted(_CHAIN, 0.5),
+     ["weight", "estimate", "variance", "variance_delta", "n_pairs"]),
+    (lambda: mean_ci(_CHAIN, 0.1), ["estimate", "variance", "level", "lower", "upper", "n"]),
+    (lambda: run_coverage(parse_experiment_config(_base_experiment(n=20, replicates=3))).rows[0],
+     ["repeat", "params", "coverage", "covered_count", "replicates", "mean_estimate",
+      "mean_halfwidth", "error"]),
+    (lambda: parse_experiment_config(_base_experiment()),
+     ["schema", "experiment", "n", "replicates", "level", "master_seed", "variance_mode",
+      "repeats", "copula", "thresholds"]),
+    (lambda: parse_experiment_config(_kind_experiment("coverage_mu_w")),
+     ["schema", "experiment", "n", "replicates", "level", "master_seed", "variance_mode",
+      "repeats", "weights", "mu1_values"]),
+], ids=["validity", "counterexample", "mixing", "association", "mu_estimate",
+        "weighted_mu", "mean_ci", "coverage_row", "experiment", "experiment_mu_w"])
+def test_record_as_dict_keys(make, keys):
+    d = make().as_dict()
+    assert list(d) == keys
+    # enums and tuples come out as JSON values
+    assert json.loads(json.dumps(d)) == d
 
 
 # -- command line -----------------------------------------------------------
@@ -381,6 +474,25 @@ def test_cli_coverage_csv_shape_and_determinism(capsys, tmp_path):
     assert out5 != out1
 
 
+@pytest.mark.parametrize("record", [
+    _base_experiment(), _R_ALIAS, _kind_experiment("coverage_mu_w"),
+], ids=["bernoulli", "R_alias", "mu_w"])
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["csv", "json"])
+def test_cli_coverage_seed_equals_master_seed_in_the_record(capsys, tmp_path,
+                                                            record, fmt):
+    # --seed re-parses the record with master_seed replaced, so its output is
+    # byte for byte that of the record carrying the seed
+    def run(seed, *extra):
+        p = tmp_path / f"exp{seed}.json"
+        p.write_text(json.dumps({**record, "master_seed": seed}))
+        code, out, _ = _run(capsys, "coverage", "--config", str(p), *extra, *fmt)
+        assert code == 0
+        return out
+
+    assert run(3, "--seed", "99") == run(99)
+    assert run(98) != run(99)
+
+
 def test_cli_coverage_json(capsys, tmp_path):
     cfgp = _coverage_config(tmp_path, repeats=2)
     code, out, _ = _run(capsys, "coverage", "--config", cfgp, "--json")
@@ -421,6 +533,13 @@ def test_cli_counterexample(capsys):
     doc = json.loads(out)
     assert doc["max_deviation"] > 0.02
     assert doc["verdict"] == "invalid"
+
+
+@pytest.mark.parametrize("points", ["0", "1", "-2"])
+def test_cli_counterexample_rejects_grid_without_two_points(capsys, points):
+    code, out, err = _run(capsys, "counterexample", "--grid-points", points)
+    assert code == 1 and out == ""
+    assert "grid_points must be at least 2" in err
 
 
 def test_cli_config_error_exits_one(capsys):

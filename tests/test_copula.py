@@ -308,6 +308,14 @@ def test_counterexample_frozen_deviations():
     assert abs(rec1.max_deviation - (1.0 - 8.0 / math.pi**2)) < 1e-9
 
 
+@pytest.mark.parametrize("size", [0, 1, -3])
+def test_counterexample_rejects_grid_without_two_points(size):
+    with pytest.raises(ValueError, match="grid_points must be at least 2"):
+        sine_counterexample(3, grid_points=size)
+    with pytest.raises(ValueError, match="grid_n must be at least 2"):
+        SineMarginalCandidate(3).validate(size)
+
+
 def test_counterexample_zero_terms():
     rec = sine_counterexample(0)
     assert rec.total_mass == 0.0
