@@ -9,12 +9,12 @@ from .basis import (Cosine, Family, PiecewiseSign, ShiftedLegendre,
                     SineCosine, TwoValueStep, eval_phi, eval_Phi, extrema)
 from .config import (ConfigError, copula_to_config, load_copula,
                      parse_copula_config)
-from .copula import (CounterexampleRecord, SineMarginalCandidate,
-                     SpectralCoefficients, SpectralCopula, ValidityReport,
-                     Verdict, cosine_copula, fgm, independence,
-                     piecewise_sign, shifted_legendre_copula,
-                     sine_cosine_copula, sine_counterexample, star_product,
-                     two_sine_model, two_value_step, zero_association_model)
+from .copula import (CounterexampleRecord, SpectralCoefficients,
+                     SpectralCopula, ValidityReport, Verdict, cosine_copula,
+                     fgm, independence, piecewise_sign,
+                     shifted_legendre_copula, sine_cosine_copula,
+                     sine_counterexample, star_product, two_sine_model,
+                     two_value_step, zero_association_model)
 from .coverage import (CoverageRow, CoverageTable, ExperimentConfig,
                        load_experiment, parse_experiment_config, run_coverage)
 from .estimation import (MeanCI, MuEstimate, WeightedMuEstimate,

@@ -19,7 +19,7 @@ import sys
 
 from . import association, coverage, estimation, mixing, sampling
 from .config import ConfigError, copula_to_config, load_copula
-from .copula import sine_counterexample
+from .copula import DENSITY_GRID_N, sine_counterexample
 from .statutil import chi2_cdf
 
 
@@ -185,7 +185,7 @@ def _build_parser() -> _Parser:
         return p
 
     p = add("validate", _cmd_validate, "check a copula config for validity")
-    p.add_argument("--grid-n", type=int, default=512)
+    p.add_argument("--grid-n", type=int, default=DENSITY_GRID_N)
 
     p = add("density-grid", _cmd_density_grid, "density on a midpoint grid as CSV")
     p.add_argument("--grid-n", type=int, default=64)
@@ -204,7 +204,7 @@ def _build_parser() -> _Parser:
 
     p = add("mixing", _cmd_mixing, "psi-mixing certificate search")
     p.add_argument("--max-n", type=int, default=mixing.DEFAULT_MAX_N)
-    p.add_argument("--grid-n", type=int, default=mixing.DEFAULT_GRID_N)
+    p.add_argument("--grid-n", type=int, default=DENSITY_GRID_N)
 
     p = add("estimate", _cmd_estimate, "simulate a chain and estimate its coefficients")
     p.add_argument("--n", type=int, required=True)

@@ -167,11 +167,11 @@ def copula_to_config(c: SpectralCopula) -> dict:
 
 
 def load_record(source, parse, field_name: str):
-    """Parse a dict, an inline JSON object or a path to a JSON file with
-    `parse`; invalid JSON is a ConfigError on `field_name`."""
+    """Parse a dict, inline JSON (text opening with '{' or '[') or a path to
+    a JSON file with `parse`; invalid JSON is a ConfigError on `field_name`."""
     if not isinstance(source, dict):
         text = source
-        if not source.lstrip().startswith("{"):
+        if not source.lstrip().startswith(("{", "[")):
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
         try:

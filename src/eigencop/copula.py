@@ -82,10 +82,6 @@ class SpectralCoefficients:
         return tuple(lam for _, lam in self.entries)
 
     @property
-    def sum_squares(self) -> float:
-        return float(sum(lam * lam for _, lam in self.entries))
-
-    @property
     def sup_abs(self) -> float:
         return max((abs(lam) for _, lam in self.entries), default=0.0)
 
@@ -411,65 +407,23 @@ class CounterexampleRecord(Record):
     verdict: Verdict
 
 
-class SineMarginalCandidate:
-    """CDF candidate (2/pi^2) * sum (1/k^2)(1-cos k*pi*u)(1-cos k*pi*v)
-    over the first `n_terms` odd k, each coefficient forced to 1 by the
-    requirement that the margin deficit vanish term by term.
-
-    Even-k coefficients do not enter the top margin and are left at zero.
-    This is not a copula for any finite term count, which is what the
-    record documents.
-    """
-
-    def __init__(self, n_terms: int):
-        if n_terms < 0:
-            raise ValueError("n_terms must be >= 0")
-        self.n_terms = int(n_terms)
-        self.ks = np.array([2 * j + 1 for j in range(self.n_terms)], dtype=float)
-
-    def cdf(self, u, v):
-        U = np.asarray(u, dtype=float)[..., None]
-        V = np.asarray(v, dtype=float)[..., None]
-        if self.n_terms == 0:
-            return np.zeros(np.broadcast_shapes(U.shape, V.shape)[:-1])
-        k = self.ks
-        terms = (1.0 / k**2) * (1.0 - np.cos(k * np.pi * U)) * (1.0 - np.cos(k * np.pi * V))
-        return (2.0 / np.pi**2) * np.sum(terms, axis=-1)
-
-    def density(self, u, v):
-        U = np.asarray(u, dtype=float)[..., None]
-        V = np.asarray(v, dtype=float)[..., None]
-        if self.n_terms == 0:
-            return np.zeros(np.broadcast_shapes(U.shape, V.shape)[:-1])
-        k = self.ks
-        terms = np.sin(k * np.pi * U) * np.sin(k * np.pi * V)
-        return 2.0 * np.sum(terms, axis=-1)
-
-    def top_margin(self, u):
-        """C(u, 1), which a genuine copula would return as u."""
-        return self.cdf(u, np.ones_like(np.asarray(u, dtype=float)))
-
-    def validate(self, grid_n: int = DENSITY_GRID_N) -> ValidityReport:
-        if grid_n < 2:
-            raise ValueError("grid_n must be at least 2")
-        g = (np.arange(grid_n) + 0.5) / grid_n
-        m = self.density(g[:, None], g[None, :])
-        dev = float(np.max(np.abs(self.top_margin(g) - g)))
-        # marginal uniformity fails for every finite term count, so the
-        # verdict is Invalid regardless of the density sign pattern
-        return ValidityReport(False, -dev, float(np.min(m)), float(np.max(m)),
-                              Verdict.INVALID, (grid_n, grid_n))
-
-
 def sine_counterexample(n_terms: int, grid_points: int = 4001) -> CounterexampleRecord:
     """Measure how far the truncated sine-system candidate stays from
-    having a uniform top margin."""
+    having a uniform top margin.  Its CDF is (2/pi^2) * sum (1/k^2)
+    (1-cos k*pi*u)(1-cos k*pi*v) over the first `n_terms` odd k (even k do
+    not enter the top margin), each coefficient forced to 1 so that the
+    margin deficit vanishes term by term."""
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
-    cand = SineMarginalCandidate(n_terms)
+    if n_terms < 0:
+        raise ValueError("n_terms must be >= 0")
+    k = np.arange(1, 2 * n_terms, 2, dtype=float)
     u = np.linspace(0.0, 1.0, grid_points)
-    dev = np.abs(cand.top_margin(u) - u)
+    # C(u, 1), which a genuine copula would return as u; C(1, 1) is the mass
+    terms = ((1.0 / k**2) * (1.0 - np.cos(k * np.pi * u[:, None]))
+             * (1.0 - np.cos(k * np.pi)))
+    top = (2.0 / np.pi**2) * np.sum(terms, axis=-1)
+    dev = np.abs(top - u)
     j = int(np.argmax(dev))
-    mass = float(cand.cdf(1.0, 1.0))
-    return CounterexampleRecord(n_terms, float(dev[j]), float(u[j]), mass,
+    return CounterexampleRecord(n_terms, float(dev[j]), float(u[j]), float(top[-1]),
                                 Verdict.INVALID)

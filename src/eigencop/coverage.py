@@ -41,7 +41,7 @@ import numpy as np
 
 from .config import (ConfigError, _integer, _real, copula_to_config,
                      load_record, parse_copula_config)
-from .copula import Record, SpectralCopula, zero_association_model
+from .copula import Record, SpectralCopula, Verdict, zero_association_model
 from .estimation import long_run_variance, sine_pair_means, weighted_mu
 from .sampling import Bernoulli, Exponential, Uniform, generate_chain_bank
 from .statutil import normal_quantile
@@ -144,6 +144,9 @@ def parse_experiment_config(obj) -> ExperimentConfig:
         if "copula" not in obj:
             raise ConfigError("copula", "missing")
         copula = parse_copula_config(obj["copula"])
+        if copula.validate().verdict is Verdict.INVALID:
+            raise ConfigError("copula", "validate() finds this copula INVALID, "
+                              "so its chains cannot be sampled")
     lists = []
     for key, entry, default in study.lists:
         vals = obj.get(key) if key in obj or default is None else default(n)

@@ -17,6 +17,11 @@ phi on the grid, with several it is accumulated over 64-row blocks of the
 upper triangle of the (exactly symmetric) matrix, and fold 1, the copula
 itself, is the range that validate() computes and memoises.
 
+Beside the grid ranges the report carries, for every family, the analytic
+envelope |c_n - 1| <= E_n = sum_k |lambda_k|^n sup phi_k^2, with sup phi_k^2
+from `basis.extrema` (for even-index shifted Legendre that is phi_k(1)^2 =
+2k+1, not the estimated interior minimum).  No verdict uses it yet.
+
 Coefficients on the unit circle (|lambda_k| = 1) keep every fold at sup 1
 and the chain is not mixing; that case is reported as a boundary verdict
 rather than searched.
@@ -30,13 +35,12 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import ShiftedLegendre, _legendre_even_min
-from .copula import Record, SpectralCopula, _density_range
+from .basis import extrema
+from .copula import DENSITY_GRID_N, Record, SpectralCopula, _density_range
 
 SUP_BOUNDARY_TOL = 1e-12
 DENSITY_HEADROOM = 1e-9
 DEFAULT_MAX_N = 20
-DEFAULT_GRID_N = 512
 
 
 class Certificate(Enum):
@@ -61,32 +65,13 @@ class MixingReport(Record):
     certificate: Certificate
     certified_n: int | None
     fold_density_ranges: tuple  # ((n, grid_min, grid_max), ...)
-    decomp_bounds: tuple | None  # ((n, lower, upper), ...) when available
+    decomp_bounds: tuple  # ((n, 1 - E_n, 1 + E_n), ...), () on the boundary
     grid_n: int
     max_n: int
 
 
-def _decomp_applicable(c: SpectralCopula) -> bool:
-    # envelope 1 +/- M*sup^(n-3) is only safe when each term's uniform
-    # bound (2k+1)|lambda_k| stays within 1 and the total weighted mass
-    # sum |lambda_k| * (2k+1)^(1/2) * max|phi_k| does too
-    if not isinstance(c.family, ShiftedLegendre):
-        return False
-    sup = c.coeffs.sup_abs
-    if not sup < 1.0 - SUP_BOUNDARY_TOL or sup == 0.0:
-        return False
-    total = 0.0
-    for k, lam in c.coeffs.entries:
-        scale = math.sqrt(2 * k + 1)
-        amp = scale if k % 2 == 1 else scale * abs(_legendre_even_min(k))
-        if abs(lam) * (2 * k + 1) > 1.0:
-            return False
-        total += abs(lam) * scale * amp
-    return total <= 1.0
-
-
 def certify_psi(c: SpectralCopula, max_n: int = DEFAULT_MAX_N,
-                grid_n: int = DEFAULT_GRID_N) -> MixingReport:
+                grid_n: int = DENSITY_GRID_N) -> MixingReport:
     """Search folds n = 1..max_n for a uniform density bound certifying
     psi-mixing of the stationary chain."""
     if max_n < 1:
@@ -94,12 +79,11 @@ def certify_psi(c: SpectralCopula, max_n: int = DEFAULT_MAX_N,
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     sup = c.coeffs.sup_abs
-    rho = tuple(float(r) for r in rho_sequence(c, max_n)) if sup > 0.0 \
-        else tuple(0.0 for _ in range(max_n))
+    rho = tuple(float(r) for r in rho_sequence(c, max_n))
 
     if sup >= 1.0 - SUP_BOUNDARY_TOL:
         return MixingReport(sup, rho, Certificate.BOUNDARY_NON_MIXING, None,
-                            (), None, grid_n, max_n)
+                            (), (), grid_n, max_n)
 
     ranges = []
     cert = Certificate.INCONCLUSIVE
@@ -133,11 +117,13 @@ def certify_psi(c: SpectralCopula, max_n: int = DEFAULT_MAX_N,
         cert = Certificate.CERTIFIED_BOUNDED_DENSITY
         cert_n = bounded_n
 
-    decomp = None
-    if _decomp_applicable(c):
-        m = c.coeffs.sum_squares
-        decomp = tuple((n, 1.0 - m * sup ** (n - 3), 1.0 + m * sup ** (n - 3))
-                       for n in range(3, max_n + 1))
+    # sup phi_k^2; every |lambda_k| < 1 past the boundary return, so the
+    # powers below cannot overflow
+    sq = [max(x * x for x in extrema(c.family, k)) for k, _ in c.coeffs.entries]
+    decomp = []
+    for n in range(1, max_n + 1):
+        e = math.fsum(abs(lam) ** n * s for lam, s in zip(c.coeffs.values, sq))
+        decomp.append((n, 1.0 - e, 1.0 + e))
 
-    return MixingReport(sup, rho, cert, cert_n, tuple(ranges), decomp,
+    return MixingReport(sup, rho, cert, cert_n, tuple(ranges), tuple(decomp),
                         grid_n, max_n)

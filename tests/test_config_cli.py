@@ -54,6 +54,18 @@ def _field_of(excinfo):
     return excinfo.value.field
 
 
+@pytest.mark.parametrize("text", ["[1]", "  [0.5, 0.2]", "[]"],
+                         ids=["one_number", "indented", "empty"])
+def test_inline_json_that_is_not_an_object_is_a_config_error(text):
+    # text opening with '[' is JSON, not a file name
+    with pytest.raises(ConfigError, match="expected an object") as e:
+        load_copula(text)
+    assert _field_of(e) == "copula"
+    with pytest.raises(ConfigError, match="expected an object") as e:
+        load_experiment(text)
+    assert _field_of(e) == "experiment"
+
+
 @pytest.mark.parametrize("name", [["cosine"], {"a": 1}, 3])
 def test_family_name_that_is_not_a_string_is_a_config_error(name):
     with pytest.raises(ConfigError) as e:
@@ -263,7 +275,9 @@ def test_experiment_config_errors():
             ({**mu_w, "mu1_values": ["0.05"]}, "mu1_values[0]"),
             (_without(mu_w, "mu1_values"), "mu1_values"),
             (_without(_base_experiment(), "copula"), "copula"),
-            (_base_experiment(experiment=["coverage_mean"]), "experiment")]:
+            (_base_experiment(experiment=["coverage_mean"]), "experiment"),
+            # a copula the samplers would refuse is refused at parse time
+            (_base_experiment(copula={"fgm": 3.0}), "copula")]:
         with pytest.raises(ConfigError) as e:
             parse_experiment_config(record)
         assert _field_of(e) == field, record
@@ -548,6 +562,22 @@ def test_cli_config_error_exits_one(capsys):
     assert "config field" in err
     code, _, err = _run(capsys, "validate", "--config", "/nonexistent/x.json")
     assert code == 1
+
+
+@pytest.mark.parametrize("command, field", [
+    ("validate", "copula"), ("mixing", "copula"), ("coverage", "experiment")])
+def test_cli_inline_json_list_exits_one(capsys, command, field):
+    code, out, err = _run(capsys, command, "--config", "[1]")
+    assert code == 1 and out == ""
+    assert f"config field {field!r}: expected an object" in err
+
+
+def test_cli_coverage_invalid_copula_exits_one(capsys):
+    record = {"schema": "eigencop-experiment/1", "experiment": "coverage_mean",
+              "copula": {"fgm": 3.0}, "n": 20, "R": 2}
+    code, out, err = _run(capsys, "coverage", "--config", json.dumps(record))
+    assert code == 1 and out == ""
+    assert "config field 'copula'" in err and "INVALID" in err
 
 
 def test_cli_usage_error_exits_one(capsys):

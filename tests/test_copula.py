@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eigencop import (SineMarginalCandidate, SpectralCoefficients,
-                      SpectralCopula, Verdict, cosine_copula, fgm,
-                      independence, piecewise_sign, shifted_legendre_copula,
-                      sine_cosine_copula, sine_counterexample, star_product,
-                      two_sine_model, two_value_step, zero_association_model)
+from eigencop import (SpectralCoefficients, SpectralCopula, Verdict,
+                      cosine_copula, fgm, independence, piecewise_sign,
+                      shifted_legendre_copula, sine_cosine_copula,
+                      sine_counterexample, star_product, two_sine_model,
+                      two_value_step, zero_association_model)
 from eigencop.basis import Cosine, ShiftedLegendre, eval_phi, jump_points
 from eigencop.copula import _density_range
 from eigencop.quadrature import composite_rule, gauss_legendre_01
@@ -312,8 +312,6 @@ def test_counterexample_frozen_deviations():
 def test_counterexample_rejects_grid_without_two_points(size):
     with pytest.raises(ValueError, match="grid_points must be at least 2"):
         sine_counterexample(3, grid_points=size)
-    with pytest.raises(ValueError, match="grid_n must be at least 2"):
-        SineMarginalCandidate(3).validate(size)
 
 
 def test_counterexample_zero_terms():
@@ -324,8 +322,9 @@ def test_counterexample_zero_terms():
 
 def test_counterexample_never_valid():
     for k in (0, 1, 5, 10, 40):
-        cand = SineMarginalCandidate(k)
-        assert cand.validate().verdict is Verdict.INVALID
+        assert sine_counterexample(k).verdict is Verdict.INVALID
+    with pytest.raises(ValueError, match="n_terms must be >= 0"):
+        sine_counterexample(-1)
 
 
 def test_counterexample_margin_monotone_in_terms():

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from eigencop import (Certificate, certify_psi, cosine_copula, fgm,
+from eigencop import (Certificate, certify_psi, cosine_copula, extrema, fgm,
                       independence, piecewise_sign, rho_sequence,
                       shifted_legendre_copula, two_sine_model,
                       two_value_step)
+from eigencop.mixing import DENSITY_HEADROOM
 
 
 def test_rho_sequence_is_geometric_in_sup():
@@ -44,6 +45,7 @@ def test_certify_step_boundary_coefficient():
         assert rep.certificate is Certificate.BOUNDARY_NON_MIXING
         assert rep.certified_n is None
         assert rep.fold_density_ranges == ()
+        assert rep.decomp_bounds == ()
 
 
 def test_certify_step_inside_boundary():
@@ -92,34 +94,49 @@ def test_two_sine_certifies_quickly():
     assert rep.sup_coefficient == pytest.approx(0.2)
 
 
-def test_decomposition_bounds_for_orthogonal_polynomials():
-    c = shifted_legendre_copula({1: 0.3})
+@pytest.mark.parametrize("c, sup_squares", [
+    (shifted_legendre_copula({1: 0.3, 2: 0.1, 4: -0.05}), (3.0, 5.0, 9.0)),
+    (cosine_copula({1: 0.6, 2: -0.3}), (2.0, 2.0)),
+    (two_sine_model(0.05, -0.2), (2.0, 2.0)),
+    (two_value_step(0.7, 0.4), (1.0 / 0.7,)),
+    (piecewise_sign((0.0, 0.3, 1.0), (0.5, -0.4)), (1.0 / 0.3, 1.0 / 0.7)),
+], ids=["legendre", "cosine", "two_sine", "two_value_step", "sign_flip"])
+def test_decomp_bounds_envelope_contains_every_fold(c, sup_squares):
+    # |c_n - 1| <= E_n = sum_k |lambda_k|^n sup phi_k^2, for every family
     rep = certify_psi(c, max_n=6)
-    assert rep.decomp_bounds is not None
+    assert [n for n, _, _ in rep.decomp_bounds] == list(range(1, 7))
+    squares = []
+    for k, _ in c.coeffs.entries:
+        lo, hi = extrema(c.family, k)
+        squares.append(max(lo * lo, hi * hi))
+    assert squares == pytest.approx(sup_squares, rel=1e-14)
     x = (np.arange(256) + 0.5) / 256
     uu, vv = np.meshgrid(x, x, indexing="ij")
     for n, lo, hi in rep.decomp_bounds:
-        assert 3 <= n <= 6
-        # the envelope must contain the true folded density range
+        e = math.fsum(abs(lam) ** n * s
+                      for (_, lam), s in zip(c.coeffs.entries, squares))
+        assert (lo, hi) == (1.0 - e, 1.0 + e)
         dens = c.fold(n).density(uu, vv)
-        assert lo <= dens.min() + 1e-9
-        assert hi >= dens.max() - 1e-9
-    # envelope tightens geometrically
-    widths = [hi - lo for _, lo, hi in rep.decomp_bounds]
-    assert all(b < a for a, b in zip(widths, widths[1:]))
+        assert lo <= dens.min() + 1e-12 and dens.max() <= hi + 1e-12
 
 
-def test_decomposition_bounds_need_per_term_control():
-    # a second-degree coefficient of 0.4 exceeds the per-term budget
-    rep = certify_psi(shifted_legendre_copula({2: 0.4}), max_n=5)
-    assert rep.decomp_bounds is None
+def test_decomp_bounds_reach_two_for_fgm_one():
+    # c(0, 0) = 2: the grid max 1.9961 certifies n = 1, the envelope does not
+    rep = certify_psi(fgm(1.0), max_n=3)
+    n, lo, hi = rep.decomp_bounds[0]
+    assert n == 1
+    assert (lo, hi) == pytest.approx((0.0, 2.0), abs=1e-15)
+    assert hi > 2.0 - DENSITY_HEADROOM
+    assert rep.certified_n == 1
 
 
-def test_decomposition_bounds_not_offered_for_steps():
-    rep = certify_psi(two_value_step(1.0, 0.5), max_n=5)
-    assert rep.decomp_bounds is None
-    rep = certify_psi(cosine_copula({1: 0.3}), max_n=5)
-    assert rep.decomp_bounds is None
+def test_decomp_bounds_empty_on_boundary():
+    # the boundary return comes before any power |lambda|^n is taken, so a
+    # coefficient of 5 at n = 500 gives a verdict, not an OverflowError
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rep = certify_psi(cosine_copula({1: 5.0}), max_n=500)
+    assert rep.certificate is Certificate.BOUNDARY_NON_MIXING
+    assert rep.decomp_bounds == ()
 
 
 @pytest.mark.parametrize("c, max_n, grid_n", [
