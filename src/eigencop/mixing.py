@@ -117,12 +117,13 @@ def certify_psi(c: SpectralCopula, max_n: int = DEFAULT_MAX_N,
         cert = Certificate.CERTIFIED_BOUNDED_DENSITY
         cert_n = bounded_n
 
-    # sup phi_k^2; every |lambda_k| < 1 past the boundary return, so the
-    # powers below cannot overflow
-    sq = [max(x * x for x in extrema(c.family, k)) for k, _ in c.coeffs.entries]
+    # (|lambda_k|, sup phi_k^2); every |lambda_k| < 1 past the boundary
+    # return, so the powers below cannot overflow
+    w = [(abs(lam), max(x * x for x in extrema(c.family, k)))
+         for k, lam in c.coeffs.entries]
     decomp = []
     for n in range(1, max_n + 1):
-        e = math.fsum(abs(lam) ** n * s for lam, s in zip(c.coeffs.values, sq))
+        e = math.fsum([a ** n * s for a, s in w])
         decomp.append((n, 1.0 - e, 1.0 + e))
 
     return MixingReport(sup, rho, cert, cert_n, tuple(ranges), tuple(decomp),
