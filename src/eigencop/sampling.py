@@ -18,9 +18,9 @@ the bracket is narrower than BRACKET_TOL and returns its midpoint; after
 MAX_ITER iterations the last iterate is returned.  With no terms g(w) = 0,
 so the innovation itself is returned.
 
-On the float path the smooth families also return a Newton step without
-evaluating g there when that evaluation could only confirm it.  For every
-u and v, |g''(v)| = |sum_k lambda_k * phi_k(u) * phi_k'(v)| <= M =
+The smooth families also return a Newton step without evaluating g
+there when that evaluation could only confirm it.  For every u and v,
+|g''(v)| = |sum_k lambda_k * phi_k(u) * phi_k'(v)| <= M =
 sum_k |lambda_k| * S_k * D_k, where S_k = sup |phi_k| and D_k = sup |phi_k'|
 is the family's slope bound (`TermTable.slopes`); M is one number per
 copula.  For a Newton step t = v - q with q = g(v)/g'(v), Taylor's theorem
@@ -33,9 +33,7 @@ to the full iteration's.  On the two-sine model it cuts the evaluations
 per step from 4.2 to 3.3.  Replacing S_k by |phi_k(u)|, a bound formed
 afresh at each step, would save 0.03 evaluations more and cost more than
 that to form.  The step families have kinks in g, no slope bound and no
-early stop.  The array path keeps the full iteration: a vector step ends
-only with its slowest lane, and on banks of 60 to 120 lanes the extra
-array operations showed no clear gain.
+early stop.
 
 On a step family g is piecewise linear in v, so a Newton step from a
 point of the root's piece lands on the root, and Newton reaches that
@@ -48,17 +46,19 @@ not be monotone, so a root need not be a conditional quantile.
 
 Both phi_k and Phi_k come from the copula's `basis.TermTable`.  Single
 chains run through a plain-float scalar path on the table's float form.
-Replicate banks of at least FLOAT_PATH_LANES lanes run through a
-lane-vectorized path, one numpy array per time step, on its array form,
-with the same operations in the same order, so both paths give the same
-floats.  Narrower banks step lane by lane on the float path, each lane
-with its own coefficients: below about 32 lanes numpy's per-call cost
-outweighs the vector arithmetic (measured crossovers on 1,000-step banks:
-about 33 lanes for a degree-5 Legendre copula and for FGM, 45-50 for the
-two-sine model and the two-value step, above 64 for the sign-flip
-family).  The choice depends only on the lane count.  Each path is
-deterministic for a given seed key; per-replicate seed keys and
-elementwise lane arithmetic make banks independent of how the
+Replicate banks, and `next_state` arrays, of at least FLOAT_PATH_LANES
+lanes run through a lane-vectorized path, one numpy array per time step,
+on its array form, with the same operations in the same order, so both
+paths give the same floats.  Narrower ones step lane by lane on the float
+path, each lane with its own coefficients: below about 32 lanes numpy's
+per-call cost outweighs the vector arithmetic (measured crossovers on
+1,000-step banks: about 33 lanes for a degree-5 Legendre copula and for
+FGM, 45-50 for the two-sine model and the two-value step, above 64 for
+the sign-flip family).  The choice depends only on the lane count.  A
+bank is one matrix: each row first holds its stream's draws, u_1 and then
+the innovations, and each step overwrites its innovation with the state.
+Each path is deterministic for a given seed key; per-replicate seed keys
+and elementwise lane arithmetic make banks independent of how the
 replicates, and the copulas of their lanes, are batched.
 """
 
@@ -180,10 +180,10 @@ def _solve_scalar(common, terms, w: float, bound) -> float:
     return v
 
 
-def _solve_vector(common, terms, w: np.ndarray) -> np.ndarray:
+def _solve_vector(common, terms, w: np.ndarray, bound=None) -> np.ndarray:
     """_solve_scalar lane by lane, with the same operations in the same
-    order but without the early stop, on the array form of the table; each
-    s_k holds one value per lane.  Finished lanes leave the working
+    order, on the array form of the table; each s_k, and bound unless it
+    is None, holds one value per lane.  Finished lanes leave the working
     arrays."""
     out = np.empty_like(w)
     lane = np.arange(w.size)
@@ -204,15 +204,22 @@ def _solve_vector(common, terms, w: np.ndarray) -> np.ndarray:
         lo = np.where(neg, v, lo)
         hi = np.where(neg, hi, v)
         mid = 0.5 * (lo + hi)
-        done = hit | (hi - lo <= BRACKET_TOL)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = v - g / c
-        nxt = np.where((c > 0.0) & (lo < t) & (t < hi), t, mid)
+        closed = hi - lo <= BRACKET_TOL
+        done = hit | closed
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q = g / c
+            t = v - q
+            step = (c > 0.0) & (lo < t) & (t < hi)
+            if bound is not None:
+                done |= step & (bound * q * q <= RESIDUAL_TOL)
+        nxt = np.where(step, t, mid)
         if done.any():
-            out[lane[done]] = np.where(hit, v, mid)[done]
+            out[lane[done]] = np.where(hit, v, np.where(closed, mid, nxt))[done]
             keep = ~done
             lane, w, lo, hi, nxt = (a[keep] for a in (lane, w, lo, hi, nxt))
             terms = [(s[keep], phi, Phi) for s, phi, Phi in terms]
+            if bound is not None:
+                bound = bound[keep]
         v = nxt
     out[lane] = v
     return out
@@ -222,7 +229,7 @@ class _Sampler:
     """A copula's terms, prepared for chain generation; given one copula
     per lane, `rows` holds each lane's coefficients for the float path,
     `lams` one array per term with one value per lane for the array path,
-    and `bounds` each lane's bound M on |g''| for the float path's early
+    and `bounds` an array of each lane's bound M on |g''| for the early
     stop (None for a step family).  A copula without terms joins any index
     set with coefficients 0, which leave g and c unchanged, so its lanes
     still return w."""
@@ -257,13 +264,15 @@ class _Sampler:
         # M bounds |g''| = |sum_k lambda_k phi_k(u) phi_k'(v)| for every u and v
         weights = [d * max(map(abs, extrema(table.family, k)))
                    for d, k in zip(table.slopes, table.indices)]
-        return [sum(abs(lam) * wk for lam, wk in zip(row, weights)) for row in self.rows]
+        return np.array([sum(abs(lam) * wk for lam, wk in zip(row, weights))
+                         for row in self.rows], dtype=float)
 
     def next_scalar(self, u: float, w: float, lane: int = 0) -> float:
         common, terms = self.floats
         x = u if common is None else common(u)
         terms = [(lam * phi(x), phi, Phi) for lam, (phi, Phi) in zip(self.rows[lane], terms)]
-        return _solve_scalar(common, terms, w, None if self.bounds is None else self.bounds[lane])
+        return _solve_scalar(common, terms, w,
+                             None if self.bounds is None else self.bounds.item(lane))
 
     def chain(self, u: float, w: list, lane: int = 0) -> list:
         """The states after u, one per innovation in w, on the float path."""
@@ -276,15 +285,18 @@ class _Sampler:
     def next_vector(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         common, terms = self.arrays
         x = u if common is None else common(u)
+        bound = self.bounds
         return _solve_vector(common, [(lam * phi(x), phi, Phi) for lam, (phi, Phi)
-                                      in zip(self.lams, terms)], w)
+                                      in zip(self.lams, terms)], w,
+                             None if bound is None else np.broadcast_to(bound, w.shape))
 
 
 def next_state(c: SpectralCopula, u_prev, w):
     """Solve d1C(u_prev, v) = w for v.
 
-    Scalars in, scalar out; same-shape arrays in, array out.  Every
-    family is solved to the tolerances in the module header.
+    Scalars in, scalar out; same-shape arrays in, array out, lane by lane
+    on the float path below FLOAT_PATH_LANES elements.  Every family is
+    solved to the tolerances in the module header.
     """
     sampler = _Sampler(c)
     u_arr = np.asarray(u_prev, dtype=float)
@@ -295,7 +307,11 @@ def next_state(c: SpectralCopula, u_prev, w):
         return sampler.next_scalar(float(u_arr), float(w_arr))
     if u_arr.shape != w_arr.shape:
         raise ValueError("u_prev and w must have matching shapes")
-    flat = sampler.next_vector(u_arr.ravel(), w_arr.ravel())
+    if u_arr.size < FLOAT_PATH_LANES:
+        flat = np.array([sampler.next_scalar(a, b) for a, b
+                         in zip(u_arr.ravel().tolist(), w_arr.ravel().tolist())])
+    else:
+        flat = sampler.next_vector(u_arr.ravel(), w_arr.ravel())
     return flat.reshape(u_arr.shape)
 
 
@@ -359,10 +375,8 @@ def generate_chain(c: SpectralCopula, n: int, seed: int,
     inversions, one innovation each, all from the stream keyed by seed."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("chain length must be a positive integer")
-    rng = innovation_stream(seed)
-    u = np.empty(n)
-    u[0] = rng.random()
-    u[1:] = _Sampler(c).chain(float(u[0]), rng.random(n - 1).tolist())
+    u = innovation_stream(seed).random(n)
+    u[1:] = _Sampler(c).chain(float(u[0]), u[1:].tolist())
     return ChainSample(u, apply_transform(transform, u), seed, c, transform)
 
 
@@ -371,9 +385,11 @@ def generate_chain_bank(c: SpectralCopula | Sequence[SpectralCopula], n: int,
     """Replicate bank of chains, shape (len(seed_keys), n).
 
     Each row r is driven by its own stream keyed by seed_keys[r] (an int
-    or tuple of ints), with the same draw order as generate_chain.  A bank
-    of FLOAT_PATH_LANES lanes or more advances one vectorized time step at
-    a time; a narrower one runs each lane as a plain-float chain.
+    or tuple of ints), with the same draw order as generate_chain; the row
+    first holds those n draws, and each step overwrites its innovation
+    with the state, so the bank is the only (r, n) array.  A bank of
+    FLOAT_PATH_LANES lanes or more advances one vectorized time step at a
+    time; a narrower one runs each lane as a plain-float chain.
 
     `c` is one copula for every row, or a sequence of copulas, one per
     key, sharing one family and one index set (a copula without terms may
@@ -389,16 +405,13 @@ def generate_chain_bank(c: SpectralCopula | Sequence[SpectralCopula], n: int,
     if r == 0:
         return np.empty((0, n))
     u = np.empty((r, n))
-    w = np.empty((r, n - 1))
     for i, key in enumerate(keys):
-        rng = innovation_stream(*key)
-        u[i, 0] = rng.random()
-        w[i] = rng.random(n - 1)
+        innovation_stream(*key).random(n, out=u[i])
     sampler = _Sampler([c] * r if isinstance(c, SpectralCopula) else c)
     if r < FLOAT_PATH_LANES:
         for i in range(r):
-            u[i, 1:] = sampler.chain(float(u[i, 0]), w[i].tolist(), i)
+            u[i, 1:] = sampler.chain(float(u[i, 0]), u[i, 1:].tolist(), i)
         return u
     for t in range(1, n):
-        u[:, t] = sampler.next_vector(u[:, t - 1], w[:, t - 1])
+        u[:, t] = sampler.next_vector(u[:, t - 1], u[:, t])
     return u

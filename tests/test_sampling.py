@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,18 @@ def test_vector_path_matches_scalar_path(c):
     vec = next_state(c, u, w)
     scal = np.array([next_state(c, float(a), float(b)) for a, b in zip(u, w)])
     assert np.array_equal(vec, scal)
+
+
+@pytest.mark.parametrize("c", SMOOTH + STEPS)
+def test_next_state_keeps_the_shape_of_small_arrays(c):
+    # arrays of fewer than FLOAT_PATH_LANES elements step lane by lane on
+    # the float path; the shape is kept and each value is the scalar call's
+    rng = np.random.default_rng(6)
+    u, w = rng.random((4, 5)), rng.random((4, 5))
+    out = next_state(c, u, w)
+    assert out.shape == (4, 5)
+    assert np.array_equal(out, [[next_state(c, a, b) for a, b in zip(ru, rw)]
+                                for ru, rw in zip(u.tolist(), w.tolist())])
 
 
 def test_next_state_independence_passthrough():
@@ -210,6 +223,22 @@ def test_solver_stops_at_once_on_no_lanes():
     assert next_state(c, empty, empty).shape == (0,)
 
 
+@pytest.mark.parametrize("lanes, n", [(64, 1000), (400, 500)])
+def test_bank_stepping_holds_no_second_bank_sized_array(lanes, n):
+    # each row holds its stream's draws, and every step overwrites its
+    # innovation with the state; a one-row bank first caches the copula's
+    # validation, which is not part of stepping
+    c = two_sine_model(0.05, -0.2)
+    generate_chain_bank(c, 2, [1])
+    tracemalloc.start()
+    try:
+        bank = generate_chain_bank(c, n, [(9, i) for i in range(lanes)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * bank.nbytes
+
+
 def _random_smooth_copulas(seed=17, per_family=4):
     """VALID copulas of the three smooth families with random signed
     coefficients: sum |lambda_k| sup phi_k^2 = 0.9 keeps the density
@@ -237,8 +266,7 @@ def _random_smooth_copulas(seed=17, per_family=4):
 def test_early_stop_returns_the_full_iterations_roots(c):
     # without the slope bound every root is confirmed by one more
     # evaluation of g; with it, that evaluation is skipped where it could
-    # only confirm, and the root is the same float, also the array path's,
-    # which has no early stop
+    # only confirm, and the root is the same float on both paths
     rng = np.random.default_rng(5)
     u = np.concatenate([rng.random(300), [0.0, 1.0, 0.0, 1.0]])
     w = np.concatenate([rng.random(300), [0.0, 1.0, 1.0, 0.0]])
@@ -246,11 +274,22 @@ def test_early_stop_returns_the_full_iterations_roots(c):
     assert bounded.bounds is not None
     plain.bounds = None
 
-    calls = []
+    calls, lanes = [], []
+
+    def counted(form, log):
+        # the form with each Phi_k logging the lanes it evaluates
+        def wrap(Phi):
+            def counting(x):
+                y = Phi(x)
+                log.append(np.size(y))
+                return y
+            return counting
+        common, terms = form
+        return common, [(phi, wrap(Phi)) for phi, Phi in terms]
+
     for sampler in (bounded, plain):
-        common, terms = sampler.floats
-        sampler.floats = common, [(phi, lambda x, Phi=Phi: calls.append(1) or Phi(x))
-                                  for phi, Phi in terms]
+        sampler.floats = counted(sampler.floats, calls)
+        sampler.arrays = counted(sampler.arrays, lanes)
     early = 0
     roots = []
     for a, b in zip(u.tolist(), w.tolist()):
@@ -260,12 +299,17 @@ def test_early_stop_returns_the_full_iterations_roots(c):
         n1 = len(calls)
         assert plain.next_scalar(a, b) == v
         saved = (len(calls) - n1) - (n1 - n0)
-        assert saved in (0, len(terms))  # at most one evaluation saved
+        assert saved in (0, len(bounded.floats[1]))  # at most one evaluation saved
         if saved:
             early += 1
             assert abs(c.conditional_cdf(a, v) - b) <= sampling.RESIDUAL_TOL
     assert early > 0
+    # the array path: one bound broadcast to every lane, or None, which
+    # runs the full iteration, _solve_vector(..., bound=None)
     assert np.array_equal(bounded.next_vector(u, w), roots)
+    with_bound = sum(lanes)
+    assert np.array_equal(plain.next_vector(u, w), roots)
+    assert with_bound < sum(lanes) - with_bound
 
 
 @pytest.mark.parametrize("c", SMOOTH + STEPS + [
