@@ -190,37 +190,41 @@ def _solve_vector(common, terms, w: np.ndarray, bound=None) -> np.ndarray:
     lo = np.zeros_like(w)
     hi = np.ones_like(w)
     v = w
-    for _ in range(MAX_ITER):
-        if not lane.size:
-            return out
-        g = v - w
-        c = 1.0
-        x = v if common is None else common(v)
-        for s, phi, Phi in terms:
-            g = g + s * Phi(x)
-            c = c + s * phi(x)
-        hit = np.abs(g) <= RESIDUAL_TOL
-        neg = g < 0.0
-        lo = np.where(neg, v, lo)
-        hi = np.where(neg, hi, v)
-        mid = 0.5 * (lo + hi)
-        closed = hi - lo <= BRACKET_TOL
-        done = hit | closed
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # g / c divides by 0, or overflows, only where c <= 0 or c is tiny; the
+    # step test rejects those lanes, so one errstate serves every iteration
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(MAX_ITER):
+            if not lane.size:
+                return out
+            g = v - w
+            c = 1.0
+            x = v if common is None else common(v)
+            for s, phi, Phi in terms:
+                g = g + s * Phi(x)
+                c = c + s * phi(x)
+            hit = np.abs(g) <= RESIDUAL_TOL
+            neg = g < 0.0
+            lo = np.where(neg, v, lo)
+            hi = np.where(neg, hi, v)
+            mid = 0.5 * (lo + hi)
+            closed = hi - lo <= BRACKET_TOL
+            done = hit | closed
             q = g / c
             t = v - q
             step = (c > 0.0) & (lo < t) & (t < hi)
             if bound is not None:
                 done |= step & (bound * q * q <= RESIDUAL_TOL)
-        nxt = np.where(step, t, mid)
-        if done.any():
-            out[lane[done]] = np.where(hit, v, np.where(closed, mid, nxt))[done]
-            keep = ~done
-            lane, w, lo, hi, nxt = (a[keep] for a in (lane, w, lo, hi, nxt))
-            terms = [(s[keep], phi, Phi) for s, phi, Phi in terms]
-            if bound is not None:
-                bound = bound[keep]
-        v = nxt
+            nxt = np.where(step, t, mid)
+            if done.any():
+                # an early stop returns its Newton step t, which is nxt there
+                found = mid if bound is None else np.where(closed, mid, nxt)
+                out[lane[done]] = np.where(hit, v, found)[done]
+                keep = ~done
+                lane, w, lo, hi, nxt = (a[keep] for a in (lane, w, lo, hi, nxt))
+                terms = [(s[keep], phi, Phi) for s, phi, Phi in terms]
+                if bound is not None:
+                    bound = bound[keep]
+            v = nxt
     out[lane] = v
     return out
 
@@ -286,9 +290,10 @@ class _Sampler:
         common, terms = self.arrays
         x = u if common is None else common(u)
         bound = self.bounds
+        if bound is not None and bound.size < w.size:  # one copula for every lane
+            bound = np.broadcast_to(bound, w.shape)
         return _solve_vector(common, [(lam * phi(x), phi, Phi) for lam, (phi, Phi)
-                                      in zip(self.lams, terms)], w,
-                             None if bound is None else np.broadcast_to(bound, w.shape))
+                                      in zip(self.lams, terms)], w, bound)
 
 
 def next_state(c: SpectralCopula, u_prev, w):
