@@ -11,11 +11,14 @@ bisection: an estimate, not a proven bound.
 The formulas for phi_k and Phi_k are written once, in the per-family term
 builders behind `TermTable`, which evaluates all of a copula's terms at x
 in one call, as plain floats or as arrays.  `eval_phi`/`eval_Phi` and every
-other module read them from there.  Next to each builder sits the family's
-moment table (`moment_table`), r_k = 12 (int Phi_k)^2 and G_kj = int phi_k Phi_j,
-and its slope bound D_k = sup |phi_k'| (`TermTable.slopes`), which the
-sampler's stopping rule reads; the step families have none, since their
-functions jump.
+other module read them from there.  A step function is a list of pieces
+(left edge, value, anchor), phi = value and Phi(x) = value * (x - anchor)
+on a piece; one memoised table per step family (`_piece_table`) gives
+its terms, extrema and jump points.  Next to each builder sits the
+family's moment table (`moment_table`), r_k = 12 (int Phi_k)^2 and
+G_kj = int phi_k Phi_j, and its slope bound D_k = sup |phi_k'|
+(`TermTable.slopes`), which the sampler's stopping rule reads; the step
+families have none, since their functions jump.
 
 Families
 --------
@@ -30,8 +33,9 @@ PiecewiseSign   one sign flip per cell of a partition of [0,1]
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Union
 
 import numpy as np
@@ -123,16 +127,8 @@ def check_index(family: Family, k: Index) -> None:
 def jump_points(family: Family) -> tuple:
     """Interior discontinuity locations of the family (and of the
     antiderivatives' kinks), used to split quadrature panels."""
-    if isinstance(family, TwoValueStep):
-        return (family.breakpoint,)
-    if isinstance(family, PiecewiseSign):
-        cuts = []
-        bp = family.breakpoints
-        for a, b in zip(bp[:-1], bp[1:]):
-            cuts.append(a)
-            cuts.append(0.5 * (a + b))
-        cuts.append(1.0)
-        return tuple(c for c in cuts if 0.0 < c < 1.0)
+    if isinstance(family, (TwoValueStep, PiecewiseSign)):
+        return _piece_table(family)[0]
     return ()
 
 
@@ -181,30 +177,18 @@ def _legendre_even_min(k: int) -> float:
 # -- the term table: every phi/Phi formula, written once -------------------
 #
 # A builder turns (family, indices, ops) into (common, terms): common(x) is
-# the work all terms share at x (the Legendre recurrence), None when they
-# share none, and terms holds one (phi_k, Phi_k) pair of closures per index,
-# each taking common(x), or x itself when common is None.  ops is _FloatOps
-# for the float form and numpy for the array form.  The scalar chain step
-# calls these closures directly, once per term and Newton iteration: in that
-# loop a Python call costs about as much as a transcendental, and a list
-# built per call costs more.
+# the work all terms share at x (the Legendre recurrence, the step piece
+# lookup), None when they share none, and terms holds one (phi_k, Phi_k)
+# pair of closures per index, each taking common(x), or x itself when common
+# is None.  ops is math for the float form and numpy for the array form.
+# The scalar chain step calls these closures directly, once per term and
+# Newton iteration: in that loop a Python call costs about as much as a
+# transcendental, and a list built per call costs more.
 #
 # A moment builder turns a family into the (r, g) pair `moment_table`
 # returns.  Integrating by parts, g(j, k) = -g(k, j), so g(k, k) = 0.
 #
 # A slope builder gives D_k = sup |phi_k'| over [0, 1] for (family, k).
-
-
-class _FloatOps:
-    """The operations the term formulas use, on plain floats; numpy
-    supplies the same three names for arrays."""
-
-    sin = math.sin
-    cos = math.cos
-
-    @staticmethod
-    def where(cond, a, b):
-        return a if cond else b
 
 
 def _trig_terms(family, indices, ops):
@@ -269,39 +253,56 @@ def _legendre_slope(family, k):
     return math.sqrt(2 * k + 1) * k * (k + 1)
 
 
-def _two_value_terms(family, indices, ops):
-    where = ops.where
-    c = family.breakpoint
-    ra = math.sqrt(family.alpha)
-    low = -1.0 / ra
-    return None, [(lambda x: where(x < c, ra, low),
-                    lambda x: where(x < c, ra * x, ra * c - (x - c) / ra))
-                   for _ in indices]
+def _pieces(family, k):
+    # phi_k of a step family as (left edge, value, anchor), in edge order
+    if isinstance(family, TwoValueStep):
+        ra = math.sqrt(family.alpha)
+        return [(0.0, ra, 0.0), (family.breakpoint, -1.0 / ra, 1.0)]
+    # cell [a, b) of width w: -1/sqrt(w) on its left half, +1/sqrt(w) on its
+    # right half, 0 outside
+    a, b = family.cell(k)
+    inv = 1.0 / math.sqrt(b - a)
+    return [(0.0, 0.0, 0.0), (a, -inv, a), (0.5 * (a + b), inv, b), (b, 0.0, 0.0)]
+
+
+@lru_cache(maxsize=64)
+def _piece_table(family):
+    """(cuts, rows) of a step family.  cuts are the interior edges of all
+    its functions' pieces, so x lies on piece bisect_right(cuts, x) of every
+    function, and rows[k - 1] holds phi_k's (values, anchors) on those
+    pieces.  Edges at 1 are dropped: the last piece owns x = 1."""
+    n = family.n_cells if isinstance(family, PiecewiseSign) else 1
+    own = [_pieces(family, k) for k in range(1, n + 1)]
+    edges = sorted({e for p in own for e, _, _ in p if e < 1.0})
+    rows = []
+    for p in own:
+        left = [e for e, _, _ in p]
+        rows.append(tuple(zip(*[p[bisect_right(left, e) - 1] for e in edges]))[1:])
+    return tuple(edges[1:]), tuple(rows)
+
+
+def _step_terms(family, indices, ops):
+    # one search per evaluation finds x's piece, and every term indexes it
+    cuts, rows = _piece_table(family)
+    if ops is math:
+        form, find = tuple, partial(bisect_right, cuts)
+    else:
+        form, find = np.array, partial(np.searchsorted, np.array(cuts), side="right")
+
+    def common(x):
+        return x, find(x)
+
+    def term(k):
+        values, anchors = map(form, rows[k - 1])
+        return (lambda c: values[c[1]]), (lambda c: values[c[1]] * (c[0] - anchors[c[1]]))
+
+    return common, [term(k) for k in indices]
 
 
 def _two_value_moments(family):
     # int Phi_1 = sqrt(alpha) / (2 (1 + alpha)); G_11 = 0
     a = family.alpha
     return (lambda k: 3.0 * a / (1.0 + a) ** 2), (lambda k, j: 0.0)
-
-
-def _sign_terms(family, indices, ops):
-    where = ops.where
-
-    def cell(k):
-        # cell [a, b) of width w: -1/sqrt(w) on its left half, +1/sqrt(w) on
-        # its right half, 0 outside; the last cell also owns x = 1
-        a, b = family.cell(k)
-        mid = 0.5 * (a + b)
-        inv = 1.0 / math.sqrt(b - a)
-        last = k == family.n_cells
-        return (lambda x: where((x >= a) & ((x < b) | (last & (x == 1.0))),
-                                where(x < mid, -inv, inv), 0.0),
-                lambda x: where(x < a, 0.0,
-                                where(x < mid, -(x - a) * inv,
-                                      where(x < b, (x - b) * inv, 0.0))))
-
-    return None, [cell(k) for k in indices]
 
 
 def _sign_moments(family):
@@ -315,8 +316,8 @@ def _sign_moments(family):
 _BUILDERS = {SineCosine: (_trig_terms, _trig_moments, _trig_slope),
              Cosine: (_trig_terms, _trig_moments, _trig_slope),
              ShiftedLegendre: (_legendre_terms, _legendre_moments, _legendre_slope),
-             TwoValueStep: (_two_value_terms, _two_value_moments, None),
-             PiecewiseSign: (_sign_terms, _sign_moments, None)}
+             TwoValueStep: (_step_terms, _two_value_moments, None),
+             PiecewiseSign: (_step_terms, _sign_moments, None)}
 
 
 def moment_table(family: Family):
@@ -331,8 +332,8 @@ class TermTable:
 
     `floats` and `arrays` are the two forms of the table, each a
     (common, terms) pair as the builders above return it: the float form
-    runs on plain floats (math functions, branches), the array form on
-    numpy arrays (ufuncs, np.where), with the same formulas in the same
+    runs on plain floats (math functions, bisect), the array form on numpy
+    arrays (ufuncs, searchsorted), with the same formulas in the same
     order, so both give the same floats.  The methods evaluate every term
     at x, taking the float form for a plain float x, and return one value
     or array per index, in index order.  No domain check is made: x must
@@ -349,7 +350,7 @@ class TermTable:
     @cached_property
     def floats(self):
         # only the samplers' scalar path and plain-float calls need it
-        return _BUILDERS[type(self.family)][0](self.family, self.indices, _FloatOps)
+        return _BUILDERS[type(self.family)][0](self.family, self.indices, math)
 
     @cached_property
     def slopes(self):
@@ -415,9 +416,5 @@ def extrema(family: Family, k: Index) -> tuple[float, float]:
         if k % 2 == 1:
             return (-scale, scale)
         return (scale * _legendre_even_min(k), scale)
-    if isinstance(family, TwoValueStep):
-        a = family.alpha
-        return (-1.0 / math.sqrt(a), math.sqrt(a))
-    a, b = family.cell(k)
-    inv = 1.0 / math.sqrt(b - a)
-    return (-inv, inv)
+    values = _piece_table(family)[1][k - 1][0]
+    return (min(values), max(values))

@@ -2,11 +2,11 @@
 
 Every subcommand reads a JSON config (see `config` and `coverage`), writes
 machine readable JSON or CSV to stdout or --out, and exits 0 on success and 1 on
-any usage or config error.  The mixing subcommand additionally maps its
-verdict onto the exit code: 0 when a certificate was found, 2 on a
-boundary (non-mixing) verdict, 3 when the search was inconclusive.  The
-coverage subcommand writes its table in full and exits 4 when any row
-carries an error.
+any usage or config error.  The mixing subcommand refuses a copula that
+`validate` calls INVALID as a config error, and maps its verdict onto the
+exit code: 0 when a certificate was found, 2 on a boundary (non-mixing)
+verdict, 3 when the search was inconclusive.  The coverage subcommand
+writes its table in full and exits 4 when any row carries an error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 
 from . import association, coverage, estimation, mixing, sampling
 from .config import ConfigError, copula_to_config, load_copula
-from .copula import DENSITY_GRID_N, sine_counterexample
+from .copula import DENSITY_GRID_N, Verdict, sine_counterexample
 from .statutil import chi2_cdf
 
 
@@ -117,6 +117,9 @@ def _cmd_associate(args) -> int:
 
 def _cmd_mixing(args) -> int:
     c = load_copula(args.config)
+    if c.validate(args.grid_n).verdict is Verdict.INVALID:
+        raise ConfigError("copula", "validate() finds this copula INVALID, "
+                          "so it drives no chain to certify")
     report = mixing.certify_psi(c, max_n=args.max_n, grid_n=args.grid_n)
     _emit(_json_text(report.as_dict()), args.out)
     if report.certificate in (mixing.Certificate.CERTIFIED_LESS_THAN_TWO,
@@ -232,9 +235,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"eigencop: error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"eigencop: error: {exc}", file=sys.stderr)
         return 1

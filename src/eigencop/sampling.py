@@ -23,14 +23,16 @@ there when that evaluation could only confirm it.  For every u and v,
 |g''(v)| = |sum_k lambda_k * phi_k(u) * phi_k'(v)| <= M =
 sum_k |lambda_k| * S_k * D_k, where S_k = sup |phi_k| and D_k = sup |phi_k'|
 is the family's slope bound (`TermTable.slopes`); M is one number per
-copula.  For a Newton step t = v - q with q = g(v)/g'(v), Taylor's theorem
-gives |g(t)| <= M q^2 / 2.  So when M q^2 <= RESIDUAL_TOL the exact
-residual at t is at most RESIDUAL_TOL / 2, and the other half covers the
-rounding of the evaluated g, about 1e-15: the full iteration would
-evaluate g(t), find |g| <= RESIDUAL_TOL and return t.  The early stop
-returns the same t one evaluation sooner, so every root is bit-identical
-to the full iteration's.  On the two-sine model it cuts the evaluations
-per step from 4.2 to 3.3.  Replacing S_k by |phi_k(u)|, a bound formed
+copula, and a bank of several copulas takes the largest of theirs, which
+bounds every lane.  For a Newton step t = v - q with q = g(v)/g'(v),
+Taylor's theorem gives |g(t)| <= M q^2 / 2.  So when M q^2 <= RESIDUAL_TOL
+the exact residual at t is at most RESIDUAL_TOL / 2, and the other half
+covers the rounding of the evaluated g, about 1e-15: the full iteration
+would evaluate g(t), find |g| <= RESIDUAL_TOL and return t.  The early
+stop returns the same t one evaluation sooner, so every root is
+bit-identical to the full iteration's, for any valid M; a larger M only
+stops less often.  On the two-sine model it cuts the evaluations per step
+from 4.2 to 3.3.  Replacing S_k by |phi_k(u)|, a bound formed
 afresh at each step, would save 0.03 evaluations more and cost more than
 that to form.  The step families have kinks in g, no slope bound and no
 early stop.
@@ -182,9 +184,9 @@ def _solve_scalar(common, terms, w: float, bound) -> float:
 
 def _solve_vector(common, terms, w: np.ndarray, bound=None) -> np.ndarray:
     """_solve_scalar lane by lane, with the same operations in the same
-    order, on the array form of the table; each s_k, and bound unless it
-    is None, holds one value per lane.  Finished lanes leave the working
-    arrays."""
+    order, on the array form of the table; each s_k holds one value per
+    lane, and bound is one M for every lane, or None.  Finished lanes leave
+    the working arrays."""
     out = np.empty_like(w)
     lane = np.arange(w.size)
     lo = np.zeros_like(w)
@@ -222,8 +224,6 @@ def _solve_vector(common, terms, w: np.ndarray, bound=None) -> np.ndarray:
                 keep = ~done
                 lane, w, lo, hi, nxt = (a[keep] for a in (lane, w, lo, hi, nxt))
                 terms = [(s[keep], phi, Phi) for s, phi, Phi in terms]
-                if bound is not None:
-                    bound = bound[keep]
             v = nxt
     out[lane] = v
     return out
@@ -233,10 +233,10 @@ class _Sampler:
     """A copula's terms, prepared for chain generation; given one copula
     per lane, `rows` holds each lane's coefficients for the float path,
     `lams` one array per term with one value per lane for the array path,
-    and `bounds` an array of each lane's bound M on |g''| for the early
-    stop (None for a step family).  A copula without terms joins any index
-    set with coefficients 0, which leave g and c unchanged, so its lanes
-    still return w."""
+    and `bound` the largest of the lanes' bounds M on |g''|, which bounds
+    every lane, for the early stop (None for a step family).  A copula
+    without terms joins any index set with coefficients 0, which leave g
+    and c unchanged, so its lanes still return w."""
 
     def __init__(self, c):
         lanes = [c] if isinstance(c, SpectralCopula) else list(c)
@@ -261,22 +261,21 @@ class _Sampler:
         return tuple(np.array(self.rows).T)
 
     @cached_property
-    def bounds(self):
+    def bound(self):
         table = self.table
         if table.slopes is None:
             return None
         # M bounds |g''| = |sum_k lambda_k phi_k(u) phi_k'(v)| for every u and v
         weights = [d * max(map(abs, extrema(table.family, k)))
                    for d, k in zip(table.slopes, table.indices)]
-        return np.array([sum(abs(lam) * wk for lam, wk in zip(row, weights))
-                         for row in self.rows], dtype=float)
+        return max(sum(abs(lam) * wk for lam, wk in zip(row, weights))
+                   for row in dict.fromkeys(self.rows))
 
     def next_scalar(self, u: float, w: float, lane: int = 0) -> float:
         common, terms = self.floats
         x = u if common is None else common(u)
         terms = [(lam * phi(x), phi, Phi) for lam, (phi, Phi) in zip(self.rows[lane], terms)]
-        return _solve_scalar(common, terms, w,
-                             None if self.bounds is None else self.bounds.item(lane))
+        return _solve_scalar(common, terms, w, self.bound)
 
     def chain(self, u: float, w: list, lane: int = 0) -> list:
         """The states after u, one per innovation in w, on the float path."""
@@ -289,11 +288,8 @@ class _Sampler:
     def next_vector(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         common, terms = self.arrays
         x = u if common is None else common(u)
-        bound = self.bounds
-        if bound is not None and bound.size < w.size:  # one copula for every lane
-            bound = np.broadcast_to(bound, w.shape)
         return _solve_vector(common, [(lam * phi(x), phi, Phi) for lam, (phi, Phi)
-                                      in zip(self.lams, terms)], w, bound)
+                                      in zip(self.lams, terms)], w, self.bound)
 
 
 def next_state(c: SpectralCopula, u_prev, w):

@@ -176,6 +176,10 @@ TABLES = [
     (TwoValueStep(0.4), [1]),
     (PiecewiseSign((0.0, 0.25, 0.6, 1.0)), [1, 2, 3]),
     (PiecewiseSign((0.0, 0.25, 0.6, 1.0)), [3]),
+    (TwoValueStep(1.0), [1]),
+    (TwoValueStep(3.0), [1]),
+    (TwoValueStep(0.7), [1]),
+    (PiecewiseSign((0.0, 1.0)), [1]),
 ]
 
 
@@ -201,6 +205,16 @@ def test_term_table_float_form_equals_array_form(family, ks):
     for k, a, b in zip(ks, phi, Phi):
         assert np.array_equal(a, eval_phi(family, k, x))
         assert np.array_equal(b, eval_Phi(family, k, x))
+
+
+@pytest.mark.parametrize("family,ks", [t for t in TABLES if jump_points(t[0])])
+def test_step_tables_at_the_endpoints(family, ks):
+    # Phi_k = value * (x - anchor) is anchored at 0 on the first piece and
+    # at 1 (or has value 0) on the last, so both ends give exact zeros; the
+    # last piece owns x = 1
+    table = TermTable(family, ks)
+    assert table.Phi(0.0) == table.Phi(1.0) == [0.0] * len(ks)
+    assert table.phi(1.0) == table.phi(math.nextafter(1.0, 0.0))
 
 
 def _trig_oracle(family, k, x):

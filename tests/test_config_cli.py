@@ -435,6 +435,13 @@ def test_cli_mixing_exit_codes(capsys):
     code, out, _ = _run(capsys, "mixing", "--config", pws, "--max-n", "1")
     assert code == 3
     assert json.loads(out)["certificate"] == "inconclusive"
+    # a density that validate() calls INVALID is a config error, and no
+    # report (with rho_n overflowing to Infinity) is printed
+    code, out, err = _run(capsys, "mixing", "--config",
+                          '{"basis": {"family": "cosine"}, "lambda": [[1, 5.0]]}',
+                          "--max-n", "500")
+    assert code == 1 and out == ""
+    assert "config field 'copula'" in err and "INVALID" in err
 
 
 def test_cli_estimate(capsys):

@@ -271,8 +271,8 @@ def test_early_stop_returns_the_full_iterations_roots(c):
     u = np.concatenate([rng.random(300), [0.0, 1.0, 0.0, 1.0]])
     w = np.concatenate([rng.random(300), [0.0, 1.0, 1.0, 0.0]])
     bounded, plain = sampling._Sampler(c), sampling._Sampler(c)
-    assert bounded.bounds is not None
-    plain.bounds = None
+    assert bounded.bound is not None
+    plain.bound = None
 
     calls, lanes = [], []
 
@@ -304,8 +304,8 @@ def test_early_stop_returns_the_full_iterations_roots(c):
             early += 1
             assert abs(c.conditional_cdf(a, v) - b) <= sampling.RESIDUAL_TOL
     assert early > 0
-    # the array path: one bound broadcast to every lane, or None, which
-    # runs the full iteration, _solve_vector(..., bound=None)
+    # the array path: one bound for every lane, or None, which runs the
+    # full iteration, _solve_vector(..., bound=None)
     assert np.array_equal(bounded.next_vector(u, w), roots)
     with_bound = sum(lanes)
     assert np.array_equal(plain.next_vector(u, w), roots)
