@@ -276,6 +276,8 @@ def _piece_table(family):
     edges = sorted({e for p in own for e, _, _ in p if e < 1.0})
     rows = []
     for p in own:
+        # each edge takes the value and anchor of p's last piece that starts
+        # at or before it
         left = [e for e, _, _ in p]
         rows.append(tuple(zip(*[p[bisect_right(left, e) - 1] for e in edges]))[1:])
     return tuple(edges[1:]), tuple(rows)
@@ -416,5 +418,5 @@ def extrema(family: Family, k: Index) -> tuple[float, float]:
         if k % 2 == 1:
             return (-scale, scale)
         return (scale * _legendre_even_min(k), scale)
-    values = _piece_table(family)[1][k - 1][0]
+    values, _ = _piece_table(family)[1][k - 1]
     return (min(values), max(values))

@@ -53,15 +53,15 @@ lanes run through a lane-vectorized path, one numpy array per time step,
 on its array form, with the same operations in the same order, so both
 paths give the same floats.  Narrower ones step lane by lane on the float
 path, each lane with its own coefficients: below about 32 lanes numpy's
-per-call cost outweighs the vector arithmetic (measured crossovers on
-1,000-step banks: about 33 lanes for a degree-5 Legendre copula and for
-FGM, 45-50 for the two-sine model and the two-value step, above 64 for
-the sign-flip family).  The choice depends only on the lane count.  A
-bank is one matrix: each row first holds its stream's draws, u_1 and then
-the innovations, and each step overwrites its innovation with the state.
-Each path is deterministic for a given seed key; per-replicate seed keys
-and elementwise lane arithmetic make banks independent of how the
-replicates, and the copulas of their lanes, are batched.
+per-call cost outweighs the vector arithmetic (measured crossovers:
+about 33 lanes for a degree-5 Legendre copula and for FGM, 45-50 for the
+two-sine model and both step families).  The choice depends only on the
+lane count.  A bank is one matrix: each row first holds its stream's
+draws, u_1 and then the innovations, and each step overwrites its
+innovation with the state.  Each path is deterministic for a given seed
+key; per-replicate seed keys and elementwise lane arithmetic make banks
+independent of how the replicates, and the copulas of their lanes, are
+batched.
 """
 
 from __future__ import annotations
