@@ -71,6 +71,11 @@ class TwoValueStep:
     def __post_init__(self):
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError("TwoValueStep requires alpha > 0")
+        # for alpha below about 1.1e-16 the breakpoint rounds to 1, and phi_1
+        # would be the constant sqrt(alpha), which is not mean-zero
+        if not 0.0 < self.breakpoint < 1.0:
+            raise ValueError(f"TwoValueStep requires 0 < 1/(alpha+1) < 1; alpha = "
+                             f"{self.alpha!r} rounds it to {self.breakpoint!r}")
 
     @property
     def breakpoint(self) -> float:

@@ -46,22 +46,23 @@ first one it meets.
 Copulas that validate() calls INVALID are refused: their d1C(u, .) need
 not be monotone, so a root need not be a conditional quantile.
 
-Both phi_k and Phi_k come from the copula's `basis.TermTable`.  Single
-chains run through a plain-float scalar path on the table's float form.
-Replicate banks, and `next_state` arrays, of at least FLOAT_PATH_LANES
-lanes run through a lane-vectorized path, one numpy array per time step,
-on its array form, with the same operations in the same order, so both
-paths give the same floats.  Narrower ones step lane by lane on the float
-path, each lane with its own coefficients: below about 32 lanes numpy's
-per-call cost outweighs the vector arithmetic (measured crossovers:
-about 33 lanes for a degree-5 Legendre copula and for FGM, 45-50 for the
-two-sine model and both step families).  The choice depends only on the
-lane count.  A bank is one matrix: each row first holds its stream's
-draws, u_1 and then the innovations, and each step overwrites its
-innovation with the state.  Each path is deterministic for a given seed
-key; per-replicate seed keys and elementwise lane arithmetic make banks
-independent of how the replicates, and the copulas of their lanes, are
-batched.
+Both phi_k and Phi_k come from the copula's `basis.TermTable`.  Every
+entry point steps a bank through one method, `_Sampler.advance`: a bank is
+one matrix, each row first holds its stream's draws, u_1 and then the
+innovations, and each step overwrites its innovation with the state.
+`generate_chain` is a one-row bank, `generate_chain_bank` one row per seed
+key, and `next_state` a two-column bank (u_prev, w) stepped once.  A bank
+of at least FLOAT_PATH_LANES rows takes one lane-vectorized step per time
+step, one numpy array per step, on the table's array form; a narrower one
+runs each row as a plain-float chain on its float form, with the same
+operations in the same order, so both paths give the same floats.  Below
+about 32 lanes numpy's per-call cost outweighs the vector arithmetic
+(measured crossovers: about 33 lanes for a degree-5 Legendre copula and
+for FGM, 45-50 for the two-sine model and both step families).  The choice
+depends only on the row count.  Each path is deterministic for a given
+seed key; per-replicate seed keys and elementwise lane arithmetic make
+banks independent of how the replicates, and the copulas of their lanes,
+are batched.
 """
 
 from __future__ import annotations
@@ -230,11 +231,10 @@ def _solve_vector(common, terms, w: np.ndarray, bound=None) -> np.ndarray:
 
 
 class _Sampler:
-    """A copula's terms, prepared for chain generation; given one copula
-    per lane, `rows` holds each lane's coefficients for the float path,
-    `lams` one array per term with one value per lane for the array path,
-    and `bound` the largest of the lanes' bounds M on |g''|, which bounds
-    every lane, for the early stop (None for a step family).  A copula
+    """A copula's terms, prepared for stepping banks; `rows` holds the
+    coefficients of the one copula, or of each lane's copula when given one
+    per lane, and `bound` the largest of their bounds M on |g''|, which
+    bounds every lane, for the early stop (None for a step family).  A copula
     without terms joins any index set with coefficients 0, which leave g
     and c unchanged, so its lanes still return w."""
 
@@ -257,10 +257,6 @@ class _Sampler:
         self.floats, self.arrays = table.floats, table.arrays
 
     @cached_property
-    def lams(self):
-        return tuple(np.array(self.rows).T)
-
-    @cached_property
     def bound(self):
         table = self.table
         if table.slopes is None:
@@ -271,49 +267,54 @@ class _Sampler:
         return max(sum(abs(lam) * wk for lam, wk in zip(row, weights))
                    for row in dict.fromkeys(self.rows))
 
-    def next_scalar(self, u: float, w: float, lane: int = 0) -> float:
-        common, terms = self.floats
-        x = u if common is None else common(u)
-        terms = [(lam * phi(x), phi, Phi) for lam, (phi, Phi) in zip(self.rows[lane], terms)]
-        return _solve_scalar(common, terms, w, self.bound)
-
-    def chain(self, u: float, w: list, lane: int = 0) -> list:
-        """The states after u, one per innovation in w, on the float path."""
-        out = []
-        for wt in w:
-            u = self.next_scalar(u, wt, lane)
-            out.append(u)
-        return out
-
-    def next_vector(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def advance(self, u: np.ndarray) -> np.ndarray:
+        """Step the bank u in place and return it.  Row i starts at
+        u[i, 0], and step t overwrites the innovation u[i, t] with the
+        state.  Below FLOAT_PATH_LANES rows each row runs as a plain-float
+        chain, with its own coefficients (a one-copula sampler's one row
+        serves every lane); otherwise each step is one `_solve_vector`
+        call over all lanes."""
+        bound = self.bound
+        if len(u) < FLOAT_PATH_LANES:
+            common, terms = self.floats
+            rows = self.rows * len(u) if len(self.rows) == 1 else self.rows
+            for row, lams in zip(u, rows):
+                state = float(row[0])
+                states = row[1:].tolist()
+                for t, w in enumerate(states):
+                    x = state if common is None else common(state)
+                    state = states[t] = _solve_scalar(
+                        common, [(lam * phi(x), phi, Phi) for lam, (phi, Phi)
+                                 in zip(lams, terms)], w, bound)
+                row[1:] = states
+            return u
         common, terms = self.arrays
-        x = u if common is None else common(u)
-        return _solve_vector(common, [(lam * phi(x), phi, Phi) for lam, (phi, Phi)
-                                      in zip(self.lams, terms)], w, self.bound)
+        lams = tuple(np.array(self.rows).T)
+        for t in range(1, u.shape[1]):
+            x = u[:, t - 1] if common is None else common(u[:, t - 1])
+            u[:, t] = _solve_vector(common, [(lam * phi(x), phi, Phi) for lam, (phi, Phi)
+                                             in zip(lams, terms)], u[:, t], bound)
+        return u
 
 
 def next_state(c: SpectralCopula, u_prev, w):
     """Solve d1C(u_prev, v) = w for v.
 
-    Scalars in, scalar out; same-shape arrays in, array out, lane by lane
-    on the float path below FLOAT_PATH_LANES elements.  Every family is
-    solved to the tolerances in the module header.
+    Scalars or 0-d arrays in, a float out; same-shape arrays in, an array
+    of that shape out.  The lanes step as one step of a two-column bank
+    (u_prev, w), so an array of FLOAT_PATH_LANES elements or more is
+    solved vectorized and a smaller one lane by lane on plain floats.
+    Every family is solved to the tolerances in the module header.
     """
     sampler = _Sampler(c)
     u_arr = np.asarray(u_prev, dtype=float)
     w_arr = np.asarray(w, dtype=float)
     if not (np.all((u_arr >= 0.0) & (u_arr <= 1.0)) and np.all((w_arr >= 0.0) & (w_arr <= 1.0))):
         raise ValueError("u_prev and w must lie in [0,1]")
-    if u_arr.ndim == 0 and w_arr.ndim == 0:
-        return sampler.next_scalar(float(u_arr), float(w_arr))
     if u_arr.shape != w_arr.shape:
         raise ValueError("u_prev and w must have matching shapes")
-    if u_arr.size < FLOAT_PATH_LANES:
-        flat = np.array([sampler.next_scalar(a, b) for a, b
-                         in zip(u_arr.ravel().tolist(), w_arr.ravel().tolist())])
-    else:
-        flat = sampler.next_vector(u_arr.ravel(), w_arr.ravel())
-    return flat.reshape(u_arr.shape)
+    v = sampler.advance(np.column_stack([u_arr.ravel(), w_arr.ravel()]))[:, 1]
+    return float(v[0]) if u_arr.ndim == 0 else v.reshape(u_arr.shape)
 
 
 def sample_wl(lam: float, u_prev, q):
@@ -322,6 +323,8 @@ def sample_wl(lam: float, u_prev, q):
 
     Four linear branches keyed on which half u_prev falls in and on which
     side of the conditional CDF value at 1/2 the innovation q falls.
+    Scalars in, a float out; arrays are broadcast against each other and
+    each lane goes through the same float formula.
     """
     if abs(lam) > 1.0:
         raise ValueError("sample_wl requires |lam| <= 1")
@@ -336,22 +339,9 @@ def sample_wl(lam: float, u_prev, q):
         else:
             v = qq / d_minus if qq < 0.5 * (1.0 - lam) else (qq + lam) / d_plus
         return min(max(v, 0.0), 1.0)
-    u = np.asarray(u_prev, dtype=float)
-    qq = np.asarray(q, dtype=float)
-    scalar = u.ndim == 0 and qq.ndim == 0
-    if not (np.all((u >= 0.0) & (u <= 1.0)) and np.all((qq >= 0.0) & (qq <= 1.0))):
-        raise ValueError("u_prev and q must lie in [0,1]")
-    low_u = u < 0.5
-    thr = np.where(low_u, 0.5 * (1.0 + lam), 0.5 * (1.0 - lam))
-    first = qq < thr
-    b1 = qq / d_plus
-    b2 = (qq - lam) / d_minus
-    b3 = qq / d_minus
-    b4 = (qq + lam) / d_plus
-    v = np.select([low_u & first, low_u & ~first, ~low_u & first],
-                  [b1, b2, b3], default=b4)
-    v = np.clip(v, 0.0, 1.0)
-    return float(v) if scalar else v
+    u, qq = np.broadcast_arrays(np.asarray(u_prev, dtype=float), np.asarray(q, dtype=float))
+    v = [sample_wl(lam, a, b) for a, b in zip(u.ravel().tolist(), qq.ravel().tolist())]
+    return v[0] if u.ndim == 0 else np.reshape(v, u.shape)
 
 
 @dataclass(frozen=True)
@@ -373,11 +363,9 @@ class ChainSample:
 def generate_chain(c: SpectralCopula, n: int, seed: int,
                    transform: MarginalTransform = Uniform()) -> ChainSample:
     """Length-n stationary chain: u_1 uniform, then n-1 conditional-CDF
-    inversions, one innovation each, all from the stream keyed by seed."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("chain length must be a positive integer")
-    u = innovation_stream(seed).random(n)
-    u[1:] = _Sampler(c).chain(float(u[0]), u[1:].tolist())
+    inversions, one innovation each, all from the stream keyed by seed:
+    the one row of the bank with that key."""
+    u = generate_chain_bank(c, n, [seed])[0]
     return ChainSample(u, apply_transform(transform, u), seed, c, transform)
 
 
@@ -388,9 +376,10 @@ def generate_chain_bank(c: SpectralCopula | Sequence[SpectralCopula], n: int,
     Each row r is driven by its own stream keyed by seed_keys[r] (an int
     or tuple of ints), with the same draw order as generate_chain; the row
     first holds those n draws, and each step overwrites its innovation
-    with the state, so the bank is the only (r, n) array.  A bank of
-    FLOAT_PATH_LANES lanes or more advances one vectorized time step at a
-    time; a narrower one runs each lane as a plain-float chain.
+    with the state, so the bank is the only (r, n) array.  The bank is
+    stepped by `_Sampler.advance`: with FLOAT_PATH_LANES rows or more, one
+    vectorized time step at a time; with fewer, each row as a plain-float
+    chain.
 
     `c` is one copula for every row, or a sequence of copulas, one per
     key, sharing one family and one index set (a copula without terms may
@@ -408,11 +397,4 @@ def generate_chain_bank(c: SpectralCopula | Sequence[SpectralCopula], n: int,
     u = np.empty((r, n))
     for i, key in enumerate(keys):
         innovation_stream(*key).random(n, out=u[i])
-    sampler = _Sampler([c] * r if isinstance(c, SpectralCopula) else c)
-    if r < FLOAT_PATH_LANES:
-        for i in range(r):
-            u[i, 1:] = sampler.chain(float(u[i, 0]), u[i, 1:].tolist(), i)
-        return u
-    for t in range(1, n):
-        u[:, t] = sampler.next_vector(u[:, t - 1], u[:, t])
-    return u
+    return _Sampler(c).advance(u)

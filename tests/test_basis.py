@@ -136,6 +136,15 @@ def test_invalid_indices_rejected():
 def test_invalid_family_parameters_rejected():
     with pytest.raises(ValueError):
         TwoValueStep(0.0)
+    # 1/(alpha+1) rounds to 1 here, which would leave phi_1 the constant
+    # sqrt(alpha), not mean-zero
+    with pytest.raises(ValueError, match="rounds it to 1.0"):
+        TwoValueStep(1.1e-16)
+    # the smallest accepted alphas keep one interior jump and Phi(1) = 0
+    tiny = TwoValueStep(1.2e-16)
+    assert tiny.breakpoint == 0.9999999999999998
+    assert jump_points(tiny) == (tiny.breakpoint,)
+    assert eval_Phi(tiny, 1, 1.0) == 0.0
     with pytest.raises(ValueError):
         PiecewiseSign((0.0, 0.5))
     with pytest.raises(ValueError):

@@ -95,6 +95,10 @@ def test_copula_config_errors_name_their_field():
                                  "lambda": [[1, 0.3]]})
         assert _field_of(e) == "basis.alpha"
         assert "alpha > 0" in str(e.value)
+    with pytest.raises(ConfigError, match="rounds it to 1.0") as e:
+        parse_copula_config({"basis": {"family": "two_value_step", "alpha": 1.1e-16},
+                             "lambda": [[1, 0.3]]})
+    assert _field_of(e) == "basis.alpha"
     with pytest.raises(ConfigError) as e:
         parse_copula_config({"basis": {"family": "piecewise_sign",
                                        "breakpoints": [0.0, 0.7, 0.5, 1.0]}})

@@ -70,6 +70,9 @@ def test_next_state_keeps_the_shape_of_small_arrays(c):
     assert out.shape == (4, 5)
     assert np.array_equal(out, [[next_state(c, a, b) for a, b in zip(ru, rw)]
                                 for ru, rw in zip(u.tolist(), w.tolist())])
+    # 0-d arrays in, a float out
+    v = next_state(c, np.array(u[0, 0]), np.array(w[0, 0]))
+    assert type(v) is float and v == out[0, 0]
 
 
 def test_next_state_independence_passthrough():
@@ -85,6 +88,8 @@ def test_next_state_validates_inputs():
         next_state(c, 1.2, 0.5)
     with pytest.raises(ValueError):
         next_state(c, np.array([0.1, 0.2]), np.array([0.3]))
+    with pytest.raises(ValueError, match="matching shapes"):
+        next_state(c, 0.3, np.array([0.1, 0.2]))
 
 
 @pytest.mark.parametrize("call", [
@@ -141,8 +146,10 @@ def test_sample_wl_matches_generic_solver():
     u, q = rng.random(500), rng.random(500)
     v = sample_wl(lam, u, q)
     assert np.max(np.abs(v - next_state(c, u, q))) < 1e-12
-    # the plain-float path gives the array path's values
+    # array lanes go through the scalar formula, and a 2-D input keeps its shape
     assert np.array_equal([sample_wl(lam, a, b) for a, b in zip(u, q)], v)
+    grid = sample_wl(lam, u[:20].reshape(4, 5), q[:20].reshape(4, 5))
+    assert grid.shape == (4, 5) and np.array_equal(grid.ravel(), v[:20])
 
 
 def test_generate_chain_deterministic_and_seed_sensitive():
@@ -294,10 +301,10 @@ def test_early_stop_returns_the_full_iterations_roots(c):
     roots = []
     for a, b in zip(u.tolist(), w.tolist()):
         n0 = len(calls)
-        v = bounded.next_scalar(a, b)
+        v = bounded.advance(np.array([[a, b]]))[0, 1]
         roots.append(v)
         n1 = len(calls)
-        assert plain.next_scalar(a, b) == v
+        assert plain.advance(np.array([[a, b]]))[0, 1] == v
         saved = (len(calls) - n1) - (n1 - n0)
         assert saved in (0, len(bounded.floats[1]))  # at most one evaluation saved
         if saved:
@@ -306,9 +313,9 @@ def test_early_stop_returns_the_full_iterations_roots(c):
     assert early > 0
     # the array path: one bound for every lane, or None, which runs the
     # full iteration, _solve_vector(..., bound=None)
-    assert np.array_equal(bounded.next_vector(u, w), roots)
+    assert np.array_equal(bounded.advance(np.column_stack([u, w]))[:, 1], roots)
     with_bound = sum(lanes)
-    assert np.array_equal(plain.next_vector(u, w), roots)
+    assert np.array_equal(plain.advance(np.column_stack([u, w]))[:, 1], roots)
     assert with_bound < sum(lanes) - with_bound
 
 
