@@ -8,17 +8,22 @@ The extrema are exact except the minimum of an even-index shifted
 Legendre function, which is located on a 4096-point grid and sharpened by
 bisection: an estimate, not a proven bound.
 
-The formulas for phi_k and Phi_k are written once, in the per-family term
-builders behind `TermTable`, which evaluates all of a copula's terms at x
-in one call, as plain floats or as arrays.  `eval_phi`/`eval_Phi` and every
-other module read them from there.  A step function is a list of pieces
-(left edge, value, anchor), phi = value and Phi(x) = value * (x - anchor)
-on a piece; one memoised table per step family (`_piece_table`) gives
-its terms, extrema and jump points.  Next to each builder sits the
-family's moment table (`moment_table`), r_k = 12 (int Phi_k)^2 and
-G_kj = int phi_k Phi_j, and its slope bound D_k = sup |phi_k'|
-(`TermTable.slopes`), which the sampler's stopping rule reads; the step
-families have none, since their functions jump.
+The formulas for phi_k and Phi_k are written once, as expression text in
+the per-family term builders behind `TermTable` (`TermText`), with every
+constant bound by name.  The text is evaluated in a `math` namespace and
+in a `numpy` namespace, which gives the table's float and array forms with
+the same operations in the same order, and the samplers compile the same
+text into their plain-float chain stepper; the text and its compiled forms
+are memoised per (family, indices).  `TermTable` evaluates all of a
+copula's terms at x in one call, as plain floats or as arrays, and
+`eval_phi`/`eval_Phi` and every other module read them from there.  A step
+function is a list of pieces (left edge, value, anchor), phi = value and
+Phi(x) = value * (x - anchor) on a piece; one memoised table per step
+family (`_piece_table`) gives its terms, extrema and jump points.  Next to
+each builder sits the family's moment table (`moment_table`),
+r_k = 12 (int Phi_k)^2 and G_kj = int phi_k Phi_j, and its slope bound
+D_k = sup |phi_k'| (`TermTable.slopes`), which the sampler's stopping rule
+reads; the step families have none, since their functions jump.
 
 Families
 --------
@@ -181,35 +186,94 @@ def _legendre_even_min(k: int) -> float:
 
 # -- the term table: every phi/Phi formula, written once -------------------
 #
-# A builder turns (family, indices, ops) into (common, terms): common(x) is
-# the work all terms share at x (the Legendre recurrence, the step piece
-# lookup), None when they share none, and terms holds one (phi_k, Phi_k)
-# pair of closures per index, each taking common(x), or x itself when common
-# is None.  ops is math for the float form and numpy for the array form.
-# The scalar chain step calls these closures directly, once per term and
-# Newton iteration: in that loop a Python call costs about as much as a
-# transcendental, and a list built per call costs more.
+# A term builder turns (family, indices) into a `TermText`: phi_k and Phi_k
+# of each index as expression text in x, and the work all terms share at x
+# (the Legendre recurrence P, the step piece index j) as one assignment.
+# The constants the text names (the frequencies W, sqrt(2k+1), the piece
+# values, anchors and cuts) are bound by name, so no float is ever written
+# as text; an index enters the text only as the digits of a checked int,
+# written by int.__repr__, which no subclass can change.  The text is
+# evaluated in a namespace of math functions and bisect for plain floats
+# and of numpy ufuncs and searchsorted for arrays, which gives the table's
+# two closure forms, and the samplers compile the same text into a
+# plain-float chain stepper.
 #
 # A moment builder turns a family into the (r, g) pair `moment_table`
 # returns.  Integrating by parts, g(j, k) = -g(k, j), so g(k, k) = 0.
 #
 # A slope builder gives D_k = sup |phi_k'| over [0, 1] for (family, k).
 
+_int = int.__repr__
 
-def _trig_terms(family, indices, ops):
-    sin, cos = ops.sin, ops.cos
+# the functions the term text calls, in each form
+_OPS = {math: {"sin": math.sin, "cos": math.cos, "bisect_right": bisect_right,
+               "_legendre_P": _legendre_P},
+        np: {"sin": np.sin, "cos": np.cos,
+             "bisect_right": partial(np.searchsorted, side="right"),
+             "_legendre_P": _legendre_P}}
 
-    def wave(is_sin, w):
-        # sqrt(2) sin(w x) or sqrt(2) cos(w x), with its antiderivative
-        if is_sin:
-            return (lambda x: _SQRT2 * sin(w * x),
-                    lambda x: _SQRT2 * (1.0 - cos(w * x)) / w)
-        return (lambda x: _SQRT2 * cos(w * x),
-                lambda x: _SQRT2 * sin(w * x) / w)
 
-    if isinstance(family, Cosine):
-        return None, [wave(False, k * math.pi) for k in indices]
-    return None, [wave(part == "sin", 2.0 * math.pi * m) for part, m in indices]
+@dataclass(frozen=True)
+class TermText:
+    """phi_k and Phi_k of a list of basis functions as expression text.
+
+    `terms` holds one (phi_k, Phi_k) pair of expressions in x per index;
+    `shared` is None or (name, expression in x), an assignment that every
+    term reads by that name; `constants` maps the other names the text uses
+    to floats or tuples of floats.  `floats` and `arrays` are the two
+    closure forms, each a (common, terms) pair: common(x) is the shared
+    work, None when there is none, and terms holds one (phi_k, Phi_k) pair
+    of functions, each taking common(x), or x itself when common is None.
+    """
+
+    shared: tuple | None
+    terms: tuple
+    constants: dict
+
+    def namespace(self, ops) -> dict:
+        """The globals that evaluate the text: ops is math for plain floats
+        or numpy for arrays, whose constants are arrays."""
+        if ops is math:
+            return {**_OPS[math], **self.constants}
+        return {**_OPS[np], **{name: np.array(v) if isinstance(v, tuple) else v
+                               for name, v in self.constants.items()}}
+
+    def closures(self, ns: dict):
+        """The (common, terms) form of the text, compiled in namespace ns."""
+        if self.shared is None:
+            arg, head, src = "x", "", []
+        else:
+            name, expr = self.shared
+            arg, head = "_c", f"    x, {name} = _c\n"
+            src = [f"def _common(x):\n    return x, {expr}\n"]
+        for i, pair in enumerate(self.terms):
+            src += [f"def _{tag}{i}({arg}):\n{head}    return {expr}\n"
+                    for tag, expr in zip(("phi", "Phi"), pair)]
+        exec("".join(src), ns)
+        return (ns.get("_common"),
+                [(ns[f"_phi{i}"], ns[f"_Phi{i}"]) for i in range(len(self.terms))])
+
+    @cached_property
+    def floats(self):
+        return self.closures(self.namespace(math))
+
+    @cached_property
+    def arrays(self):
+        return self.closures(self.namespace(np))
+
+
+def _trig_terms(family, indices):
+    # sqrt(2) sin(w x) or sqrt(2) cos(w x), with its antiderivative
+    constants, terms = {"SQRT2": _SQRT2}, []
+    for i, k in enumerate(indices):
+        part, w = (("cos", k * math.pi) if isinstance(family, Cosine)
+                   else (k[0], 2.0 * math.pi * k[1]))
+        constants[f"W{i}"] = w
+        if part == "sin":
+            terms.append((f"SQRT2 * sin(W{i} * x)", f"SQRT2 * (1.0 - cos(W{i} * x)) / W{i}"))
+        else:
+            terms.append((f"SQRT2 * cos(W{i} * x)", f"SQRT2 * sin(W{i} * x) / W{i}"))
+    return TermText(None, tuple(terms), constants)
 
 
 def _trig_moments(family):
@@ -230,19 +294,16 @@ def _trig_slope(family, k):
     return _SQRT2 * (k * math.pi if isinstance(family, Cosine) else 2.0 * math.pi * k[1])
 
 
-def _legendre_terms(family, indices, ops):
-    # P_0..P_{K+1} at y = 2x - 1 from one recurrence pass serve every term
+def _legendre_terms(family, indices):
+    # P_0..P_{K+1} at y = 2x - 1 from one recurrence pass serve every term:
+    # phi_k = sqrt(2k+1) P_k, Phi_k = (P_{k+1} - P_{k-1}) / (2 sqrt(2k+1))
     top = max(indices, default=0) + 1
-
-    def common(x):
-        return _legendre_P(2.0 * x - 1.0, top)
-
-    def term(k):
-        # phi_k = sqrt(2k+1) P_k, Phi_k = (P_{k+1} - P_{k-1}) / (2 sqrt(2k+1))
-        s = math.sqrt(2 * k + 1)
-        return (lambda P: s * P[k]), (lambda P: (P[k + 1] - P[k - 1]) / (2.0 * s))
-
-    return common, [term(k) for k in indices]
+    constants, terms = {}, []
+    for i, k in enumerate(indices):
+        constants[f"S{i}"] = math.sqrt(2 * k + 1)
+        terms.append((f"S{i} * P[{_int(k)}]",
+                      f"(P[{_int(k + 1)}] - P[{_int(k - 1)}]) / (2.0 * S{i})"))
+    return TermText(("P", f"_legendre_P(2.0 * x - 1.0, {_int(top)})"), tuple(terms), constants)
 
 
 def _legendre_moments(family):
@@ -288,22 +349,14 @@ def _piece_table(family):
     return tuple(edges[1:]), tuple(rows)
 
 
-def _step_terms(family, indices, ops):
-    # one search per evaluation finds x's piece, and every term indexes it
+def _step_terms(family, indices):
+    # one search per evaluation finds x's piece j, and every term indexes it
     cuts, rows = _piece_table(family)
-    if ops is math:
-        form, find = tuple, partial(bisect_right, cuts)
-    else:
-        form, find = np.array, partial(np.searchsorted, np.array(cuts), side="right")
-
-    def common(x):
-        return x, find(x)
-
-    def term(k):
-        values, anchors = map(form, rows[k - 1])
-        return (lambda c: values[c[1]]), (lambda c: values[c[1]] * (c[0] - anchors[c[1]]))
-
-    return common, [term(k) for k in indices]
+    constants, terms = {"CUTS": cuts}, []
+    for i, k in enumerate(indices):
+        constants[f"V{i}"], constants[f"A{i}"] = rows[k - 1]
+        terms.append((f"V{i}[j]", f"V{i}[j] * (x - A{i}[j])"))
+    return TermText(("j", "bisect_right(CUTS, x)"), tuple(terms), constants)
 
 
 def _two_value_moments(family):
@@ -334,17 +387,24 @@ def moment_table(family: Family):
     return _BUILDERS[type(family)][1](family)
 
 
+@lru_cache(maxsize=256)
+def _term_text(family: Family, indices: tuple) -> TermText:
+    # families are frozen dataclasses; TermTable checks the indices before
+    # the lookup, so the text and its compiled forms are shared by every
+    # table of the same (family, indices)
+    return _BUILDERS[type(family)][0](family, indices)
+
+
 class TermTable:
     """phi_k and Phi_k of a fixed list of basis functions of one family.
 
-    `floats` and `arrays` are the two forms of the table, each a
-    (common, terms) pair as the builders above return it: the float form
-    runs on plain floats (math functions, bisect), the array form on numpy
-    arrays (ufuncs, searchsorted), with the same formulas in the same
-    order, so both give the same floats.  The methods evaluate every term
-    at x, taking the float form for a plain float x, and return one value
-    or array per index, in index order.  No domain check is made: x must
-    lie in [0, 1].
+    `text` is the table's `TermText`, and `floats` and `arrays` its two
+    closure forms: the float form runs on plain floats (math functions,
+    bisect), the array form on numpy arrays (ufuncs, searchsorted), with
+    the same formulas in the same order, so both give the same floats.  The
+    methods evaluate every term at x, taking the float form for a plain
+    float x, and return one value or array per index, in index order.  No
+    domain check is made: x must lie in [0, 1].
     """
 
     def __init__(self, family: Family, indices):
@@ -352,12 +412,15 @@ class TermTable:
         self.indices = tuple(indices)
         for k in self.indices:
             check_index(family, k)
-        self.arrays = _BUILDERS[type(family)][0](family, self.indices, np)
+        self.text = _term_text(family, self.indices)
 
-    @cached_property
+    @property
     def floats(self):
-        # only the samplers' scalar path and plain-float calls need it
-        return _BUILDERS[type(self.family)][0](self.family, self.indices, math)
+        return self.text.floats
+
+    @property
+    def arrays(self):
+        return self.text.arrays
 
     @cached_property
     def slopes(self):

@@ -51,36 +51,44 @@ entry point steps a bank through one method, `_Sampler.advance`: a bank is
 one matrix, each row first holds its stream's draws, u_1 and then the
 innovations, and each step overwrites its innovation with the state.
 `generate_chain` is a one-row bank, `generate_chain_bank` one row per seed
-key, and `next_state` a two-column bank (u_prev, w) stepped once.  A bank
-of at least FLOAT_PATH_LANES rows takes one lane-vectorized step per time
-step, one numpy array per step, on the table's array form; a narrower one
-runs each row as a plain-float chain on its float form, with the same
-operations in the same order, so both paths give the same floats.  Below
-about 32 lanes numpy's per-call cost outweighs the vector arithmetic
-(measured crossovers: about 33 lanes for a degree-5 Legendre copula and
-for FGM, 45-50 for the two-sine model and both step families).  The choice
-depends only on the row count.  Each path is deterministic for a given
-seed key; per-replicate seed keys and elementwise lane arithmetic make
-banks independent of how the replicates, and the copulas of their lanes,
-are batched.
+key, and `next_state` a two-column bank (u_prev, w) stepped once; a single
+copula's prepared sampler is memoised.  A bank of at least FLOAT_PATH_LANES
+rows takes one lane-vectorized step per time step, one numpy array per
+step, on the table's array form.  A narrower one runs each row as a
+plain-float chain through a stepper compiled once per (family, indices):
+the Newton loop with the table's term text written into it, so that no
+closure is called per term, and with the same operations in the same
+order, so both paths give the same floats.  Below FLOAT_PATH_LANES = 64
+lanes numpy's per-call cost outweighs the vector arithmetic for most
+families.  The measured float/array time ratios at 64 lanes (300-step
+banks) are 0.75 for the two-sine model, 0.61 for cosine, 0.56 for the
+two-value step, 0.47 for the sign flip and 1.44 for Legendre, and the
+crossovers lie near 96 lanes for two-sine, 120 for cosine and the
+two-value step, above 128 for the sign flip and near 45 for Legendre, whose
+banks of 45 to 63 lanes so take the slower path.  One constant serves
+every family, and the choice depends only on the row count.  Each path is
+deterministic for a given seed key; per-replicate seed keys and
+elementwise lane arithmetic make banks independent of how the replicates,
+and the copulas of their lanes, are batched.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
 
-from .basis import extrema
+from .basis import TermTable, extrema
 from .copula import SpectralCopula, Verdict
 
 RESIDUAL_TOL = 1e-12
 BRACKET_TOL = 1e-14
 MAX_ITER = 100
-FLOAT_PATH_LANES = 32
+FLOAT_PATH_LANES = 64
 
 
 # -- marginal transforms -------------------------------------------------
@@ -148,46 +156,92 @@ def innovation_stream(*keys: int) -> np.random.Generator:
 # -- conditional CDF inversion -------------------------------------------
 
 
-def _solve_scalar(common, terms, w: float, bound) -> float:
-    """Root of g(v) = v + sum s_k*Phi_k(v) - w on [0,1]; terms holds
-    (s_k, phi_k, Phi_k) with the closures of the table's float form,
-    common is that form's shared part, and bound is M >= |g''| on [0,1]
-    (see the module docstring), or None for a family without one."""
-    lo, hi = 0.0, 1.0
-    v = w
-    for _ in range(MAX_ITER):
-        g = v - w
-        c = 1.0
-        x = v if common is None else common(v)
-        for s, phi, Phi in terms:
-            g += s * Phi(x)
-            c += s * phi(x)
-        if abs(g) <= RESIDUAL_TOL:
-            return v
-        if g < 0.0:
-            lo = v
-        else:
-            hi = v
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= BRACKET_TOL:
-            return mid
-        if c > 0.0:
-            q = g / c
-            t = v - q
-            if lo < t < hi:
-                if bound is not None and bound * q * q <= RESIDUAL_TOL:
-                    return t
-                v = t
-                continue
-        v = mid
-    return v
+# The float path runs one chain per call of a stepper compiled for the term
+# table: the Newton loop below with each term's text in place of a call,
+# s_k = lambda_k phi_k(u) set once per step, and the same operations in the
+# same order as `_solve_vector`.  Its locals are lower-case words and the
+# term text's constants upper-case names, so neither shadows the other.
+_STEPPER = """\
+def run(state, states, lams, bound):
+    max_iter, tol, bracket = _limits()
+    {unpack}
+    for i, w in enumerate(states):
+        x = state
+        {shared}
+        {coefficients}
+        lo, hi = 0.0, 1.0
+        v = w
+        for _ in range(max_iter):
+            x = v
+            {shared}
+            g = v - w
+            c = 1.0
+            {sums}
+            if abs(g) <= tol:
+                break
+            if g < 0.0:
+                lo = v
+            else:
+                hi = v
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= bracket:
+                v = mid
+                break
+            if c > 0.0:
+                q = g / c
+                z = v - q
+                if lo < z < hi:
+                    v = z
+                    if bound is not None and bound * q * q <= tol:
+                        break
+                    continue
+            v = mid
+        state = states[i] = v
+    return states
+"""
+
+
+def _limits():
+    # read at each call, so that the stop rules are the module's current ones
+    return MAX_ITER, RESIDUAL_TOL, BRACKET_TOL
+
+
+def _compile_stepper(text, ns: dict):
+    """run(state, states, lams, bound) for a table's `TermText`, compiled in
+    namespace ns (its float namespace): steps the chain from state through
+    the innovations in the list states, overwriting each with the state it
+    gives, and returns the list; lams holds the K coefficients and bound is
+    M >= |g''| on [0,1] (see the module docstring), or None for a family
+    without one.  The source is kept as run.source."""
+    terms = text.terms
+    source = _STEPPER.format(
+        unpack="".join(f"l{k}, " for k in range(len(terms))) + "= lams" if terms else "",
+        shared="" if text.shared is None else "{} = {}".format(*text.shared),
+        coefficients="\n        ".join(f"s{k} = l{k} * ({phi})"
+                                       for k, (phi, _) in enumerate(terms)),
+        sums="\n            ".join(line for k, (phi, Phi) in enumerate(terms)
+                                  for line in (f"g += s{k} * ({Phi})", f"c += s{k} * ({phi})")))
+    # the lines a table without shared work or without terms leaves blank
+    source = "".join(line for line in source.splitlines(True) if line.strip())
+    ns = {**ns, "_limits": _limits}
+    exec(source, ns)
+    run = ns["run"]
+    run.source = source
+    return run
+
+
+@lru_cache(maxsize=256)
+def _stepper(family, indices):
+    # one compiled stepper per (family, indices); TermTable checks the indices
+    text = TermTable(family, indices).text
+    return _compile_stepper(text, text.namespace(math))
 
 
 def _solve_vector(common, terms, w: np.ndarray, bound=None) -> np.ndarray:
-    """_solve_scalar lane by lane, with the same operations in the same
-    order, on the array form of the table; each s_k holds one value per
-    lane, and bound is one M for every lane, or None.  Finished lanes leave
-    the working arrays."""
+    """The compiled stepper's solve lane by lane, with the same operations
+    in the same order, on the array form of the table; each s_k holds one
+    value per lane, and bound is one M for every lane, or None.  Finished
+    lanes leave the working arrays."""
     out = np.empty_like(w)
     lane = np.arange(w.size)
     lo = np.zeros_like(w)
@@ -254,7 +308,11 @@ class _Sampler:
         zeros = (0.0,) * len(table.indices)
         self.rows = [d.coeffs.values or zeros for d in lanes]
         self.table = table
-        self.floats, self.arrays = table.floats, table.arrays
+        self.arrays = table.arrays
+
+    @cached_property
+    def stepper(self):
+        return _stepper(self.table.family, self.table.indices)
 
     @cached_property
     def bound(self):
@@ -271,22 +329,15 @@ class _Sampler:
         """Step the bank u in place and return it.  Row i starts at
         u[i, 0], and step t overwrites the innovation u[i, t] with the
         state.  Below FLOAT_PATH_LANES rows each row runs as a plain-float
-        chain, with its own coefficients (a one-copula sampler's one row
-        serves every lane); otherwise each step is one `_solve_vector`
-        call over all lanes."""
+        chain through the compiled `stepper`, with its own coefficients (a
+        one-copula sampler's one row serves every lane); otherwise each step
+        is one `_solve_vector` call over all lanes."""
         bound = self.bound
         if len(u) < FLOAT_PATH_LANES:
-            common, terms = self.floats
+            run = self.stepper
             rows = self.rows * len(u) if len(self.rows) == 1 else self.rows
             for row, lams in zip(u, rows):
-                state = float(row[0])
-                states = row[1:].tolist()
-                for t, w in enumerate(states):
-                    x = state if common is None else common(state)
-                    state = states[t] = _solve_scalar(
-                        common, [(lam * phi(x), phi, Phi) for lam, (phi, Phi)
-                                 in zip(lams, terms)], w, bound)
-                row[1:] = states
+                row[1:] = run(float(row[0]), row[1:].tolist(), lams, bound)
             return u
         common, terms = self.arrays
         lams = tuple(np.array(self.rows).T)
@@ -295,6 +346,16 @@ class _Sampler:
             u[:, t] = _solve_vector(common, [(lam * phi(x), phi, Phi) for lam, (phi, Phi)
                                              in zip(lams, terms)], u[:, t], bound)
         return u
+
+
+@lru_cache(maxsize=128)
+def _one_sampler(c: SpectralCopula) -> _Sampler:
+    # copulas are frozen and hashable; an INVALID one raises, and is not kept
+    return _Sampler(c)
+
+
+def _sampler(c) -> _Sampler:
+    return _one_sampler(c) if isinstance(c, SpectralCopula) else _Sampler(c)
 
 
 def next_state(c: SpectralCopula, u_prev, w):
@@ -306,7 +367,7 @@ def next_state(c: SpectralCopula, u_prev, w):
     solved vectorized and a smaller one lane by lane on plain floats.
     Every family is solved to the tolerances in the module header.
     """
-    sampler = _Sampler(c)
+    sampler = _sampler(c)
     u_arr = np.asarray(u_prev, dtype=float)
     w_arr = np.asarray(w, dtype=float)
     if not (np.all((u_arr >= 0.0) & (u_arr <= 1.0)) and np.all((w_arr >= 0.0) & (w_arr <= 1.0))):
@@ -330,18 +391,22 @@ def sample_wl(lam: float, u_prev, q):
         raise ValueError("sample_wl requires |lam| <= 1")
     d_plus = (1.0 + lam) if lam != -1.0 else 1.0
     d_minus = (1.0 - lam) if lam != 1.0 else 1.0
-    if isinstance(u_prev, (int, float)) and isinstance(q, (int, float)):
-        u, qq = float(u_prev), float(q)
-        if not (0.0 <= u <= 1.0 and 0.0 <= qq <= 1.0):
+    scalar = isinstance(u_prev, (int, float)) and isinstance(q, (int, float))
+    if scalar:
+        lanes = ((float(u_prev), float(q)),)
+    else:
+        u, qq = np.broadcast_arrays(np.asarray(u_prev, dtype=float), np.asarray(q, dtype=float))
+        lanes = zip(u.ravel().tolist(), qq.ravel().tolist())
+    v = []
+    for a, b in lanes:
+        if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
             raise ValueError("u_prev and q must lie in [0,1]")
-        if u < 0.5:
-            v = qq / d_plus if qq < 0.5 * (1.0 + lam) else (qq - lam) / d_minus
+        if a < 0.5:
+            x = b / d_plus if b < 0.5 * (1.0 + lam) else (b - lam) / d_minus
         else:
-            v = qq / d_minus if qq < 0.5 * (1.0 - lam) else (qq + lam) / d_plus
-        return min(max(v, 0.0), 1.0)
-    u, qq = np.broadcast_arrays(np.asarray(u_prev, dtype=float), np.asarray(q, dtype=float))
-    v = [sample_wl(lam, a, b) for a, b in zip(u.ravel().tolist(), qq.ravel().tolist())]
-    return v[0] if u.ndim == 0 else np.reshape(v, u.shape)
+            x = b / d_minus if b < 0.5 * (1.0 - lam) else (b + lam) / d_plus
+        v.append(0.0 if x < 0.0 else 1.0 if x > 1.0 else x)
+    return v[0] if scalar or u.ndim == 0 else np.reshape(v, u.shape)
 
 
 @dataclass(frozen=True)
@@ -397,4 +462,4 @@ def generate_chain_bank(c: SpectralCopula | Sequence[SpectralCopula], n: int,
     u = np.empty((r, n))
     for i, key in enumerate(keys):
         innovation_stream(*key).random(n, out=u[i])
-    return _Sampler(c).advance(u)
+    return _sampler(c).advance(u)

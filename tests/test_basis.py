@@ -10,7 +10,7 @@ from numpy.polynomial import legendre
 from eigencop.basis import (Cosine, PiecewiseSign, ShiftedLegendre,
                             SineCosine, TermTable, TwoValueStep, check_index,
                             eval_phi, eval_Phi, extrema, jump_points,
-                            moment_table)
+                            moment_table, _piece_table)
 from eigencop.quadrature import composite_rule, gauss_legendre_01
 
 FAMILIES = [
@@ -271,6 +271,18 @@ def test_moment_table_matches_quadrature(family, ks):
     for row, p in zip(G, phi):
         assert np.max(np.abs(row - np.sum(w * p * Phi, axis=-1))) <= 1e-14
     assert np.array_equal(G + G.T, np.zeros_like(G))
+
+
+def test_tables_of_one_family_and_index_set_share_their_compiled_forms():
+    a, b = TermTable(ShiftedLegendre(), [1, 3]), TermTable(ShiftedLegendre(), (1, 3))
+    assert a.text is b.text
+    assert a.floats is b.floats and a.arrays is b.arrays
+    other = TermTable(ShiftedLegendre(), [1, 2])
+    assert other.text is not a.text and other.arrays is not a.arrays
+    # a constant is bound by name, never written into the text
+    text = TermTable(TwoValueStep(0.4), [1]).text
+    assert "0.4" not in repr(text.terms) + repr(text.shared)
+    assert text.constants["V0"] == _piece_table(TwoValueStep(0.4))[1][0][0]
 
 
 def test_term_table_rejects_bad_indices():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencop import sampling
-from eigencop.basis import Cosine, eval_phi, eval_Phi
+from eigencop.basis import Cosine, TermTable, eval_phi, eval_Phi, extrema
 from eigencop import (Bernoulli, Exponential, Uniform, Verdict, apply_transform,
                       cosine_copula, fgm, generate_chain, generate_chain_bank,
                       independence, innovation_stream, next_state,
@@ -16,6 +16,7 @@ from eigencop import (Bernoulli, Exponential, Uniform, Verdict, apply_transform,
                       zero_association_model)
 
 from stat_helpers import chi2_gof, ks_uniform, lag1_autocorrelation
+from test_basis import TABLES
 
 SMOOTH = [
     cosine_copula({1: 0.35, 2: -0.1}),  # VALID, margin 0.1
@@ -267,6 +268,13 @@ def _random_smooth_copulas(seed=17, per_family=4):
     return out
 
 
+def _logging(f, log):
+    def logged(*args):
+        log.append(f)
+        return f(*args)
+    return logged
+
+
 @pytest.mark.parametrize("c", [cosine_copula({1: 0.5}),  # boundary: density 0 at corners
                                shifted_legendre_copula({1: 0.1, 3: 0.05, 5: 0.02})]
                          + _random_smooth_copulas())
@@ -294,8 +302,20 @@ def test_early_stop_returns_the_full_iterations_roots(c):
         common, terms = form
         return common, [(phi, wrap(Phi)) for phi, Phi in terms]
 
+    # the float path: the stepper compiled in the table's float namespace
+    # with each function the term text calls logging its calls, and the
+    # calls that one evaluation of every phi_k and Phi_k makes there
+    text = c.terms.text
+    ns = text.namespace(math)
+    ns.update({name: _logging(f, calls) for name, f in ns.items() if callable(f)})
+    common, terms = text.closures(dict(ns))
+    x = 0.5 if common is None else common(0.5)
+    for phi, Phi in terms:
+        phi(x), Phi(x)
+    per_evaluation = len(calls)
+    run = sampling._compile_stepper(text, ns)
     for sampler in (bounded, plain):
-        sampler.floats = counted(sampler.floats, calls)
+        sampler.stepper = run
         sampler.arrays = counted(sampler.arrays, lanes)
     early = 0
     roots = []
@@ -306,7 +326,7 @@ def test_early_stop_returns_the_full_iterations_roots(c):
         n1 = len(calls)
         assert plain.advance(np.array([[a, b]]))[0, 1] == v
         saved = (len(calls) - n1) - (n1 - n0)
-        assert saved in (0, len(bounded.floats[1]))  # at most one evaluation saved
+        assert saved in (0, per_evaluation)  # at most one evaluation saved
         if saved:
             early += 1
             assert abs(c.conditional_cdf(a, v) - b) <= sampling.RESIDUAL_TOL
@@ -374,6 +394,122 @@ def test_bank_rejects_copulas_of_another_family_or_index_set(models):
 def test_bank_needs_one_copula_per_key():
     with pytest.raises(ValueError, match="one copula per seed key"):
         generate_chain_bank([fgm(0.5)] * 3, 10, [(1,), (2,)])
+
+
+# -- the compiled stepper against the closure-based loop it replaced --------
+
+
+def _reference_solve(common, terms, w, bound):
+    """Root of g(v) = v + sum s_k*Phi_k(v) - w on [0,1] by the closure-based
+    float solve that the compiled stepper replaced: terms holds
+    (s_k, phi_k, Phi_k) with the closures of the table's float form."""
+    lo, hi = 0.0, 1.0
+    v = w
+    for _ in range(sampling.MAX_ITER):
+        g = v - w
+        c = 1.0
+        x = v if common is None else common(v)
+        for s, phi, Phi in terms:
+            g += s * Phi(x)
+            c += s * phi(x)
+        if abs(g) <= sampling.RESIDUAL_TOL:
+            return v
+        if g < 0.0:
+            lo = v
+        else:
+            hi = v
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= sampling.BRACKET_TOL:
+            return mid
+        if c > 0.0:
+            q = g / c
+            t = v - q
+            if lo < t < hi:
+                if bound is not None and bound * q * q <= sampling.RESIDUAL_TOL:
+                    return t
+                v = t
+                continue
+        v = mid
+    return v
+
+
+def _reference_chain(table, state, states, lams, bound):
+    # the float path's chain loop, with a new term list at every step
+    common, terms = table.floats
+    for t, w in enumerate(states):
+        x = state if common is None else common(state)
+        state = states[t] = _reference_solve(
+            common, [(lam * phi(x), phi, Phi) for lam, (phi, Phi) in zip(lams, terms)],
+            w, bound)
+    return states
+
+
+def _same_floats(a, b):
+    # bit for bit, so that 0.0 and -0.0 differ
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("family,ks", TABLES)
+def test_compiled_stepper_equals_the_closure_loop_on_every_table(family, ks):
+    # coefficients of alternating sign with sum |lambda_k| sup phi_k^2 = 0.9,
+    # with and without the slope bound M = sum |lambda_k| sup |phi_k| D_k
+    table = TermTable(family, ks)
+    run = sampling._stepper(family, table.indices)
+    sup = [max(map(abs, extrema(family, k))) for k in ks]
+    lams = tuple((-1.0) ** i * 0.9 / (len(ks) * s * s) for i, s in enumerate(sup))
+    bounds = [None]
+    if table.slopes is not None:
+        bounds.append(sum(abs(lam) * s * d for lam, s, d in zip(lams, sup, table.slopes)))
+    states = np.random.default_rng(9).random(300).tolist() + [0.0, 1.0, 1.0, 0.0, 0.5]
+    for bound in bounds:
+        for start in (0.0, 0.3, 1.0):
+            got = run(start, list(states), lams, bound)
+            assert _same_floats(got, _reference_chain(table, start, list(states), lams, bound))
+
+
+def _reference_bank(c, n, keys):
+    """generate_chain_bank with every row through the closure-based loop."""
+    sampler = sampling._Sampler(c)
+    u = np.empty((len(keys), n))
+    for i, key in enumerate(keys):
+        innovation_stream(*key).random(n, out=u[i])
+    rows = sampler.rows * len(u) if len(sampler.rows) == 1 else sampler.rows
+    for row, lams in zip(u, rows):
+        row[1:] = _reference_chain(sampler.table, float(row[0]), row[1:].tolist(), lams,
+                                   sampler.bound)
+    return u
+
+
+@pytest.mark.parametrize("c", [
+    cosine_copula({1: 0.5}), two_value_step(1.0, 1.0),  # boundary copulas
+    two_value_step(2.0, 1.0), shifted_legendre_copula({1: 0.1, 3: 0.05, 5: 0.02}),
+    independence(), shifted_legendre_copula({}),  # no terms
+    [zero_association_model(0.0), zero_association_model(0.05), zero_association_model(0.11)],
+], ids=["cosine-boundary", "two-value-boundary", "two-value-alpha2", "legendre-135",
+        "independence", "legendre-no-terms", "per-row-zero-association"])
+@pytest.mark.parametrize("lanes", [1, 5, 31, sampling.FLOAT_PATH_LANES - 1])
+def test_float_path_banks_equal_the_closure_loop(c, lanes):
+    keys = [(29, r) for r in range(lanes)]
+    rows = [c[i % len(c)] for i in range(lanes)] if isinstance(c, list) else c
+    bank = generate_chain_bank(rows, 150, keys)
+    assert _same_floats(bank, _reference_bank(rows, 150, keys))
+    if not isinstance(c, list) and not c.coeffs.entries:
+        # with no terms every state is its innovation
+        draws = np.array([innovation_stream(*key).random(150) for key in keys])
+        assert _same_floats(bank, draws)
+
+
+def test_one_family_and_index_set_compile_once():
+    a, b = cosine_copula({1: 0.3, 2: 0.1}), cosine_copula({1: -0.2, 2: 0.05})
+    run = sampling._Sampler(a).stepper
+    assert sampling._Sampler(b).stepper is run
+    # the source is kept for reading; each term enters g and c in parentheses
+    phi, Phi = a.terms.text.terms[0]
+    assert f"g += s0 * ({Phi})" in run.source and f"c += s0 * ({phi})" in run.source
+    assert sampling._Sampler(cosine_copula({1: 0.3})).stepper is not run
+    # a single copula's sampler is prepared once, for equal copulas too
+    assert sampling._sampler(a) is sampling._sampler(cosine_copula({1: 0.3, 2: 0.1}))
+    assert sampling._sampler([a, b]) is not sampling._sampler([a, b])
 
 
 def _worst_residual(c, u, seed):
