@@ -9,15 +9,16 @@ Legendre function, which is located on a 4096-point grid and sharpened by
 bisection: an estimate, not a proven bound.
 
 The formulas for phi_k and Phi_k are written once, as expression text in
-the per-family term builders behind `TermTable` (`TermText`), with every
-constant bound by name.  The text is evaluated in a `math` namespace and
-in a `numpy` namespace, which gives the table's float and array forms with
-the same operations in the same order, and the samplers compile the same
-text into their plain-float chain stepper; the text and its compiled forms
-are memoised per (family, indices).  `TermTable` evaluates all of a
-copula's terms at x in one call, as plain floats or as arrays, and
-`eval_phi`/`eval_Phi` and every other module read them from there.  A step
-function is a list of pieces (left edge, value, anchor), phi = value and
+the per-family term builders, with every constant bound by name.
+`term_table` gives the one `TermTable` of each (family, indices): that
+text, and its compiled forms, memoised on the table.  One routine,
+`TermTable.compile`, fills a template with the text and runs it in a
+`math` or a `numpy` namespace, so that every form has the same operations
+in the same order: the list forms `phi(x)` and `Phi(x)`, which evaluate
+all of a copula's terms at x in one call, as plain floats or as arrays,
+and the sampler's chain stepper and term sums.  `eval_phi`/`eval_Phi` and
+every other module read the terms from there.  A step function is a list
+of pieces (left edge, value, anchor), phi = value and
 Phi(x) = value * (x - anchor) on a piece; one memoised table per step
 family (`_piece_table`) gives its terms, extrema and jump points.  Next to
 each builder sits the family's moment table (`moment_table`),
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Union
 
@@ -186,17 +187,18 @@ def _legendre_even_min(k: int) -> float:
 
 # -- the term table: every phi/Phi formula, written once -------------------
 #
-# A term builder turns (family, indices) into a `TermText`: phi_k and Phi_k
-# of each index as expression text in x, and the work all terms share at x
-# (the Legendre recurrence P, the step piece index j) as one assignment.
-# The constants the text names (the frequencies W, sqrt(2k+1), the piece
-# values, anchors and cuts) are bound by name, so no float is ever written
-# as text; an index enters the text only as the digits of a checked int,
-# written by int.__repr__, which no subclass can change.  The text is
-# evaluated in a namespace of math functions and bisect for plain floats
-# and of numpy ufuncs and searchsorted for arrays, which gives the table's
-# two closure forms, and the samplers compile the same text into a
-# plain-float chain stepper.
+# A term builder turns (family, indices) into the text of a `TermTable`:
+# phi_k and Phi_k of each index as expression text in x, and the work all
+# terms share at x (the Legendre recurrence P, the step piece index j) as
+# one assignment.  The constants the text names (the frequencies W,
+# sqrt(2k+1), the piece values, anchors and cuts) are bound by name, so no
+# float is ever written as text; an index enters the text only as the
+# digits of a checked int, written by int.__repr__, which no subclass can
+# change.  `TermTable.compile` is the one routine that turns the text into
+# code: it fills a template and runs it in a namespace of math functions and
+# bisect for plain floats, or of numpy ufuncs and searchsorted for arrays.
+# `_FORMS` gives the table's two list forms, and the sampler fills its chain
+# stepper and its array term sums the same way.
 #
 # A moment builder turns a family into the (r, g) pair `moment_table`
 # returns.  Integrating by parts, g(j, k) = -g(k, j), so g(k, k) = 0.
@@ -212,23 +214,43 @@ _OPS = {math: {"sin": math.sin, "cos": math.cos, "bisect_right": bisect_right,
              "bisect_right": partial(np.searchsorted, side="right"),
              "_legendre_P": _legendre_P}}
 
+# phi(x) and Phi(x): the shared work once, then one value per index
+_FORMS = """\
+def phi(x):
+    {shared}
+    return [
+        {phi},
+    ]
+def Phi(x):
+    {shared}
+    return [
+        {Phi},
+    ]
+"""
 
-@dataclass(frozen=True)
-class TermText:
-    """phi_k and Phi_k of a list of basis functions as expression text.
+
+@dataclass(frozen=True, eq=False)
+class TermTable:
+    """phi_k and Phi_k of a fixed list of basis functions of one family.
 
     `terms` holds one (phi_k, Phi_k) pair of expressions in x per index;
     `shared` is None or (name, expression in x), an assignment that every
     term reads by that name; `constants` maps the other names the text uses
-    to floats or tuples of floats.  `floats` and `arrays` are the two
-    closure forms, each a (common, terms) pair: common(x) is the shared
-    work, None when there is none, and terms holds one (phi_k, Phi_k) pair
-    of functions, each taking common(x), or x itself when common is None.
+    to floats or tuples of floats.  `term_table` gives the one table of each
+    (family, indices).  `phi` and `Phi` evaluate every term at x and return
+    one value or array per index, in index order: a plain float x runs the
+    float form (math functions, bisect), anything else the array form
+    (ufuncs, searchsorted), with the same formulas in the same order, so
+    both give the same floats.  No domain check is made: x must lie in
+    [0, 1].
     """
 
+    family: Family
+    indices: tuple
     shared: tuple | None
     terms: tuple
     constants: dict
+    _compiled: dict = field(default_factory=dict, repr=False)
 
     def namespace(self, ops) -> dict:
         """The globals that evaluate the text: ops is math for plain floats
@@ -238,28 +260,50 @@ class TermText:
         return {**_OPS[np], **{name: np.array(v) if isinstance(v, tuple) else v
                                for name, v in self.constants.items()}}
 
-    def closures(self, ns: dict):
-        """The (common, terms) form of the text, compiled in namespace ns."""
-        if self.shared is None:
-            arg, head, src = "x", "", []
-        else:
-            name, expr = self.shared
-            arg, head = "_c", f"    x, {name} = _c\n"
-            src = [f"def _common(x):\n    return x, {expr}\n"]
-        for i, pair in enumerate(self.terms):
-            src += [f"def _{tag}{i}({arg}):\n{head}    return {expr}\n"
-                    for tag, expr in zip(("phi", "Phi"), pair)]
-        exec("".join(src), ns)
-        return (ns.get("_common"),
-                [(ns[f"_phi{i}"], ns[f"_Phi{i}"]) for i in range(len(self.terms))])
+    def source(self, template: str) -> str:
+        """template with the text filled in: a line holding {shared} becomes
+        the shared assignment, or goes when there is none, and each run of
+        lines holding {k}, {phi} or {Phi} is repeated once per term, in index
+        order, with the term's position and expressions."""
+        out, run = [], []
+        for line in template.splitlines(True) + [""]:
+            if "{k}" in line or "{phi}" in line or "{Phi}" in line:
+                run.append(line)
+                continue
+            out += [r.format(k=k, phi=phi, Phi=Phi)
+                    for k, (phi, Phi) in enumerate(self.terms) for r in run]
+            run = []
+            if "{shared}" not in line:
+                out.append(line)
+            elif self.shared is not None:
+                out.append(line.format(shared="{} = {}".format(*self.shared)))
+        return "".join(out)
+
+    def compile(self, template: str, ns: dict) -> dict:
+        """A copy of namespace ns, with the filled template run in it."""
+        ns = dict(ns)
+        exec(self.source(template), ns)
+        return ns
+
+    def compiled(self, template: str, ops) -> dict:
+        """compile(template, namespace(ops)), run once per template and ops."""
+        key = (template, ops)
+        if key not in self._compiled:
+            self._compiled[key] = self.compile(template, self.namespace(ops))
+        return self._compiled[key]
 
     @cached_property
-    def floats(self):
-        return self.closures(self.namespace(math))
+    def slopes(self):
+        """(D_k, ...) with D_k = sup |phi_k'| over [0, 1], in index order, or
+        None for a step family."""
+        slope = _BUILDERS[type(self.family)][2]
+        return None if slope is None else tuple(slope(self.family, k) for k in self.indices)
 
-    @cached_property
-    def arrays(self):
-        return self.closures(self.namespace(np))
+    def phi(self, x) -> list:
+        return self.compiled(_FORMS, math if isinstance(x, float) else np)["phi"](x)
+
+    def Phi(self, x) -> list:
+        return self.compiled(_FORMS, math if isinstance(x, float) else np)["Phi"](x)
 
 
 def _trig_terms(family, indices):
@@ -273,7 +317,7 @@ def _trig_terms(family, indices):
             terms.append((f"SQRT2 * sin(W{i} * x)", f"SQRT2 * (1.0 - cos(W{i} * x)) / W{i}"))
         else:
             terms.append((f"SQRT2 * cos(W{i} * x)", f"SQRT2 * sin(W{i} * x) / W{i}"))
-    return TermText(None, tuple(terms), constants)
+    return None, tuple(terms), constants
 
 
 def _trig_moments(family):
@@ -303,7 +347,7 @@ def _legendre_terms(family, indices):
         constants[f"S{i}"] = math.sqrt(2 * k + 1)
         terms.append((f"S{i} * P[{_int(k)}]",
                       f"(P[{_int(k + 1)}] - P[{_int(k - 1)}]) / (2.0 * S{i})"))
-    return TermText(("P", f"_legendre_P(2.0 * x - 1.0, {_int(top)})"), tuple(terms), constants)
+    return ("P", f"_legendre_P(2.0 * x - 1.0, {_int(top)})"), tuple(terms), constants
 
 
 def _legendre_moments(family):
@@ -356,7 +400,7 @@ def _step_terms(family, indices):
     for i, k in enumerate(indices):
         constants[f"V{i}"], constants[f"A{i}"] = rows[k - 1]
         terms.append((f"V{i}[j]", f"V{i}[j] * (x - A{i}[j])"))
-    return TermText(("j", "bisect_right(CUTS, x)"), tuple(terms), constants)
+    return ("j", "bisect_right(CUTS, x)"), tuple(terms), constants
 
 
 def _two_value_moments(family):
@@ -388,58 +432,19 @@ def moment_table(family: Family):
 
 
 @lru_cache(maxsize=256)
-def _term_text(family: Family, indices: tuple) -> TermText:
-    # families are frozen dataclasses; TermTable checks the indices before
-    # the lookup, so the text and its compiled forms are shared by every
-    # table of the same (family, indices)
-    return _BUILDERS[type(family)][0](family, indices)
+def _table(family: Family, indices: tuple) -> TermTable:
+    # families are frozen dataclasses
+    return TermTable(family, indices, *_BUILDERS[type(family)][0](family, indices))
 
 
-class TermTable:
-    """phi_k and Phi_k of a fixed list of basis functions of one family.
-
-    `text` is the table's `TermText`, and `floats` and `arrays` its two
-    closure forms: the float form runs on plain floats (math functions,
-    bisect), the array form on numpy arrays (ufuncs, searchsorted), with
-    the same formulas in the same order, so both give the same floats.  The
-    methods evaluate every term at x, taking the float form for a plain
-    float x, and return one value or array per index, in index order.  No
-    domain check is made: x must lie in [0, 1].
-    """
-
-    def __init__(self, family: Family, indices):
-        self.family = family
-        self.indices = tuple(indices)
-        for k in self.indices:
-            check_index(family, k)
-        self.text = _term_text(family, self.indices)
-
-    @property
-    def floats(self):
-        return self.text.floats
-
-    @property
-    def arrays(self):
-        return self.text.arrays
-
-    @cached_property
-    def slopes(self):
-        """(D_k, ...) with D_k = sup |phi_k'| over [0, 1], in index order, or
-        None for a step family."""
-        slope = _BUILDERS[type(self.family)][2]
-        return None if slope is None else tuple(slope(self.family, k) for k in self.indices)
-
-    def _at(self, x):
-        common, terms = self.floats if isinstance(x, float) else self.arrays
-        return (x if common is None else common(x)), terms
-
-    def phi(self, x) -> list:
-        c, terms = self._at(x)
-        return [phi(c) for phi, _ in terms]
-
-    def Phi(self, x) -> list:
-        c, terms = self._at(x)
-        return [Phi(c) for _, Phi in terms]
+def term_table(family: Family, indices) -> TermTable:
+    """The one `TermTable` of (family, indices).  The indices are checked
+    before the lookup, so the cache never equates an invalid index with a
+    valid one (1.0 == 1)."""
+    indices = tuple(indices)
+    for k in indices:
+        check_index(family, k)
+    return _table(family, indices)
 
 
 def _eval_one(values, x, what: str):
@@ -452,23 +457,14 @@ def _eval_one(values, x, what: str):
     return float(out[0]) if scalar else out
 
 
-@lru_cache(maxsize=256)
-def _one_term(family: Family, k: Index) -> TermTable:
-    # families are frozen dataclasses; k is checked before the lookup, so
-    # the cache never equates an invalid index with a valid one (1.0 == 1)
-    return TermTable(family, (k,))
-
-
 def eval_phi(family: Family, k: Index, x):
     """Evaluate basis function k at x (scalar or array), vectorized."""
-    check_index(family, k)
-    return _eval_one(_one_term(family, k).phi, x, "basis functions")
+    return _eval_one(term_table(family, (k,)).phi, x, "basis functions")
 
 
 def eval_Phi(family: Family, k: Index, x):
     """Closed-form antiderivative of basis function k, zero at 0 and 1."""
-    check_index(family, k)
-    return _eval_one(_one_term(family, k).Phi, x, "antiderivatives")
+    return _eval_one(term_table(family, (k,)).Phi, x, "antiderivatives")
 
 
 def extrema(family: Family, k: Index) -> tuple[float, float]:

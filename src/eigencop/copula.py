@@ -31,7 +31,7 @@ import numpy as np
 
 from .basis import (Cosine, Family, PiecewiseSign, ShiftedLegendre,
                     SineCosine, TermTable, TwoValueStep, check_index,
-                    extrema, jump_points)
+                    extrema, jump_points, term_table)
 from .quadrature import split_rule
 
 DENSITY_GRID_N = 512
@@ -120,9 +120,11 @@ class ValidityReport(Record):
     from `basis.extrema`; a nonnegative margin proves validity outright,
     except that the minimum of an even-index shifted Legendre function is
     a grid-plus-bisection estimate, so a margin with such a term rests on
-    it.  The grid fields record the observed density range on a midpoint
-    grid, which adjudicates the cases the sufficient condition cannot
-    settle.
+    it.  With one term the margin is exact, the density at a point where
+    phi_k takes its extrema, so a margin below -GRID_NEG_TOL is INVALID
+    even where the grid misses that point.  The grid fields record the
+    observed density range on a midpoint grid, which adjudicates the cases
+    the sufficient condition cannot settle.
     """
 
     analytic_ok: bool
@@ -163,7 +165,7 @@ class SpectralCopula:
     @property
     def terms(self) -> TermTable:
         """phi_k and Phi_k of the copula's basis functions, in entry order."""
-        return TermTable(self.family, (k for k, _ in self.coeffs.entries))
+        return term_table(self.family, (k for k, _ in self.coeffs.entries))
 
     def _expand(self, u, v, base, left, right):
         # base(U, V) + sum_k lambda_k * left_k(U) * right_k(V), broadcast
@@ -268,10 +270,17 @@ def _density_range(terms) -> tuple[float, float]:
         return min(vals), max(vals)
     n = terms[0][1].size
     grid_min, grid_max = math.inf, -math.inf
+    # one block and one product buffer serve every block and term
+    block, product = np.empty(min(64, n) * n), np.empty(min(64, n) * n)
     for r in range(0, n, 64):
-        m = np.ones((min(64, n - r), n - r))
+        shape = (min(64, n - r), n - r)
+        m = block[:shape[0] * shape[1]].reshape(shape)
+        t = product[:m.size].reshape(shape)
+        m.fill(1.0)
         for lam, p in terms:
-            m += lam * np.outer(p[r:r + 64], p[r:])
+            np.outer(p[r:r + 64], p[r:], out=t)
+            t *= lam
+            m += t
         grid_min = min(grid_min, float(m.min()))
         grid_max = max(grid_max, float(m.max()))
     return grid_min, grid_max
@@ -282,10 +291,12 @@ def _validate_cached(family: Family, coeffs: SpectralCoefficients, grid_n: int) 
     margin = _analytic_margin(family, coeffs)
     analytic_ok = margin >= -BOUNDARY_TOL
     g = (np.arange(grid_n) + 0.5) / grid_n
-    table = TermTable(family, (k for k, _ in coeffs.entries))
+    table = term_table(family, (k for k, _ in coeffs.entries))
     grid_min, grid_max = _density_range(list(zip(coeffs.values, table.phi(g))))
 
-    if grid_min < -GRID_NEG_TOL:
+    # with one term the margin is the density at a point: the family's phi_k
+    # attains both extrema, so a negative margin is a witness the grid can miss
+    if grid_min < -GRID_NEG_TOL or (len(coeffs) == 1 and margin < -GRID_NEG_TOL):
         verdict = Verdict.INVALID
     elif abs(margin) <= BOUNDARY_TOL:
         verdict = Verdict.VALID_BOUNDARY

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SineCosine, TermTable, jump_points, moment_table
+from .basis import SineCosine, jump_points, moment_table, term_table
 from .copula import Record, SpectralCopula
 from .quadrature import composite_rule, log_weighted_sine_integral
 from .sampling import Bernoulli, Exponential, MarginalTransform, Uniform
@@ -35,7 +35,7 @@ _LOG_SIN_2_SQ = log_weighted_sine_integral(2) ** 2
 
 
 # phi_1 and phi_2, the two sine functions of the model
-_SINES = TermTable(SineCosine(), (("sin", 1), ("sin", 2)))
+_SINES = term_table(SineCosine(), (("sin", 1), ("sin", 2)))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ between grid points, and at the corners, is not looked at.
 The range is the exact min and max of the grid's floats, computed without
 building the grid: with one nonzero term it is read off the extremes of
 phi on the grid, with several it is accumulated over 64-row blocks of the
-upper triangle of the (exactly symmetric) matrix, and fold 1, the copula
-itself, is the range that validate() computes and memoises.
+upper triangle of the (exactly symmetric) matrix.  Every fold's range is
+the one that validate() computes and memoises for the folded copula.
 
 Beside the grid ranges the report carries, for every family, the analytic
 envelope |c_n - 1| <= E_n = sum_k |lambda_k|^n sup phi_k^2, with sup phi_k^2
@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import extrema
-from .copula import DENSITY_GRID_N, Record, SpectralCopula, _density_range
+from .copula import DENSITY_GRID_N, Record, SpectralCopula
 
 SUP_BOUNDARY_TOL = 1e-12
 DENSITY_HEADROOM = 1e-9
@@ -90,22 +90,9 @@ def certify_psi(c: SpectralCopula, max_n: int = DEFAULT_MAX_N,
     cert_n = None
     bounded_n = None
     for n in range(1, max_n + 1):
-        if n == 1:
-            # the copula itself, whose range validate() memoises
-            rep = c.validate(grid_n)
-            gmin, gmax = rep.grid_min_density, rep.grid_max_density
-        else:
-            if n == 2:
-                # phi on the midpoint grid is fold-independent, only the
-                # coefficient powers change
-                x = (np.arange(grid_n) + 0.5) / grid_n
-                t = c.terms
-                phis = list(zip(t.indices, t.phi(x)))
-            # folded coefficients that underflow to zero are dropped from
-            # the container, and from the sum
-            folded = dict(c.fold(n).coeffs.entries)
-            gmin, gmax = _density_range(
-                [(folded[k], p) for k, p in phis if k in folded])
+        # fold n's range on the grid, which validate() computes and memoises
+        rep = c.fold(n).validate(grid_n)
+        gmin, gmax = rep.grid_min_density, rep.grid_max_density
         ranges.append((n, gmin, gmax))
         if gmax < 2.0 - DENSITY_HEADROOM:
             cert = Certificate.CERTIFIED_LESS_THAN_TWO

@@ -46,18 +46,21 @@ first one it meets.
 Copulas that validate() calls INVALID are refused: their d1C(u, .) need
 not be monotone, so a root need not be a conditional quantile.
 
-Both phi_k and Phi_k come from the copula's `basis.TermTable`.  Every
-entry point steps a bank through one method, `_Sampler.advance`: a bank is
-one matrix, each row first holds its stream's draws, u_1 and then the
-innovations, and each step overwrites its innovation with the state.
-`generate_chain` is a one-row bank, `generate_chain_bank` one row per seed
-key, and `next_state` a two-column bank (u_prev, w) stepped once; a single
-copula's prepared sampler is memoised.  A bank of at least FLOAT_PATH_LANES
-rows takes one lane-vectorized step per time step, one numpy array per
-step, on the table's array form.  A narrower one runs each row as a
-plain-float chain through a stepper compiled once per (family, indices):
-the Newton loop with the table's term text written into it, so that no
-closure is called per term, and with the same operations in the same
+Both phi_k and Phi_k come from the copula's `basis.TermTable`, and the
+table compiles, once per (family, indices), the two pieces of code that
+step a bank.  Every entry point steps a bank through one method,
+`_Sampler.advance`: a bank is one matrix, each row first holds its
+stream's draws, u_1 and then the innovations, and each step overwrites its
+innovation with the state.  `generate_chain` is a one-row bank,
+`generate_chain_bank` one row per seed key, and `next_state` a two-column
+bank (u_prev, w) stepped once; a single copula's prepared sampler is
+memoised.  A bank of at least FLOAT_PATH_LANES rows takes one
+lane-vectorized step per time step, one numpy array per step: each Newton
+iteration makes one call of the term sums `_SUMS`, the lines
+g += s_k * (Phi_k) and c += s_k * (phi_k) compiled for arrays.  A
+narrower one runs each row as a plain-float chain through the stepper
+`_STEPPER`: the Newton loop with the same lines written into it, so that
+no function is called per term, and with the same operations in the same
 order, so both paths give the same floats.  Below FLOAT_PATH_LANES = 64
 lanes numpy's per-call cost outweighs the vector arithmetic for most
 families.  The measured float/array time ratios at 64 lanes (300-step
@@ -82,7 +85,7 @@ from typing import Union
 
 import numpy as np
 
-from .basis import TermTable, extrema
+from .basis import extrema
 from .copula import SpectralCopula, Verdict
 
 RESIDUAL_TOL = 1e-12
@@ -159,16 +162,17 @@ def innovation_stream(*keys: int) -> np.random.Generator:
 # The float path runs one chain per call of a stepper compiled for the term
 # table: the Newton loop below with each term's text in place of a call,
 # s_k = lambda_k phi_k(u) set once per step, and the same operations in the
-# same order as `_solve_vector`.  Its locals are lower-case words and the
-# term text's constants upper-case names, so neither shadows the other.
+# same order as `_solve_vector`, whose term sums are the same lines compiled
+# for arrays (`_SUMS`).  Their locals are lower-case words and the term
+# text's constants upper-case names, so neither shadows the other.
 _STEPPER = """\
-def run(state, states, lams, bound):
-    max_iter, tol, bracket = _limits()
-    {unpack}
+def run(state, states, lams, bound, limits):
+    max_iter, tol, bracket = limits
+    l{k} = lams[{k}]
     for i, w in enumerate(states):
         x = state
         {shared}
-        {coefficients}
+        s{k} = l{k} * ({phi})
         lo, hi = 0.0, 1.0
         v = w
         for _ in range(max_iter):
@@ -176,7 +180,8 @@ def run(state, states, lams, bound):
             {shared}
             g = v - w
             c = 1.0
-            {sums}
+            g += s{k} * ({Phi})
+            c += s{k} * ({phi})
             if abs(g) <= tol:
                 break
             if g < 0.0:
@@ -200,48 +205,21 @@ def run(state, states, lams, bound):
     return states
 """
 
-
-def _limits():
-    # read at each call, so that the stop rules are the module's current ones
-    return MAX_ITER, RESIDUAL_TOL, BRACKET_TOL
-
-
-def _compile_stepper(text, ns: dict):
-    """run(state, states, lams, bound) for a table's `TermText`, compiled in
-    namespace ns (its float namespace): steps the chain from state through
-    the innovations in the list states, overwriting each with the state it
-    gives, and returns the list; lams holds the K coefficients and bound is
-    M >= |g''| on [0,1] (see the module docstring), or None for a family
-    without one.  The source is kept as run.source."""
-    terms = text.terms
-    source = _STEPPER.format(
-        unpack="".join(f"l{k}, " for k in range(len(terms))) + "= lams" if terms else "",
-        shared="" if text.shared is None else "{} = {}".format(*text.shared),
-        coefficients="\n        ".join(f"s{k} = l{k} * ({phi})"
-                                       for k, (phi, _) in enumerate(terms)),
-        sums="\n            ".join(line for k, (phi, Phi) in enumerate(terms)
-                                  for line in (f"g += s{k} * ({Phi})", f"c += s{k} * ({phi})")))
-    # the lines a table without shared work or without terms leaves blank
-    source = "".join(line for line in source.splitlines(True) if line.strip())
-    ns = {**ns, "_limits": _limits}
-    exec(source, ns)
-    run = ns["run"]
-    run.source = source
-    return run
+# g + sum_k s_k Phi_k(x) and c + sum_k s_k phi_k(x), one s_k per lane
+_SUMS = """\
+def sums(x, g, c, s):
+    {shared}
+    g += s[{k}] * ({Phi})
+    c += s[{k}] * ({phi})
+    return g, c
+"""
 
 
-@lru_cache(maxsize=256)
-def _stepper(family, indices):
-    # one compiled stepper per (family, indices); TermTable checks the indices
-    text = TermTable(family, indices).text
-    return _compile_stepper(text, text.namespace(math))
-
-
-def _solve_vector(common, terms, w: np.ndarray, bound=None) -> np.ndarray:
+def _solve_vector(sums, s, w: np.ndarray, bound=None) -> np.ndarray:
     """The compiled stepper's solve lane by lane, with the same operations
-    in the same order, on the array form of the table; each s_k holds one
-    value per lane, and bound is one M for every lane, or None.  Finished
-    lanes leave the working arrays."""
+    in the same order: sums is the table's compiled `_SUMS`, each s_k holds
+    one value per lane, and bound is one M for every lane, or None.
+    Finished lanes leave the working arrays."""
     out = np.empty_like(w)
     lane = np.arange(w.size)
     lo = np.zeros_like(w)
@@ -253,12 +231,7 @@ def _solve_vector(common, terms, w: np.ndarray, bound=None) -> np.ndarray:
         for _ in range(MAX_ITER):
             if not lane.size:
                 return out
-            g = v - w
-            c = 1.0
-            x = v if common is None else common(v)
-            for s, phi, Phi in terms:
-                g = g + s * Phi(x)
-                c = c + s * phi(x)
+            g, c = sums(v, v - w, 1.0, s)
             hit = np.abs(g) <= RESIDUAL_TOL
             neg = g < 0.0
             lo = np.where(neg, v, lo)
@@ -278,7 +251,7 @@ def _solve_vector(common, terms, w: np.ndarray, bound=None) -> np.ndarray:
                 out[lane[done]] = np.where(hit, v, found)[done]
                 keep = ~done
                 lane, w, lo, hi, nxt = (a[keep] for a in (lane, w, lo, hi, nxt))
-                terms = [(s[keep], phi, Phi) for s, phi, Phi in terms]
+                s = [a[keep] for a in s]
             v = nxt
     out[lane] = v
     return out
@@ -308,11 +281,14 @@ class _Sampler:
         zeros = (0.0,) * len(table.indices)
         self.rows = [d.coeffs.values or zeros for d in lanes]
         self.table = table
-        self.arrays = table.arrays
 
     @cached_property
     def stepper(self):
-        return _stepper(self.table.family, self.table.indices)
+        return self.table.compiled(_STEPPER, math)["run"]
+
+    @cached_property
+    def sums(self):
+        return self.table.compiled(_SUMS, np)["sums"]
 
     @cached_property
     def bound(self):
@@ -335,16 +311,16 @@ class _Sampler:
         bound = self.bound
         if len(u) < FLOAT_PATH_LANES:
             run = self.stepper
+            limits = (MAX_ITER, RESIDUAL_TOL, BRACKET_TOL)
             rows = self.rows * len(u) if len(self.rows) == 1 else self.rows
             for row, lams in zip(u, rows):
-                row[1:] = run(float(row[0]), row[1:].tolist(), lams, bound)
+                row[1:] = run(float(row[0]), row[1:].tolist(), lams, bound, limits)
             return u
-        common, terms = self.arrays
+        phi, sums = self.table.phi, self.sums
         lams = tuple(np.array(self.rows).T)
         for t in range(1, u.shape[1]):
-            x = u[:, t - 1] if common is None else common(u[:, t - 1])
-            u[:, t] = _solve_vector(common, [(lam * phi(x), phi, Phi) for lam, (phi, Phi)
-                                             in zip(lams, terms)], u[:, t], bound)
+            s = [lam * p for lam, p in zip(lams, phi(u[:, t - 1]))]
+            u[:, t] = _solve_vector(sums, s, u[:, t], bound)
         return u
 
 

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre
 
 from eigencop.basis import (Cosine, PiecewiseSign, ShiftedLegendre,
-                            SineCosine, TermTable, TwoValueStep, check_index,
-                            eval_phi, eval_Phi, extrema, jump_points,
-                            moment_table, _piece_table)
+                            SineCosine, TwoValueStep, check_index, eval_phi,
+                            eval_Phi, extrema, jump_points, moment_table,
+                            term_table, _FORMS, _piece_table)
 from eigencop.quadrature import composite_rule, gauss_legendre_01
 
 FAMILIES = [
@@ -202,7 +202,7 @@ def _table_points(family):
 
 @pytest.mark.parametrize("family,ks", TABLES)
 def test_term_table_float_form_equals_array_form(family, ks):
-    table = TermTable(family, ks)
+    table = term_table(family, ks)
     x = _table_points(family)
     phi, Phi = table.phi(x), table.Phi(x)
     assert len(phi) == len(Phi) == len(ks)
@@ -221,7 +221,7 @@ def test_step_tables_at_the_endpoints(family, ks):
     # Phi_k = value * (x - anchor) is anchored at 0 on the first piece and
     # at 1 (or has value 0) on the last, so both ends give exact zeros; the
     # last piece owns x = 1
-    table = TermTable(family, ks)
+    table = term_table(family, ks)
     assert table.Phi(0.0) == table.Phi(1.0) == [0.0] * len(ks)
     assert table.phi(1.0) == table.phi(math.nextafter(1.0, 0.0))
 
@@ -247,7 +247,7 @@ def test_term_table_matches_independent_oracles(family, ks):
     # and a harmonic recurrence for the trig families would stay within it
     # up to k = 1024
     x = _table_points(family)
-    table = TermTable(family, ks)
+    table = term_table(family, ks)
     for k, a, b in zip(ks, table.phi(x), table.Phi(x)):
         want_a, want_b = (_legendre_oracle(k, x) if isinstance(family, ShiftedLegendre)
                           else _trig_oracle(family, k, x))
@@ -262,7 +262,7 @@ def test_moment_table_matches_quadrature(family, ks):
     # pairwise, so rounding stays far below the tolerance
     cuts = sorted(set(jump_points(family)) | {i / 2048 for i in range(1, 2048)})
     x, w = composite_rule(tuple(cuts), points_per_cell=16)
-    table = TermTable(family, ks)
+    table = term_table(family, ks)
     phi, Phi = np.array(table.phi(x)), np.array(table.Phi(x))
     r_of, g_of = moment_table(family)
     r = np.array([r_of(k) for k in ks])
@@ -274,23 +274,24 @@ def test_moment_table_matches_quadrature(family, ks):
 
 
 def test_tables_of_one_family_and_index_set_share_their_compiled_forms():
-    a, b = TermTable(ShiftedLegendre(), [1, 3]), TermTable(ShiftedLegendre(), (1, 3))
-    assert a.text is b.text
-    assert a.floats is b.floats and a.arrays is b.arrays
-    other = TermTable(ShiftedLegendre(), [1, 2])
-    assert other.text is not a.text and other.arrays is not a.arrays
+    a, b = term_table(ShiftedLegendre(), [1, 3]), term_table(ShiftedLegendre(), (1, 3))
+    assert a is b
+    assert a.compiled(_FORMS, math) is b.compiled(_FORMS, math)
+    assert a.compiled(_FORMS, np) is b.compiled(_FORMS, np)
+    other = term_table(ShiftedLegendre(), [1, 2])
+    assert other is not a and other.compiled(_FORMS, np) is not a.compiled(_FORMS, np)
     # a constant is bound by name, never written into the text
-    text = TermTable(TwoValueStep(0.4), [1]).text
-    assert "0.4" not in repr(text.terms) + repr(text.shared)
-    assert text.constants["V0"] == _piece_table(TwoValueStep(0.4))[1][0][0]
+    table = term_table(TwoValueStep(0.4), [1])
+    assert "0.4" not in repr(table.terms) + repr(table.shared)
+    assert table.constants["V0"] == _piece_table(TwoValueStep(0.4))[1][0][0]
 
 
 def test_term_table_rejects_bad_indices():
     with pytest.raises(ValueError):
-        TermTable(ShiftedLegendre(), [1, 0])
+        term_table(ShiftedLegendre(), [1, 0])
     with pytest.raises(ValueError):
-        TermTable(TwoValueStep(1.0), [2])
-    assert TermTable(Cosine(), []).phi(0.3) == []
+        term_table(TwoValueStep(1.0), [2])
+    assert term_table(Cosine(), []).phi(0.3) == []
 
 
 def _max_difference_quotient(f):
@@ -307,7 +308,7 @@ def test_slope_bound_is_the_largest_difference_quotient(family, ks):
     # each quotient is phi_k' somewhere inside its cell, so none exceeds
     # D_k = sup |phi_k'| beyond the rounding of the two values it divides;
     # at the fine spacing (3e-8) the largest is within 1e-6 (relative) of it
-    for k, bound in zip(ks, TermTable(family, ks).slopes):
+    for k, bound in zip(ks, term_table(family, ks).slopes):
         f = ((lambda x: _legendre_oracle(k, x)[0]) if isinstance(family, ShiftedLegendre)
              else (lambda x: _trig_oracle(family, k, x)[0]))
         quotient, h = _max_difference_quotient(f)
@@ -317,7 +318,7 @@ def test_slope_bound_is_the_largest_difference_quotient(family, ks):
 
 def test_step_families_have_no_slope_bound():
     for family, ks in FAMILIES:
-        assert (TermTable(family, ks).slopes is None) == bool(jump_points(family))
+        assert (term_table(family, ks).slopes is None) == bool(jump_points(family))
 
 
 def test_eval_one_term_tables_are_reused_without_loosening_the_index_check():

@@ -163,6 +163,21 @@ def test_validity_piecewise_sign_margin_exact():
     assert report.verdict is Verdict.VALID
 
 
+def test_validity_one_term_margin_is_an_invalid_witness():
+    # the 512-point midpoint grid aliases phi_1024 to the constant -sqrt(2),
+    # so the grid sees the density 2.8 everywhere; with one term the margin
+    # is the density at a point, density(0, 1/1024) = -0.8
+    c = cosine_copula({1024: 0.9})
+    report = c.validate()
+    assert report.grid_min_density > 2.0
+    assert report.analytic_margin == pytest.approx(-0.8, abs=1e-12)
+    assert c.density(0.0, 1.0 / 1024) == pytest.approx(report.analytic_margin, abs=1e-12)
+    assert report.verdict is Verdict.INVALID
+    # the margin of a valid one-term copula does not move its verdict
+    assert cosine_copula({1024: 0.45}).validate().verdict is Verdict.VALID
+    assert cosine_copula({1024: 0.5}).validate().verdict is Verdict.VALID_BOUNDARY
+
+
 RANGE_CASES = [
     cosine_copula({3: 0.4}),
     cosine_copula({3: -0.4}),

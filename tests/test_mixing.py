@@ -149,6 +149,9 @@ def test_decomp_bounds_empty_on_boundary():
     # the second coefficient underflows to zero from fold 2 on and leaves
     # the sum; the search runs to n = 69
     (cosine_copula({1: 0.99, 2: 1e-200}), 80, 100),
+    # the index-4 coefficient underflows from fold 2 on, so the folded table
+    # runs a shorter Legendre recurrence; certified at n = 2
+    (shifted_legendre_copula({2: 0.3, 4: 1e-200}), 20, 512),
 ])
 def test_fold_ranges_equal_full_grid(c, max_n, grid_n):
     rep = certify_psi(c, max_n=max_n, grid_n=grid_n)

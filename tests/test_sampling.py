@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencop import sampling
-from eigencop.basis import Cosine, TermTable, eval_phi, eval_Phi, extrema
+from eigencop.basis import Cosine, eval_phi, eval_Phi, extrema, term_table
 from eigencop import (Bernoulli, Exponential, Uniform, Verdict, apply_transform,
                       cosine_copula, fgm, generate_chain, generate_chain_bank,
                       independence, innovation_stream, next_state,
@@ -215,18 +215,10 @@ def test_solver_stops_at_once_on_no_lanes():
     # with no lane left there is nothing to iterate; the terms are never
     # evaluated
     c = two_sine_model(0.2, -0.15)
-    common, terms = c.terms.arrays
     calls = []
-
-    def counted(f):
-        def wrapped(x):
-            calls.append(f)
-            return f(x)
-        return wrapped
-
+    counted = _logging(sampling._Sampler(c).sums, calls)
     empty = np.array([])
-    out = sampling._solve_vector(
-        common, [(empty, counted(phi), counted(Phi)) for phi, Phi in terms], empty)
+    out = sampling._solve_vector(counted, [empty] * len(c.terms.indices), empty)
     assert out.shape == (0,) and calls == []
     assert next_state(c, empty, empty).shape == (0,)
 
@@ -291,32 +283,27 @@ def test_early_stop_returns_the_full_iterations_roots(c):
 
     calls, lanes = [], []
 
-    def counted(form, log):
-        # the form with each Phi_k logging the lanes it evaluates
-        def wrap(Phi):
-            def counting(x):
-                y = Phi(x)
-                log.append(np.size(y))
-                return y
-            return counting
-        common, terms = form
-        return common, [(phi, wrap(Phi)) for phi, Phi in terms]
+    def counted(sums, log):
+        # the array path's compiled term sums, logging the lanes of each
+        # evaluation
+        def counting(x, g, c, s):
+            log.append(np.size(x))
+            return sums(x, g, c, s)
+        return counting
 
     # the float path: the stepper compiled in the table's float namespace
     # with each function the term text calls logging its calls, and the
-    # calls that one evaluation of every phi_k and Phi_k makes there
-    text = c.terms.text
-    ns = text.namespace(math)
+    # calls that one evaluation of every phi_k and Phi_k makes there, by the
+    # term sums compiled in the same namespace
+    table = c.terms
+    ns = table.namespace(math)
     ns.update({name: _logging(f, calls) for name, f in ns.items() if callable(f)})
-    common, terms = text.closures(dict(ns))
-    x = 0.5 if common is None else common(0.5)
-    for phi, Phi in terms:
-        phi(x), Phi(x)
+    table.compile(sampling._SUMS, ns)["sums"](0.5, 0.0, 1.0, [1.0] * len(table.indices))
     per_evaluation = len(calls)
-    run = sampling._compile_stepper(text, ns)
+    run = table.compile(sampling._STEPPER, ns)["run"]
     for sampler in (bounded, plain):
         sampler.stepper = run
-        sampler.arrays = counted(sampler.arrays, lanes)
+        sampler.sums = counted(sampler.sums, lanes)
     early = 0
     roots = []
     for a, b in zip(u.tolist(), w.tolist()):
@@ -396,22 +383,21 @@ def test_bank_needs_one_copula_per_key():
         generate_chain_bank([fgm(0.5)] * 3, 10, [(1,), (2,)])
 
 
-# -- the compiled stepper against the closure-based loop it replaced --------
+# -- the compiled stepper against a plain float loop -------------------------
 
 
-def _reference_solve(common, terms, w, bound):
-    """Root of g(v) = v + sum s_k*Phi_k(v) - w on [0,1] by the closure-based
-    float solve that the compiled stepper replaced: terms holds
-    (s_k, phi_k, Phi_k) with the closures of the table's float form."""
+def _reference_solve(table, s, w, bound):
+    """Root of g(v) = v + sum s_k*Phi_k(v) - w on [0,1] by the float solve
+    that the compiled stepper replaced, with the terms from the table's
+    float form."""
     lo, hi = 0.0, 1.0
     v = w
     for _ in range(sampling.MAX_ITER):
         g = v - w
         c = 1.0
-        x = v if common is None else common(v)
-        for s, phi, Phi in terms:
-            g += s * Phi(x)
-            c += s * phi(x)
+        for sk, p, P in zip(s, table.phi(v), table.Phi(v)):
+            g += sk * P
+            c += sk * p
         if abs(g) <= sampling.RESIDUAL_TOL:
             return v
         if g < 0.0:
@@ -434,13 +420,10 @@ def _reference_solve(common, terms, w, bound):
 
 
 def _reference_chain(table, state, states, lams, bound):
-    # the float path's chain loop, with a new term list at every step
-    common, terms = table.floats
+    # the float path's chain loop, with a new coefficient list at every step
     for t, w in enumerate(states):
-        x = state if common is None else common(state)
-        state = states[t] = _reference_solve(
-            common, [(lam * phi(x), phi, Phi) for lam, (phi, Phi) in zip(lams, terms)],
-            w, bound)
+        s = [lam * p for lam, p in zip(lams, table.phi(state))]
+        state = states[t] = _reference_solve(table, s, w, bound)
     return states
 
 
@@ -453,8 +436,9 @@ def _same_floats(a, b):
 def test_compiled_stepper_equals_the_closure_loop_on_every_table(family, ks):
     # coefficients of alternating sign with sum |lambda_k| sup phi_k^2 = 0.9,
     # with and without the slope bound M = sum |lambda_k| sup |phi_k| D_k
-    table = TermTable(family, ks)
-    run = sampling._stepper(family, table.indices)
+    table = term_table(family, ks)
+    run = table.compiled(sampling._STEPPER, math)["run"]
+    limits = (sampling.MAX_ITER, sampling.RESIDUAL_TOL, sampling.BRACKET_TOL)
     sup = [max(map(abs, extrema(family, k))) for k in ks]
     lams = tuple((-1.0) ** i * 0.9 / (len(ks) * s * s) for i, s in enumerate(sup))
     bounds = [None]
@@ -463,12 +447,12 @@ def test_compiled_stepper_equals_the_closure_loop_on_every_table(family, ks):
     states = np.random.default_rng(9).random(300).tolist() + [0.0, 1.0, 1.0, 0.0, 0.5]
     for bound in bounds:
         for start in (0.0, 0.3, 1.0):
-            got = run(start, list(states), lams, bound)
+            got = run(start, list(states), lams, bound, limits)
             assert _same_floats(got, _reference_chain(table, start, list(states), lams, bound))
 
 
 def _reference_bank(c, n, keys):
-    """generate_chain_bank with every row through the closure-based loop."""
+    """generate_chain_bank with every row through the reference loop."""
     sampler = sampling._Sampler(c)
     u = np.empty((len(keys), n))
     for i, key in enumerate(keys):
@@ -503,9 +487,10 @@ def test_one_family_and_index_set_compile_once():
     a, b = cosine_copula({1: 0.3, 2: 0.1}), cosine_copula({1: -0.2, 2: 0.05})
     run = sampling._Sampler(a).stepper
     assert sampling._Sampler(b).stepper is run
-    # the source is kept for reading; each term enters g and c in parentheses
-    phi, Phi = a.terms.text.terms[0]
-    assert f"g += s0 * ({Phi})" in run.source and f"c += s0 * ({phi})" in run.source
+    # each term enters g and c in parentheses
+    phi, Phi = a.terms.terms[0]
+    source = a.terms.source(sampling._STEPPER)
+    assert f"g += s0 * ({Phi})" in source and f"c += s0 * ({phi})" in source
     assert sampling._Sampler(cosine_copula({1: 0.3})).stepper is not run
     # a single copula's sampler is prepared once, for equal copulas too
     assert sampling._sampler(a) is sampling._sampler(cosine_copula({1: 0.3, 2: 0.1}))
