@@ -165,6 +165,11 @@ def innovation_stream(*keys: int) -> np.random.Generator:
 # same order as `_solve_vector`, whose term sums are the same lines compiled
 # for arrays (`_SUMS`).  Their locals are lower-case words and the term
 # text's constants upper-case names, so neither shadows the other.
+# run(state, states, lams, bound, limits) steps the chain from state through
+# the innovations in the list states, overwriting each with the state it
+# gives, and returns the list; lams holds the K coefficients, bound is
+# M >= |g''| on [0,1] (see the module docstring) or None, and limits holds
+# MAX_ITER, RESIDUAL_TOL and BRACKET_TOL as the caller reads them.
 _STEPPER = """\
 def run(state, states, lams, bound, limits):
     max_iter, tol, bracket = limits
