@@ -67,7 +67,10 @@ def copulas(ec):
         "two_value_1": ec.two_value_step(1.0, 0.6),
         "two_value_04": ec.two_value_step(0.4, -0.3),
         "two_value_boundary": ec.two_value_step(1.0, 1.0),
+        "two_value_2_boundary": ec.two_value_step(2.0, 1.0),
         "sign_flip": ec.piecewise_sign((0.0, 0.3, 1.0), (0.7, -0.5)),
+        "sign_3_cells": ec.piecewise_sign((0.0, 0.2, 0.5, 1.0), (0.9, -0.8, 0.7)),
+        "sign_boundary": ec.piecewise_sign((0.0, 0.5, 1.0), (1.0, -1.0)),
         "independence": ec.independence(),
     }
 

@@ -11,7 +11,12 @@ bisection: an estimate, not a proven bound.
 The formulas for phi_k and Phi_k are written once, as expression text in
 the per-family term builders, with every constant bound by name.
 `term_table` gives the one `TermTable` of each (family, indices): that
-text, and its compiled forms, memoised on the table.  One routine,
+text, its compiled forms and its values on the validity grid, memoised on
+the table.  The work all terms share at x is written into the text as
+well: for shifted Legendre, y = 2x - 1 and the three-term recurrence
+unrolled into one assignment per P_m (`_legendre_recurrence`), which
+`_legendre_even_min` runs too, so no form makes a call or builds a list
+per evaluation; for a step family, the index of x's piece.  One routine,
 `TermTable.compile`, fills a template with the text and runs it in a
 `math` or a `numpy` namespace, so that every form has the same operations
 in the same order: the list forms `phi(x)` and `Phi(x)`, which evaluate
@@ -23,8 +28,10 @@ Phi(x) = value * (x - anchor) on a piece; one memoised table per step
 family (`_piece_table`) gives its terms, extrema and jump points.  Next to
 each builder sits the family's moment table (`moment_table`),
 r_k = 12 (int Phi_k)^2 and G_kj = int phi_k Phi_j, and its slope bound
-D_k = sup |phi_k'| (`TermTable.slopes`), which the sampler's stopping rule
-reads; the step families have none, since their functions jump.
+D_k = sup |phi_k'| (`TermTable.slopes`), which the sampler's early-stop
+rule for a smooth family reads; the step families have none, since their
+functions jump, and their rule (`TermTable.stop`) asks instead whether a
+Newton step stays on its iterate's piece.
 
 Families
 --------
@@ -143,15 +150,6 @@ def jump_points(family: Family) -> tuple:
     return ()
 
 
-def _legendre_P(y, n: int) -> list:
-    """[P_0(y), ..., P_n(y)], Legendre polynomials by the three-term
-    recurrence, for a float or an array y (P_0 is the float 1.0)."""
-    P = [1.0, y]
-    for m in range(1, n):
-        P.append(((2 * m + 1) * y * P[m] - m * P[m - 1]) / (m + 1))
-    return P
-
-
 @lru_cache(maxsize=128)
 def _legendre_even_min(k: int) -> float:
     """Interior minimum of P_k on [-1,1] for even k.
@@ -161,8 +159,13 @@ def _legendre_even_min(k: int) -> float:
     a numerical estimate, not an enclosure: nothing bounds P_k between
     the grid points outside that cell.
     """
+    # P_{k-1}(y) and P_k(y), by the recurrence text every Legendre table runs
+    ns = {}
+    exec(f"def pair(y):\n    {_legendre_recurrence(k)}\n"
+         f"    return P{_int(k - 1)}, P{_int(k)}\n", ns)
+    pair = ns["pair"]
     grid = np.linspace(-1.0, 1.0, 4096)
-    vals = _legendre_P(grid, k)[k]
+    vals = pair(grid)[1]
     j = int(np.argmin(vals))
     lo = grid[max(j - 1, 0)]
     hi = grid[min(j + 1, grid.size - 1)]
@@ -170,8 +173,8 @@ def _legendre_even_min(k: int) -> float:
     def deriv(y: float) -> float:
         if abs(y) >= 1.0:
             y = math.copysign(1.0 - 1e-12, y)
-        P = _legendre_P(y, k)
-        return k * (P[k - 1] - y * P[k]) / (1.0 - y * y)
+        below, top = pair(y)
+        return k * (below - y * top) / (1.0 - y * y)
 
     dlo, dhi = deriv(lo), deriv(hi)
     if dlo < 0.0 < dhi:
@@ -182,21 +185,25 @@ def _legendre_even_min(k: int) -> float:
             else:
                 hi = mid
     y_star = 0.5 * (lo + hi)
-    return float(_legendre_P(y_star, k)[k])
+    return float(pair(y_star)[1])
 
 
 # -- the term table: every phi/Phi formula, written once -------------------
 #
 # A term builder turns (family, indices) into the text of a `TermTable`:
-# phi_k and Phi_k of each index as expression text in x, and the work all
-# terms share at x (the Legendre recurrence P, the step piece index j) as
-# one assignment.  The constants the text names (the frequencies W,
-# sqrt(2k+1), the piece values, anchors and cuts) are bound by name, so no
-# float is ever written as text; an index enters the text only as the
-# digits of a checked int, written by int.__repr__, which no subclass can
-# change.  `TermTable.compile` is the one routine that turns the text into
-# code: it fills a template and runs it in a namespace of math functions and
-# bisect for plain floats, or of numpy ufuncs and searchsorted for arrays.
+# phi_k and Phi_k of each index as expression text in x; the work all terms
+# share at x as statements on one line, with no call for the smooth
+# families: y = 2x - 1 and the unrolled Legendre recurrence P0, P1, ...,
+# P{K+1}, or the step piece index j; and the sampler's early-stop rule (see
+# `sampling`): bound * q * q <= tol where a slope bound exists, and for a
+# step family the test that the Newton step z lies on the iterate's piece j.
+# The constants the text names (the frequencies W, sqrt(2k+1), the piece
+# values, anchors and cuts) are bound by name, so no float is ever written as
+# text; an integer enters the text only as the digits of a checked int,
+# written by int.__repr__, which no subclass can change.  `TermTable.compile`
+# is the one routine that turns the text into code: it fills a template and
+# runs it in a namespace of math functions and bisect for plain floats, or of
+# numpy ufuncs and searchsorted for arrays.
 # `_FORMS` gives the table's two list forms, and the sampler fills its chain
 # stepper and its array term sums the same way.
 #
@@ -208,11 +215,12 @@ def _legendre_even_min(k: int) -> float:
 _int = int.__repr__
 
 # the functions the term text calls, in each form
-_OPS = {math: {"sin": math.sin, "cos": math.cos, "bisect_right": bisect_right,
-               "_legendre_P": _legendre_P},
+_OPS = {math: {"sin": math.sin, "cos": math.cos, "bisect_right": bisect_right},
         np: {"sin": np.sin, "cos": np.cos,
-             "bisect_right": partial(np.searchsorted, side="right"),
-             "_legendre_P": _legendre_P}}
+             "bisect_right": partial(np.searchsorted, side="right")}}
+
+# the early stop of a family with a slope bound: M q^2 <= RESIDUAL_TOL
+_SLOPE_STOP = "bound * q * q <= tol"
 
 # phi(x) and Phi(x): the shared work once, then one value per index
 _FORMS = """\
@@ -234,23 +242,25 @@ class TermTable:
     """phi_k and Phi_k of a fixed list of basis functions of one family.
 
     `terms` holds one (phi_k, Phi_k) pair of expressions in x per index;
-    `shared` is None or (name, expression in x), an assignment that every
-    term reads by that name; `constants` maps the other names the text uses
-    to floats or tuples of floats.  `term_table` gives the one table of each
-    (family, indices).  `phi` and `Phi` evaluate every term at x and return
-    one value or array per index, in index order: a plain float x runs the
-    float form (math functions, bisect), anything else the array form
-    (ufuncs, searchsorted), with the same formulas in the same order, so
-    both give the same floats.  No domain check is made: x must lie in
-    [0, 1].
+    `shared` is None or one line of statements in x, whose names every term
+    reads; `stop` is the sampler's early-stop rule, an expression in the
+    Newton step z = x - q, the bound and the tolerance tol; `constants` maps
+    the other names the text uses to floats or tuples of floats.
+    `term_table` gives the one table of each (family, indices).  `phi` and
+    `Phi` evaluate every term at x and return one value or array per index,
+    in index order: a plain float x runs the float form (math functions,
+    bisect), anything else the array form (ufuncs, searchsorted), with the
+    same formulas in the same order, so both give the same floats.  No
+    domain check is made: x must lie in [0, 1].
     """
 
     family: Family
     indices: tuple
-    shared: tuple | None
+    shared: str | None
     terms: tuple
+    stop: str
     constants: dict
-    _compiled: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)
 
     def namespace(self, ops) -> dict:
         """The globals that evaluate the text: ops is math for plain floats
@@ -262,9 +272,10 @@ class TermTable:
 
     def source(self, template: str) -> str:
         """template with the text filled in: a line holding {shared} becomes
-        the shared assignment, or goes when there is none, and each run of
-        lines holding {k}, {phi} or {Phi} is repeated once per term, in index
-        order, with the term's position and expressions."""
+        the shared statements, or goes when there are none, {stop} becomes
+        the stop rule, and each run of lines holding {k}, {phi} or {Phi} is
+        repeated once per term, in index order, with the term's position and
+        expressions."""
         out, run = [], []
         for line in template.splitlines(True) + [""]:
             if "{k}" in line or "{phi}" in line or "{Phi}" in line:
@@ -274,9 +285,9 @@ class TermTable:
                     for k, (phi, Phi) in enumerate(self.terms) for r in run]
             run = []
             if "{shared}" not in line:
-                out.append(line)
+                out.append(line.replace("{stop}", self.stop))
             elif self.shared is not None:
-                out.append(line.format(shared="{} = {}".format(*self.shared)))
+                out.append(line.format(shared=self.shared))
         return "".join(out)
 
     def compile(self, template: str, ns: dict) -> dict:
@@ -288,9 +299,21 @@ class TermTable:
     def compiled(self, template: str, ops) -> dict:
         """compile(template, namespace(ops)), run once per template and ops."""
         key = (template, ops)
-        if key not in self._compiled:
-            self._compiled[key] = self.compile(template, self.namespace(ops))
-        return self._compiled[key]
+        if key not in self._memo:
+            self._memo[key] = self.compile(template, self.namespace(ops))
+        return self._memo[key]
+
+    def on_grid(self, n: int) -> list:
+        """phi(x) on the midpoint grid x_i = (i + 0.5) / n, i < n: one
+        read-only array per index, kept for the last n asked for, so that a
+        caller who tries many grid sizes does not keep them all."""
+        n_kept, values = self._memo.get("grid", (None, None))
+        if n_kept != n:
+            values = self.phi((np.arange(n) + 0.5) / n)
+            for a in values:
+                a.flags.writeable = False
+            self._memo["grid"] = n, values
+        return values
 
     @cached_property
     def slopes(self):
@@ -317,7 +340,7 @@ def _trig_terms(family, indices):
             terms.append((f"SQRT2 * sin(W{i} * x)", f"SQRT2 * (1.0 - cos(W{i} * x)) / W{i}"))
         else:
             terms.append((f"SQRT2 * cos(W{i} * x)", f"SQRT2 * sin(W{i} * x) / W{i}"))
-    return None, tuple(terms), constants
+    return None, tuple(terms), _SLOPE_STOP, constants
 
 
 def _trig_moments(family):
@@ -338,16 +361,29 @@ def _trig_slope(family, k):
     return _SQRT2 * (k * math.pi if isinstance(family, Cosine) else 2.0 * math.pi * k[1])
 
 
+def _legendre_recurrence(n: int) -> str:
+    """The Legendre polynomials P_0(y), ..., P_n(y) as statements
+    `P0 = 1.0; P1 = y; P2 = (3 * y * P1 - 1 * P0) / 2; ...`, the three-term
+    recurrence unrolled, for a float or an array y (P0 is the float 1.0).
+    Every Legendre table's shared text, and `_legendre_even_min`, runs it."""
+    steps = ["P0 = 1.0", "P1 = y"]
+    for m in range(1, n):
+        a, b, c, d = map(_int, (m + 1, 2 * m + 1, m, m - 1))
+        steps.append(f"P{a} = ({b} * y * P{c} - {c} * P{d}) / {a}")
+    return "; ".join(steps)
+
+
 def _legendre_terms(family, indices):
-    # P_0..P_{K+1} at y = 2x - 1 from one recurrence pass serve every term:
+    # P_0..P_{K+1} at y = 2x - 1 from one unrolled recurrence serve every term:
     # phi_k = sqrt(2k+1) P_k, Phi_k = (P_{k+1} - P_{k-1}) / (2 sqrt(2k+1))
     top = max(indices, default=0) + 1
     constants, terms = {}, []
     for i, k in enumerate(indices):
         constants[f"S{i}"] = math.sqrt(2 * k + 1)
-        terms.append((f"S{i} * P[{_int(k)}]",
-                      f"(P[{_int(k + 1)}] - P[{_int(k - 1)}]) / (2.0 * S{i})"))
-    return ("P", f"_legendre_P(2.0 * x - 1.0, {_int(top)})"), tuple(terms), constants
+        terms.append((f"S{i} * P{_int(k)}",
+                      f"(P{_int(k + 1)} - P{_int(k - 1)}) / (2.0 * S{i})"))
+    shared = "y = 2.0 * x - 1.0; " + _legendre_recurrence(top)
+    return shared, tuple(terms), _SLOPE_STOP, constants
 
 
 def _legendre_moments(family):
@@ -394,13 +430,14 @@ def _piece_table(family):
 
 
 def _step_terms(family, indices):
-    # one search per evaluation finds x's piece j, and every term indexes it
+    # one search per evaluation finds x's piece j, and every term indexes it;
+    # the early stop asks whether the Newton step z lies on the same piece
     cuts, rows = _piece_table(family)
     constants, terms = {"CUTS": cuts}, []
     for i, k in enumerate(indices):
         constants[f"V{i}"], constants[f"A{i}"] = rows[k - 1]
         terms.append((f"V{i}[j]", f"V{i}[j] * (x - A{i}[j])"))
-    return ("j", "bisect_right(CUTS, x)"), tuple(terms), constants
+    return "j = bisect_right(CUTS, x)", tuple(terms), "bisect_right(CUTS, z) == j", constants
 
 
 def _two_value_moments(family):

@@ -293,9 +293,10 @@ def _density_range(terms) -> tuple[float, float]:
 def _validate_cached(family: Family, coeffs: SpectralCoefficients, grid_n: int) -> ValidityReport:
     margin = _analytic_margin(family, coeffs)
     analytic_ok = margin >= -BOUNDARY_TOL
-    g = (np.arange(grid_n) + 0.5) / grid_n
+    # phi on the grid is kept by the table: every fold of a copula, and every
+    # copula of one (family, indices), reads the same arrays
     table = term_table(family, (k for k, _ in coeffs.entries))
-    grid_min, grid_max = _density_range(list(zip(coeffs.values, table.phi(g))))
+    grid_min, grid_max = _density_range(list(zip(coeffs.values, table.on_grid(grid_n))))
 
     # with one term the margin is the density at a point: the family's phi_k
     # attains both extrema, so a negative margin is a witness the grid can miss

@@ -15,7 +15,9 @@ The range is the exact min and max of the grid's floats, computed without
 building the grid: with one nonzero term it is read off the extremes of
 phi on the grid, with several it is accumulated over 64-row blocks of the
 upper triangle of the (exactly symmetric) matrix.  Every fold's range is
-the one that validate() computes and memoises for the folded copula.
+the one that validate() computes and memoises for the folded copula, from
+phi on the grid, which the folds share: the term table keeps it once per
+grid size.
 
 Beside the grid ranges the report carries, for every family, the analytic
 envelope |c_n - 1| <= E_n = sum_k |lambda_k|^n sup phi_k^2, with sup phi_k^2

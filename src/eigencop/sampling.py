@@ -18,30 +18,52 @@ the bracket is narrower than BRACKET_TOL and returns its midpoint; after
 MAX_ITER iterations the last iterate is returned.  With no terms g(w) = 0,
 so the innovation itself is returned.
 
-The smooth families also return a Newton step without evaluating g
-there when that evaluation could only confirm it.  For every u and v,
+Every family also returns a Newton step z = v - q, q = g(v)/c, without
+evaluating g there when that evaluation could only confirm it: the full
+iteration would evaluate g(z), find |g| <= RESIDUAL_TOL and return z, and
+the early stop returns the same z one evaluation sooner, so every root is
+bit-identical to the full iteration's.  The stop rule is part of each
+table's text (`TermTable.stop`), and both paths run it.
+
+On a smooth family the rule is M q^2 <= RESIDUAL_TOL.  For every u and v,
 |g''(v)| = |sum_k lambda_k * phi_k(u) * phi_k'(v)| <= M =
 sum_k |lambda_k| * S_k * D_k, where S_k = sup |phi_k| and D_k = sup |phi_k'|
 is the family's slope bound (`TermTable.slopes`); M is one number per
 copula, and a bank of several copulas takes the largest of theirs, which
-bounds every lane.  For a Newton step t = v - q with q = g(v)/g'(v),
-Taylor's theorem gives |g(t)| <= M q^2 / 2.  So when M q^2 <= RESIDUAL_TOL
-the exact residual at t is at most RESIDUAL_TOL / 2, and the other half
-covers the rounding of the evaluated g, about 1e-15: the full iteration
-would evaluate g(t), find |g| <= RESIDUAL_TOL and return t.  The early
-stop returns the same t one evaluation sooner, so every root is
-bit-identical to the full iteration's, for any valid M; a larger M only
-stops less often.  On the two-sine model it cuts the evaluations per step
-from 4.2 to 3.3.  Replacing S_k by |phi_k(u)|, a bound formed
-afresh at each step, would save 0.03 evaluations more and cost more than
-that to form.  The step families have kinks in g, no slope bound and no
-early stop.
+bounds every lane.  Taylor's theorem gives |g(z)| <= M q^2 / 2, so under
+the rule the exact residual at z is at most RESIDUAL_TOL / 2, and the other
+half covers the rounding of the evaluated g, about 1e-15.  This holds for
+any valid M; a larger M only stops less often.  On the two-sine model the
+stop cuts the evaluations per step from 4.2 to 3.3.  Replacing S_k by
+|phi_k(u)|, a bound formed afresh at each step, would save 0.03
+evaluations more and cost more than that to form.
 
-On a step family g is piecewise linear in v, so a Newton step from a
-point of the root's piece lands on the root, and Newton reaches that
-piece in a few iterations.  Where the density is 0 on an interval, g is
-flat there and every point of the flat is a root; the solver returns the
-first one it meets.
+On a step family the rule is that z lies on the iterate's piece j,
+bisect_right(CUTS, z) == j.  There every phi_k is a constant V_k and
+Phi_k(x) = V_k (x - A_k), so g is linear, with slope c = 1 + sum_k s_k V_k,
+s_k = lambda_k phi_k(u) (as rounded, fixed for the step).  Let e = 2^-53,
+K the number of terms and S = sum_k |lambda_k| sup phi_k^2, the largest of
+a bank's rows; then |s_k V_k| <= |lambda_k| sup phi_k^2 up to a rounding,
+and |c| <= 1 + S.  As v, w, z and the anchors A_k lie in [0, 1], the
+float g and c differ from the exact linear function and its slope c~ by
+at most (K + 3) e (1 + S) and (K + 1) e (1 + S).  A step inside the
+bracket has |q| <= 1, q = (g / c)(1 + d) and z = v - q + r with |d| <= e,
+|r| <= e, so the exact value at z is
+    g~(z) = (g~(v) - g) - g d + q (c - c~) + c~ r,
+at most (2K + 6) e (1 + S), and evaluating g at z adds (K + 3) e (1 + S):
+|g(z)| <= B = (3K + 10) e (1 + S), with room for the second-order terms.
+The sampler gives a step family a bound, and so the rule, only when
+B <= RESIDUAL_TOL: for a two-value step, S = |lambda| max(alpha, 1/alpha)
+up to 691, and for a sign flip at full strength (S = K) up to 52 cells;
+beyond that it keeps the full iteration.  No 1/c enters B, so it holds
+where c is tiny or 0 on a piece, as on boundary copulas, whose density is
+0 on whole blocks: c <= 0 takes the midpoint, and a c below RESIDUAL_TOL
+gives a step inside the bracket only if |g(v)| <= |c|, where the residual
+test has already stopped.  The rule cuts the evaluations per
+step from 2.25 to 1.25 on the two-value step (alpha = 1, lambda = 0.5) and
+from 1.67 to 1.15 on a two-cell sign flip.  Where the density is 0 on an
+interval, g is flat there and every point of the flat is a root; the
+solver returns the first one it meets.
 
 Copulas that validate() calls INVALID are refused: their d1C(u, .) need
 not be monotone, so a root need not be a conditional quantile.
@@ -57,22 +79,29 @@ bank (u_prev, w) stepped once; a single copula's prepared sampler is
 memoised.  A bank of at least FLOAT_PATH_LANES rows takes one
 lane-vectorized step per time step, one numpy array per step: each Newton
 iteration makes one call of the term sums `_SUMS`, the lines
-g += s_k * (Phi_k) and c += s_k * (phi_k) compiled for arrays.  A
-narrower one runs each row as a plain-float chain through the stepper
-`_STEPPER`: the Newton loop with the same lines written into it, so that
-no function is called per term, and with the same operations in the same
-order, so both paths give the same floats.  Below FLOAT_PATH_LANES = 64
-lanes numpy's per-call cost outweighs the vector arithmetic for most
-families.  The measured float/array time ratios at 64 lanes (300-step
-banks) are 0.75 for the two-sine model, 0.61 for cosine, 0.56 for the
-two-value step, 0.47 for the sign flip and 1.44 for Legendre, and the
-crossovers lie near 96 lanes for two-sine, 120 for cosine and the
-two-value step, above 128 for the sign flip and near 45 for Legendre, whose
-banks of 45 to 63 lanes so take the slower path.  One constant serves
-every family, and the choice depends only on the row count.  Each path is
-deterministic for a given seed key; per-replicate seed keys and
-elementwise lane arithmetic make banks independent of how the replicates,
-and the copulas of their lanes, are batched.
+g += s_k * (Phi_k) and c += s_k * (phi_k), the Newton step and the stop
+rule compiled for arrays.  A narrower one runs each row as a plain-float
+chain through the stepper `_STEPPER`: the Newton loop with the same lines
+written into it, so that no function is called per term, and with the
+same operations in the same order, so both paths give the same floats.  Below FLOAT_PATH_LANES = 64
+lanes numpy's per-call cost outweighs the vector arithmetic.  The measured
+float/array time ratios (300-step banks, smallest and largest of three
+runs on 2 cores) are
+
+    lanes              32          48          64          96
+    two-sine       0.38-0.42   0.54-0.61   0.67-0.73   0.84-1.15
+    cosine         0.32-0.50   0.48-0.50   0.64-0.66   0.76-0.97
+    Legendre 1,2   0.31-0.61   0.70-0.90   0.91-1.01   1.21-1.52
+    Legendre 1,3,5 0.37-0.52   0.84-1.01   0.91-1.01   1.50-2.04
+    two-value step 0.32-0.33   0.45-0.48   0.60-0.62   0.83-0.86
+    sign flip      0.27-0.29   0.37-0.41   0.31-0.53   0.72-0.74
+
+so the crossover lies near 64 lanes for Legendre, whose recurrence is
+written into the text, and near or above 96 for the other families.  One
+constant serves every family, and the choice depends only on the row
+count.  Each path is deterministic for a given seed key; per-replicate
+seed keys and elementwise lane arithmetic make banks independent of how
+the replicates, and the copulas of their lanes, are batched.
 """
 
 from __future__ import annotations
@@ -167,9 +196,11 @@ def innovation_stream(*keys: int) -> np.random.Generator:
 # text's constants upper-case names, so neither shadows the other.
 # run(state, states, lams, bound, limits) steps the chain from state through
 # the innovations in the list states, overwriting each with the state it
-# gives, and returns the list; lams holds the K coefficients, bound is
-# M >= |g''| on [0,1] (see the module docstring) or None, and limits holds
-# MAX_ITER, RESIDUAL_TOL and BRACKET_TOL as the caller reads them.
+# gives, and returns the list; lams holds the K coefficients, bound is the
+# number the table's stop rule reads (M >= |g''| on [0,1], or a step
+# family's rounding bound B; see the module docstring) or None, which turns
+# the early stop off, and limits holds MAX_ITER, RESIDUAL_TOL and
+# BRACKET_TOL as the caller reads them.
 _STEPPER = """\
 def run(state, states, lams, bound, limits):
     max_iter, tol, bracket = limits
@@ -202,7 +233,7 @@ def run(state, states, lams, bound, limits):
                 z = v - q
                 if lo < z < hi:
                     v = z
-                    if bound is not None and bound * q * q <= tol:
+                    if bound is not None and {stop}:
                         break
                     continue
             v = mid
@@ -210,20 +241,25 @@ def run(state, states, lams, bound, limits):
     return states
 """
 
-# g + sum_k s_k Phi_k(x) and c + sum_k s_k phi_k(x), one s_k per lane
+# one evaluation at x, lane by lane, with s_k per lane: g and c, the Newton
+# step z = x - q with q = g / c, and the stop rule at z (False with no bound)
 _SUMS = """\
-def sums(x, g, c, s):
+def sums(x, w, s, bound, tol):
     {shared}
+    g = x - w
+    c = 1.0
     g += s[{k}] * ({Phi})
     c += s[{k}] * ({phi})
-    return g, c
+    q = g / c
+    z = x - q
+    return g, c, z, bound is not None and ({stop})
 """
 
 
 def _solve_vector(sums, s, w: np.ndarray, bound=None) -> np.ndarray:
     """The compiled stepper's solve lane by lane, with the same operations
     in the same order: sums is the table's compiled `_SUMS`, each s_k holds
-    one value per lane, and bound is one M for every lane, or None.
+    one value per lane, and bound is one bound for every lane, or None.
     Finished lanes leave the working arrays."""
     out = np.empty_like(w)
     lane = np.arange(w.size)
@@ -236,7 +272,7 @@ def _solve_vector(sums, s, w: np.ndarray, bound=None) -> np.ndarray:
         for _ in range(MAX_ITER):
             if not lane.size:
                 return out
-            g, c = sums(v, v - w, 1.0, s)
+            g, c, t, stop = sums(v, w, s, bound, RESIDUAL_TOL)
             hit = np.abs(g) <= RESIDUAL_TOL
             neg = g < 0.0
             lo = np.where(neg, v, lo)
@@ -244,11 +280,8 @@ def _solve_vector(sums, s, w: np.ndarray, bound=None) -> np.ndarray:
             mid = 0.5 * (lo + hi)
             closed = hi - lo <= BRACKET_TOL
             done = hit | closed
-            q = g / c
-            t = v - q
             step = (c > 0.0) & (lo < t) & (t < hi)
-            if bound is not None:
-                done |= step & (bound * q * q <= RESIDUAL_TOL)
+            done |= step & stop
             nxt = np.where(step, t, mid)
             if done.any():
                 # an early stop returns its Newton step t, which is nxt there
@@ -265,8 +298,10 @@ def _solve_vector(sums, s, w: np.ndarray, bound=None) -> np.ndarray:
 class _Sampler:
     """A copula's terms, prepared for stepping banks; `rows` holds the
     coefficients of the one copula, or of each lane's copula when given one
-    per lane, and `bound` the largest of their bounds M on |g''|, which
-    bounds every lane, for the early stop (None for a step family).  A copula
+    per lane, and `bound` the number the table's stop rule reads, taken over
+    all of them so that it serves every lane: the largest bound M on |g''|,
+    or for a step family the rounding bound B, None where B exceeds
+    RESIDUAL_TOL (see the module docstring).  A copula
     without terms joins any index set with coefficients 0, which leave g
     and c unchanged, so its lanes still return w."""
 
@@ -298,13 +333,17 @@ class _Sampler:
     @cached_property
     def bound(self):
         table = self.table
+        sup = [max(map(abs, extrema(table.family, k))) for k in table.indices]
+        rows = dict.fromkeys(self.rows)
         if table.slopes is None:
-            return None
+            # a step family: B = (3K + 10) 2^-53 (1 + S) bounds |g| at a Newton
+            # step on the iterate's piece, S = sum_k |lambda_k| sup phi_k^2
+            s = max(sum(abs(lam) * p * p for lam, p in zip(row, sup)) for row in rows)
+            b = (3 * len(sup) + 10) * 2.0 ** -53 * (1.0 + s)
+            return b if b <= RESIDUAL_TOL else None
         # M bounds |g''| = |sum_k lambda_k phi_k(u) phi_k'(v)| for every u and v
-        weights = [d * max(map(abs, extrema(table.family, k)))
-                   for d, k in zip(table.slopes, table.indices)]
-        return max(sum(abs(lam) * wk for lam, wk in zip(row, weights))
-                   for row in dict.fromkeys(self.rows))
+        weights = [d * p for d, p in zip(table.slopes, sup)]
+        return max(sum(abs(lam) * wk for lam, wk in zip(row, weights)) for row in rows)
 
     def advance(self, u: np.ndarray) -> np.ndarray:
         """Step the bank u in place and return it.  Row i starts at
@@ -372,22 +411,23 @@ def sample_wl(lam: float, u_prev, q):
         raise ValueError("sample_wl requires |lam| <= 1")
     d_plus = (1.0 + lam) if lam != -1.0 else 1.0
     d_minus = (1.0 - lam) if lam != 1.0 else 1.0
-    scalar = isinstance(u_prev, (int, float)) and isinstance(q, (int, float))
-    if scalar:
-        lanes = ((float(u_prev), float(q)),)
+    if isinstance(u_prev, (float, int)) and isinstance(q, (float, int)):
+        return _wl_lane(lam, d_plus, d_minus, float(u_prev), float(q))
+    u, qq = np.broadcast_arrays(np.asarray(u_prev, dtype=float), np.asarray(q, dtype=float))
+    v = [_wl_lane(lam, d_plus, d_minus, a, b)
+         for a, b in zip(u.ravel().tolist(), qq.ravel().tolist())]
+    return v[0] if u.ndim == 0 else np.reshape(v, u.shape)
+
+
+def _wl_lane(lam, d_plus, d_minus, a: float, b: float) -> float:
+    # sample_wl's formula on one lane of plain floats
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        raise ValueError("u_prev and q must lie in [0,1]")
+    if a < 0.5:
+        x = b / d_plus if b < 0.5 * (1.0 + lam) else (b - lam) / d_minus
     else:
-        u, qq = np.broadcast_arrays(np.asarray(u_prev, dtype=float), np.asarray(q, dtype=float))
-        lanes = zip(u.ravel().tolist(), qq.ravel().tolist())
-    v = []
-    for a, b in lanes:
-        if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-            raise ValueError("u_prev and q must lie in [0,1]")
-        if a < 0.5:
-            x = b / d_plus if b < 0.5 * (1.0 + lam) else (b - lam) / d_minus
-        else:
-            x = b / d_minus if b < 0.5 * (1.0 - lam) else (b + lam) / d_plus
-        v.append(0.0 if x < 0.0 else 1.0 if x > 1.0 else x)
-    return v[0] if scalar or u.ndim == 0 else np.reshape(v, u.shape)
+        x = b / d_minus if b < 0.5 * (1.0 - lam) else (b + lam) / d_plus
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
 @dataclass(frozen=True)

@@ -255,6 +255,36 @@ def test_term_table_matches_independent_oracles(family, ks):
         assert np.max(np.abs(b - want_b)) <= 1e-12
 
 
+def _legendre_list(y, n):
+    # [P_0(y), ..., P_n(y)] by the list recurrence the unrolled text replaced
+    P = [1.0, y]
+    for m in range(1, n):
+        P.append(((2 * m + 1) * y * P[m] - m * P[m - 1]) / (m + 1))
+    return P
+
+
+@pytest.mark.parametrize("ks", [list(range(1, 31)), [1, 3, 5]] + [[k] for k in range(1, 31)])
+def test_legendre_text_equals_the_list_recurrence_bit_for_bit(ks):
+    x = np.concatenate([_table_points(ShiftedLegendre()),
+                        [math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0), 0.5, 1.0, 0.0]])
+    table = term_table(ShiftedLegendre(), ks)
+
+    def want(x):
+        P = _legendre_list(2.0 * x - 1.0, max(ks) + 1)
+        s = [math.sqrt(2 * k + 1) for k in ks]
+        return ([sk * P[k] for sk, k in zip(s, ks)],
+                [(P[k + 1] - P[k - 1]) / (2.0 * sk) for sk, k in zip(s, ks)])
+
+    # the array form
+    for got, expected in zip((table.phi(x), table.Phi(x)), want(x)):
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+    # the float form, point by point
+    for xj in x.tolist():
+        got, expected = (table.phi(xj), table.Phi(xj)), want(xj)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert all(type(v) is float for v in got[0] + got[1])
+
+
 @pytest.mark.parametrize("family,ks", TABLES)
 def test_moment_table_matches_quadrature(family, ks):
     # 16-point Gauss on 2048 panels (split at the jumps) resolves every
@@ -284,6 +314,20 @@ def test_tables_of_one_family_and_index_set_share_their_compiled_forms():
     table = term_table(TwoValueStep(0.4), [1])
     assert "0.4" not in repr(table.terms) + repr(table.shared)
     assert table.constants["V0"] == _piece_table(TwoValueStep(0.4))[1][0][0]
+
+
+def test_grid_values_are_kept_for_the_last_grid_size_and_read_only():
+    table = term_table(ShiftedLegendre(), [1, 2])
+    values = table.on_grid(512)
+    assert table.on_grid(512) is values
+    x = (np.arange(512) + 0.5) / 512
+    assert all(np.array_equal(a, b) for a, b in zip(values, table.phi(x)))
+    with pytest.raises(ValueError):
+        values[0][0] = 1.0
+    assert table.on_grid(16)[0].size == 16
+    again = table.on_grid(512)
+    assert again is not values
+    assert all(np.array_equal(a, b) for a, b in zip(again, values))
 
 
 def test_term_table_rejects_bad_indices():

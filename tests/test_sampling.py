@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -153,6 +154,17 @@ def test_sample_wl_matches_generic_solver():
     assert grid.shape == (4, 5) and np.array_equal(grid.ravel(), v[:20])
 
 
+def test_sample_wl_returns_a_plain_float_for_every_scalar_kind():
+    # plain floats, float subclasses (np.float64), ints and 0-d arrays give
+    # the same plain float as the array lanes
+    want = sample_wl(0.5, np.array([0.25, 1.0]), np.array([0.3, 0.0]))
+    for u, q in ((0.25, 0.3), (np.float64(0.25), np.float64(0.3)), (0.25, np.array(0.3))):
+        v = sample_wl(0.5, u, q)
+        assert type(v) is float and v == want[0]
+    v = sample_wl(0.5, 1, 0)
+    assert type(v) is float and v == want[1]
+
+
 def test_generate_chain_deterministic_and_seed_sensitive():
     c = zero_association_model(0.05)
     a = generate_chain(c, 200, 7)
@@ -267,13 +279,20 @@ def _logging(f, log):
     return logged
 
 
-@pytest.mark.parametrize("c", [cosine_copula({1: 0.5}),  # boundary: density 0 at corners
-                               shifted_legendre_copula({1: 0.1, 3: 0.05, 5: 0.02})]
-                         + _random_smooth_copulas())
-def test_early_stop_returns_the_full_iterations_roots(c):
-    # without the slope bound every root is confirmed by one more
-    # evaluation of g; with it, that evaluation is skipped where it could
-    # only confirm, and the root is the same float on both paths
+def _counting_stepper(table, log):
+    """The float stepper compiled from a copy of its template that logs each
+    evaluation of g and c; the term text is inlined and calls nothing, so
+    evaluations are counted in the loop itself."""
+    line = "            g = v - w\n"
+    assert sampling._STEPPER.count(line) == 1
+    template = sampling._STEPPER.replace(line, "            log.append(x)\n" + line)
+    return table.compile(template, {**table.namespace(math), "log": log})["run"]
+
+
+def _assert_early_stop_is_exact(c):
+    # without the stop every root is confirmed by one more evaluation of g;
+    # with it, that evaluation is skipped where it could only confirm, and
+    # the root is the same float on both paths
     rng = np.random.default_rng(5)
     u = np.concatenate([rng.random(300), [0.0, 1.0, 0.0, 1.0]])
     w = np.concatenate([rng.random(300), [0.0, 1.0, 1.0, 0.0]])
@@ -286,21 +305,13 @@ def test_early_stop_returns_the_full_iterations_roots(c):
     def counted(sums, log):
         # the array path's compiled term sums, logging the lanes of each
         # evaluation
-        def counting(x, g, c, s):
+        def counting(x, *args):
             log.append(np.size(x))
-            return sums(x, g, c, s)
+            return sums(x, *args)
         return counting
 
-    # the float path: the stepper compiled in the table's float namespace
-    # with each function the term text calls logging its calls, and the
-    # calls that one evaluation of every phi_k and Phi_k makes there, by the
-    # term sums compiled in the same namespace
-    table = c.terms
-    ns = table.namespace(math)
-    ns.update({name: _logging(f, calls) for name, f in ns.items() if callable(f)})
-    table.compile(sampling._SUMS, ns)["sums"](0.5, 0.0, 1.0, [1.0] * len(table.indices))
-    per_evaluation = len(calls)
-    run = table.compile(sampling._STEPPER, ns)["run"]
+    # the float path: the stepper with every evaluation logged
+    run = _counting_stepper(c.terms, calls)
     for sampler in (bounded, plain):
         sampler.stepper = run
         sampler.sums = counted(sampler.sums, lanes)
@@ -311,19 +322,49 @@ def test_early_stop_returns_the_full_iterations_roots(c):
         v = bounded.advance(np.array([[a, b]]))[0, 1]
         roots.append(v)
         n1 = len(calls)
-        assert plain.advance(np.array([[a, b]]))[0, 1] == v
+        assert _same_floats(plain.advance(np.array([[a, b]]))[0, 1], v)
         saved = (len(calls) - n1) - (n1 - n0)
-        assert saved in (0, per_evaluation)  # at most one evaluation saved
+        assert saved in (0, 1)  # at most one evaluation saved
         if saved:
             early += 1
             assert abs(c.conditional_cdf(a, v) - b) <= sampling.RESIDUAL_TOL
     assert early > 0
     # the array path: one bound for every lane, or None, which runs the
     # full iteration, _solve_vector(..., bound=None)
-    assert np.array_equal(bounded.advance(np.column_stack([u, w]))[:, 1], roots)
+    assert _same_floats(bounded.advance(np.column_stack([u, w]))[:, 1], roots)
     with_bound = sum(lanes)
-    assert np.array_equal(plain.advance(np.column_stack([u, w]))[:, 1], roots)
+    assert _same_floats(plain.advance(np.column_stack([u, w]))[:, 1], roots)
     assert with_bound < sum(lanes) - with_bound
+
+
+@pytest.mark.parametrize("c", [cosine_copula({1: 0.5}),  # boundary: density 0 at corners
+                               shifted_legendre_copula({1: 0.1, 3: 0.05, 5: 0.02})]
+                         + _random_smooth_copulas())
+def test_early_stop_returns_the_full_iterations_roots(c):
+    _assert_early_stop_is_exact(c)
+
+
+@pytest.mark.parametrize("c", STEPS + [
+    two_value_step(1.0, 1.0), two_value_step(2.0, 1.0),  # boundary: density 0 on blocks
+    piecewise_sign((0.0, 0.5, 1.0), (1.0, -1.0)),
+    piecewise_sign((0.0, 0.2, 0.5, 1.0), (0.9, -0.8, 0.7)),
+], ids=["two-value", "two-value-alpha0.4", "sign-flip", "two-value-boundary",
+        "two-value-alpha2-boundary", "sign-boundary", "sign-3-cells"])
+def test_step_early_stop_returns_the_full_iterations_roots(c):
+    # g is linear on each piece, so a Newton step that stays on its
+    # iterate's piece is the root up to rounding
+    _assert_early_stop_is_exact(c)
+
+
+def test_step_early_stop_needs_a_small_rounding_bound():
+    # B = (3K + 10) 2^-53 (1 + sum |lambda_k| sup phi_k^2) bounds |g| at a
+    # Newton step on the iterate's piece; above RESIDUAL_TOL there is no stop
+    for c, stops in ((two_value_step(1.0, 0.6), True), (two_value_step(500.0, 1.0), True),
+                     (two_value_step(1e-4, -1e-4), True), (two_value_step(1e4, 1.0), False),
+                     (two_value_step(1e-4, 1.0), False)):
+        bound = sampling._Sampler(c).bound
+        assert (bound is not None) == stops
+        assert bound is None or bound <= sampling.RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("c", SMOOTH + STEPS + [
@@ -386,6 +427,15 @@ def test_bank_needs_one_copula_per_key():
 # -- the compiled stepper against a plain float loop -------------------------
 
 
+def _reference_stop(table, bound, q, t, v):
+    # M q^2 <= RESIDUAL_TOL where a slope bound exists; on a step family,
+    # the Newton step t on the piece of its iterate v
+    if table.slopes is None:
+        cuts = table.constants["CUTS"]
+        return bisect_right(cuts, t) == bisect_right(cuts, v)
+    return bound * q * q <= sampling.RESIDUAL_TOL
+
+
 def _reference_solve(table, s, w, bound):
     """Root of g(v) = v + sum s_k*Phi_k(v) - w on [0,1] by the float solve
     that the compiled stepper replaced, with the terms from the table's
@@ -411,7 +461,7 @@ def _reference_solve(table, s, w, bound):
             q = g / c
             t = v - q
             if lo < t < hi:
-                if bound is not None and bound * q * q <= sampling.RESIDUAL_TOL:
+                if bound is not None and _reference_stop(table, bound, q, t, v):
                     return t
                 v = t
                 continue
@@ -435,15 +485,17 @@ def _same_floats(a, b):
 @pytest.mark.parametrize("family,ks", TABLES)
 def test_compiled_stepper_equals_the_closure_loop_on_every_table(family, ks):
     # coefficients of alternating sign with sum |lambda_k| sup phi_k^2 = 0.9,
-    # with and without the slope bound M = sum |lambda_k| sup |phi_k| D_k
+    # with and without the early stop: the slope bound
+    # M = sum |lambda_k| sup |phi_k| D_k, or a step family's rounding bound
     table = term_table(family, ks)
     run = table.compiled(sampling._STEPPER, math)["run"]
     limits = (sampling.MAX_ITER, sampling.RESIDUAL_TOL, sampling.BRACKET_TOL)
     sup = [max(map(abs, extrema(family, k))) for k in ks]
     lams = tuple((-1.0) ** i * 0.9 / (len(ks) * s * s) for i, s in enumerate(sup))
-    bounds = [None]
-    if table.slopes is not None:
-        bounds.append(sum(abs(lam) * s * d for lam, s, d in zip(lams, sup, table.slopes)))
+    if table.slopes is None:
+        bounds = [None, (3 * len(ks) + 10) * 2.0 ** -53 * 1.9]
+    else:
+        bounds = [None, sum(abs(lam) * s * d for lam, s, d in zip(lams, sup, table.slopes))]
     states = np.random.default_rng(9).random(300).tolist() + [0.0, 1.0, 1.0, 0.0, 0.5]
     for bound in bounds:
         for start in (0.0, 0.3, 1.0):
