@@ -11,8 +11,12 @@ the end.  Each tree runs the catalogue below in its own process, with
 only, so both trees answer the same calls:
 
 - chains for every copula of COPULAS, and one with each transform;
-- banks of 1, 31, 63, 64, 65 and 200 lanes for every copula, and per-row
-  banks of several copulas;
+- banks of 1, 31, 63, 64, 65 and 200 lanes for every copula, 64- and
+  65-lane banks of 1 and 2 columns too, and per-row banks of several
+  copulas;
+- 1,000-step banks whose lanes drift apart on the array path: 200 lanes
+  of `two_sine`, `legendre_135` and `sign_3_cells`, and 130 per-row
+  zero-association lanes, a third of them term-free;
 - `next_state` on scalars, 0-d and 2-D arrays and 1 to 1,000 lanes, and
   `sample_wl` on scalars and arrays;
 - `eval_phi` and `eval_Phi` on fixed points for every family and index of
@@ -180,6 +184,15 @@ def catalogue(tree: pathlib.Path):
             yield (f"bank.{name}.{lanes}",
                    lambda c=c, lanes=lanes: ec.generate_chain_bank(
                        c, 60, [(11, r) for r in range(lanes)]))
+        for lanes in (64, 65):
+            for n in (1, 2):
+                yield (f"bank.{name}.{lanes}.n{n}",
+                       lambda c=c, lanes=lanes, n=n: ec.generate_chain_bank(
+                           c, n, [(17, r) for r in range(lanes)]))
+    for name in ("two_sine", "legendre_135", "sign_3_cells"):
+        yield (f"bank_long.{name}.200",
+               lambda c=cops[name]: ec.generate_chain_bank(
+                   c, 1000, [(19, r) for r in range(200)]))
     for t in (ec.Uniform(), ec.Exponential(2.0), ec.Bernoulli(0.4)):
         yield (f"chain.legendre.{type(t).__name__}",
                lambda t=t: ec.generate_chain(cops["legendre"], 300, 5, t).transformed)
@@ -192,6 +205,9 @@ def catalogue(tree: pathlib.Path):
                    lambda models=models, lanes=lanes: ec.generate_chain_bank(
                        [models[i % len(models)] for i in range(lanes)], 60,
                        [(13, r) for r in range(lanes)]))
+    yield ("bank_per_row_long.zero_association.130",
+           lambda models=per_row["zero_association"]: ec.generate_chain_bank(
+               [models[i % 3] for i in range(130)], 1000, [(23, r) for r in range(130)]))
 
     rng = np.random.default_rng(3)
     u, w = rng.random(1000), rng.random(1000)

@@ -13,10 +13,11 @@ the per-family term builders, with every constant bound by name.
 `term_table` gives the one `TermTable` of each (family, indices): that
 text, its compiled forms and its values on the validity grid, memoised on
 the table.  The work all terms share at x is written into the text as
-well: for shifted Legendre, y = 2x - 1 and the three-term recurrence
-unrolled into one assignment per P_m (`_legendre_recurrence`), which
-`_legendre_even_min` runs too, so no form makes a call or builds a list
-per evaluation; for a step family, the index of x's piece.  One routine,
+well: for the trigonometric families, each term's argument w x, formed
+once for phi and Phi; for shifted Legendre, y = 2x - 1 and the three-term
+recurrence unrolled into one assignment per P_m (`_legendre_recurrence`),
+which `_legendre_even_min` runs too, so no form makes a call or builds a
+list per evaluation; for a step family, the index of x's piece.  One routine,
 `TermTable.compile`, fills a template with the text and runs it in a
 `math` or a `numpy` namespace, so that every form has the same operations
 in the same order: the list forms `phi(x)` and `Phi(x)`, which evaluate
@@ -193,10 +194,11 @@ def _legendre_even_min(k: int) -> float:
 # A term builder turns (family, indices) into the text of a `TermTable`:
 # phi_k and Phi_k of each index as expression text in x; the work all terms
 # share at x as statements on one line, with no call for the smooth
-# families: y = 2x - 1 and the unrolled Legendre recurrence P0, P1, ...,
-# P{K+1}, or the step piece index j; and the sampler's early-stop rule (see
-# `sampling`): bound * q * q <= tol where a slope bound exists, and for a
-# step family the test that the Newton step z lies on the iterate's piece j.
+# families: the trigonometric arguments a{i} = W{i} * x, y = 2x - 1 and the
+# unrolled Legendre recurrence P0, P1, ..., P{K+1}, or the step piece index
+# j; and the sampler's early-stop rule (see `sampling`): bound * q * q <= tol
+# where a slope bound exists, and for a step family the test that the
+# Newton step z lies on the iterate's piece j.
 # The constants the text names (the frequencies W, sqrt(2k+1), the piece
 # values, anchors and cuts) are bound by name, so no float is ever written as
 # text; an integer enters the text only as the digits of a checked int,
@@ -330,17 +332,19 @@ class TermTable:
 
 
 def _trig_terms(family, indices):
-    # sqrt(2) sin(w x) or sqrt(2) cos(w x), with its antiderivative
+    # sqrt(2) sin(w x) or sqrt(2) cos(w x), with its antiderivative; the
+    # argument a = w x of each term is formed once, in the shared line
     constants, terms = {"SQRT2": _SQRT2}, []
     for i, k in enumerate(indices):
         part, w = (("cos", k * math.pi) if isinstance(family, Cosine)
                    else (k[0], 2.0 * math.pi * k[1]))
         constants[f"W{i}"] = w
         if part == "sin":
-            terms.append((f"SQRT2 * sin(W{i} * x)", f"SQRT2 * (1.0 - cos(W{i} * x)) / W{i}"))
+            terms.append((f"SQRT2 * sin(a{i})", f"SQRT2 * (1.0 - cos(a{i})) / W{i}"))
         else:
-            terms.append((f"SQRT2 * cos(W{i} * x)", f"SQRT2 * sin(W{i} * x) / W{i}"))
-    return None, tuple(terms), _SLOPE_STOP, constants
+            terms.append((f"SQRT2 * cos(a{i})", f"SQRT2 * sin(a{i}) / W{i}"))
+    shared = "; ".join(f"a{i} = W{i} * x" for i in range(len(indices))) or None
+    return shared, tuple(terms), _SLOPE_STOP, constants
 
 
 def _trig_moments(family):

@@ -75,33 +75,46 @@ step a bank.  Every entry point steps a bank through one method,
 stream's draws, u_1 and then the innovations, and each step overwrites its
 innovation with the state.  `generate_chain` is a one-row bank,
 `generate_chain_bank` one row per seed key, and `next_state` a two-column
-bank (u_prev, w) stepped once; a single copula's prepared sampler is
-memoised.  A bank of at least FLOAT_PATH_LANES rows takes one
-lane-vectorized step per time step, one numpy array per step: each Newton
-iteration makes one call of the term sums `_SUMS`, the lines
-g += s_k * (Phi_k) and c += s_k * (phi_k), the Newton step and the stop
-rule compiled for arrays.  A narrower one runs each row as a plain-float
-chain through the stepper `_STEPPER`: the Newton loop with the same lines
-written into it, so that no function is called per term, and with the
-same operations in the same order, so both paths give the same floats.  Below FLOAT_PATH_LANES = 64
-lanes numpy's per-call cost outweighs the vector arithmetic.  The measured
-float/array time ratios (300-step banks, smallest and largest of three
-runs on 2 cores) are
+bank (u_prev, w) stepped once, or on two plain numbers one step of a
+plain-float chain; a single copula's prepared sampler is memoised.  A bank
+of at least FLOAT_PATH_LANES rows runs as one Newton loop over numpy
+arrays with one lane per row (`_run_lanes`): each iteration makes one call
+of the term sums `_SUMS`, the lines g += s_k * (Phi_k) and
+c += s_k * (phi_k), the Newton step and the stop rule compiled for arrays,
+and each lane keeps its own column and its own iteration count.  A lane
+whose root is found writes it into the bank, reads its next innovation,
+sets s_k = lambda_k phi_k(root) and the bracket [0, 1], and iterates on
+at once while the other lanes go on; it leaves the working arrays only
+after its last column.  The lanes of all iterations thus add up to the
+evaluations the rows need: on the two-sine model at 100 lanes a lane needs
+3.29 evaluations per step, and a loop that moved every lane one step at a
+time made 4.67 iterations per step, waiting each time for the slowest
+lane.  A narrower bank runs each row as a plain-float chain through the
+stepper `_STEPPER`: the Newton loop with the same lines written into it,
+so that no function is called per term.  Both paths make the same
+operations in the same order on each lane, so they give the same floats.
+Below FLOAT_PATH_LANES = 64 lanes numpy's per-call cost outweighs the
+vector arithmetic.  The measured float/array time ratios (300-step banks,
+smallest and largest of three runs on 2 cores) are
 
-    lanes              32          48          64          96
-    two-sine       0.38-0.42   0.54-0.61   0.67-0.73   0.84-1.15
-    cosine         0.32-0.50   0.48-0.50   0.64-0.66   0.76-0.97
-    Legendre 1,2   0.31-0.61   0.70-0.90   0.91-1.01   1.21-1.52
-    Legendre 1,3,5 0.37-0.52   0.84-1.01   0.91-1.01   1.50-2.04
-    two-value step 0.32-0.33   0.45-0.48   0.60-0.62   0.83-0.86
-    sign flip      0.27-0.29   0.37-0.41   0.31-0.53   0.72-0.74
+    lanes              32          48          64          80          96
+    two-sine       0.49-0.54   0.60-0.86   0.84-0.90   1.06-1.09   1.15-1.26
+    cosine         0.47-0.49   0.66-0.68   0.85-0.88   0.97-1.02   1.15-1.21
+    Legendre 1,2   0.48-0.51   0.74-0.77   0.98-1.11   1.16-1.22   1.39-1.48
+    Legendre 1,3,5 0.58-0.62   0.85-0.89   1.12-1.20   1.41-1.45   1.61-1.71
+    two-value step 0.50-0.54   0.72-0.75   0.93-0.94   1.11-1.15   1.21-1.31
+    sign flip      0.49-0.63   0.71-0.76   0.76-0.93   1.04-1.08   1.24-1.26
 
-so the crossover lies near 64 lanes for Legendre, whose recurrence is
-written into the text, and near or above 96 for the other families.  One
-constant serves every family, and the choice depends only on the row
-count.  Each path is deterministic for a given seed key; per-replicate
-seed keys and elementwise lane arithmetic make banks independent of how
-the replicates, and the copulas of their lanes, are batched.
+so the crossover lies between 64 and 80 lanes for the trigonometric and
+step families and near 64 for Legendre 1,2; Legendre 1,3,5, whose longer
+recurrence the array path also runs in phi at every iteration, crosses
+below 64.  At 64 lanes the ratio is 0.76-1.20 for every family, while at
+80 the float path would take Legendre 1,3,5 banks of 64 to 79 rows up to
+45% longer, so FLOAT_PATH_LANES stays 64.  One constant serves every
+family, and the choice depends only on the row count.  Each path is
+deterministic for a given seed key; per-replicate seed keys and
+elementwise lane arithmetic make banks independent of how the replicates,
+and the copulas of their lanes, are batched.
 """
 
 from __future__ import annotations
@@ -191,9 +204,10 @@ def innovation_stream(*keys: int) -> np.random.Generator:
 # The float path runs one chain per call of a stepper compiled for the term
 # table: the Newton loop below with each term's text in place of a call,
 # s_k = lambda_k phi_k(u) set once per step, and the same operations in the
-# same order as `_solve_vector`, whose term sums are the same lines compiled
-# for arrays (`_SUMS`).  Their locals are lower-case words and the term
-# text's constants upper-case names, so neither shadows the other.
+# same order as each lane of `_run_lanes`, whose term sums are the same
+# lines compiled for arrays (`_SUMS`).  Their locals are lower-case words
+# and the term text's constants upper-case names, so neither shadows the
+# other.
 # run(state, states, lams, bound, limits) steps the chain from state through
 # the innovations in the list states, overwriting each with the state it
 # gives, and returns the list; lams holds the K coefficients, bound is the
@@ -218,7 +232,7 @@ def run(state, states, lams, bound, limits):
             c = 1.0
             g += s{k} * ({Phi})
             c += s{k} * ({phi})
-            if abs(g) <= tol:
+            if -tol <= g <= tol:
                 break
             if g < 0.0:
                 lo = v
@@ -256,43 +270,86 @@ def sums(x, w, s, bound, tol):
 """
 
 
-def _solve_vector(sums, s, w: np.ndarray, bound=None) -> np.ndarray:
-    """The compiled stepper's solve lane by lane, with the same operations
-    in the same order: sums is the table's compiled `_SUMS`, each s_k holds
-    one value per lane, and bound is one bound for every lane, or None.
-    Finished lanes leave the working arrays."""
-    out = np.empty_like(w)
-    lane = np.arange(w.size)
-    lo = np.zeros_like(w)
-    hi = np.ones_like(w)
-    v = w
+def _run_lanes(u, sums, phi, lams, bound) -> np.ndarray:
+    """Step the bank u in place and return it, each row a lane of one
+    Newton loop: the compiled stepper's solve lane by lane, with the same
+    operations in the same order.  sums is the table's compiled `_SUMS`,
+    phi its array form, lams the coefficients, shape (K, rows), and bound
+    one bound for every lane, or None.  A lane whose root is found writes it
+    into the bank and starts its next column at the next evaluation, while
+    the others keep iterating; it leaves the working arrays after its last
+    column."""
+    r, n = u.shape
+    if n < 2:
+        return u
+    # at holds the row-major position of each lane's column, at which
+    # take and put read and write the bank itself
+    at = np.arange(1, r * n, n)
+    w = u.take(at)
+    s = [lam * p for lam, p in zip(lams, phi(u[:, 0]))]
+    lo, hi, v = np.zeros(r), np.ones(r), w
+    begun = np.zeros(r, dtype=int)  # evaluations made before each lane's column
+    # k counts evaluations; oldest <= min(begun), and no lane can find the
+    # root of its last column before evaluation ends_from
+    k, oldest, ends_from = 0, 0, n - 1
     # g / c divides by 0, or overflows, only where c <= 0 or c is tiny; the
     # step test rejects those lanes, so one errstate serves every iteration
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(MAX_ITER):
-            if not lane.size:
-                return out
-            g, c, t, stop = sums(v, w, s, bound, RESIDUAL_TOL)
+        while at.size:
+            g, c, z, stop = sums(v, w, s, bound, RESIDUAL_TOL)
+            k += 1
             hit = np.abs(g) <= RESIDUAL_TOL
             neg = g < 0.0
             lo = np.where(neg, v, lo)
             hi = np.where(neg, hi, v)
             mid = 0.5 * (lo + hi)
             closed = hi - lo <= BRACKET_TOL
-            done = hit | closed
-            step = (c > 0.0) & (lo < t) & (t < hi)
-            done |= step & stop
-            nxt = np.where(step, t, mid)
-            if done.any():
-                # an early stop returns its Newton step t, which is nxt there
-                found = mid if bound is None else np.where(closed, mid, nxt)
-                out[lane[done]] = np.where(hit, v, found)[done]
-                keep = ~done
-                lane, w, lo, hi, nxt = (a[keep] for a in (lane, w, lo, hi, nxt))
-                s = [a[keep] for a in s]
-            v = nxt
-    out[lane] = v
-    return out
+            step = (c > 0.0) & (lo < z) & (z < hi)
+            done = hit | closed | (step & stop)
+            if k - oldest >= MAX_ITER:
+                # a lane returns its last iterate after MAX_ITER evaluations
+                oldest = begun.min()
+                done |= k - begun >= MAX_ITER
+            # a finished lane's root (an early stop's is its Newton step z),
+            # and every other lane's next iterate
+            v = np.where(hit, v, np.where(closed, mid, np.where(step, z, mid)))
+            fin = done.nonzero()[0]
+            if not fin.size:
+                continue
+            pos = at[fin]
+            root = v[fin]
+            u.put(pos, root)
+            if k >= ends_from:
+                go = pos % n != n - 1  # the finished lanes with a column left
+                left = np.count_nonzero(go)
+                if left == go.size:
+                    # a lane now at column c can find the root of its last
+                    # column at evaluation k + n - 1 - c at the soonest
+                    ends_from = k + n - 1 - (at % n).max()
+                else:
+                    # the others leave the working arrays
+                    keep = ~done
+                    if left:
+                        keep[fin[go]] = True
+                    at, w, lo, hi, v, begun = (a.compress(keep)
+                                               for a in (at, w, lo, hi, v, begun))
+                    s = [a.compress(keep) for a in s]
+                    lams = lams.compress(keep, axis=1)
+                    if not left:
+                        continue
+                    fin = done[keep].nonzero()[0]
+                    pos, root = pos[go], root[go]
+            # the next column: its innovation, s_k = lambda_k phi_k(root) and
+            # the bracket [0, 1]
+            pos += 1
+            at[fin] = pos
+            w[fin] = v[fin] = u.take(pos)
+            lo[fin] = 0.0
+            hi[fin] = 1.0
+            begun[fin] = k
+            for sk, lam, p in zip(s, lams[:, fin], phi(root)):
+                sk[fin] = lam * p
+    return u
 
 
 class _Sampler:
@@ -345,27 +402,28 @@ class _Sampler:
         weights = [d * p for d, p in zip(table.slopes, sup)]
         return max(sum(abs(lam) * wk for lam, wk in zip(row, weights)) for row in rows)
 
+    def chain(self, state: float, states: list, lams) -> list:
+        """The compiled `stepper` on plain floats: the chain from state
+        through the innovations in the list states, each overwritten with
+        the state it gives."""
+        return self.stepper(state, states, lams, self.bound,
+                            (MAX_ITER, RESIDUAL_TOL, BRACKET_TOL))
+
     def advance(self, u: np.ndarray) -> np.ndarray:
         """Step the bank u in place and return it.  Row i starts at
         u[i, 0], and step t overwrites the innovation u[i, t] with the
         state.  Below FLOAT_PATH_LANES rows each row runs as a plain-float
-        chain through the compiled `stepper`, with its own coefficients (a
-        one-copula sampler's one row serves every lane); otherwise each step
-        is one `_solve_vector` call over all lanes."""
-        bound = self.bound
+        `chain`, with its own coefficients (a one-copula sampler's one row
+        serves every lane); otherwise the rows are the lanes of one
+        `_run_lanes` loop."""
         if len(u) < FLOAT_PATH_LANES:
-            run = self.stepper
-            limits = (MAX_ITER, RESIDUAL_TOL, BRACKET_TOL)
             rows = self.rows * len(u) if len(self.rows) == 1 else self.rows
             for row, lams in zip(u, rows):
-                row[1:] = run(float(row[0]), row[1:].tolist(), lams, bound, limits)
+                row[1:] = self.chain(float(row[0]), row[1:].tolist(), lams)
             return u
-        phi, sums = self.table.phi, self.sums
-        lams = tuple(np.array(self.rows).T)
-        for t in range(1, u.shape[1]):
-            s = [lam * p for lam, p in zip(lams, phi(u[:, t - 1]))]
-            u[:, t] = _solve_vector(sums, s, u[:, t], bound)
-        return u
+        # one column of coefficients per lane
+        lams = np.repeat(np.array(self.rows).T, len(u) // len(self.rows), axis=1)
+        return _run_lanes(u, self.sums, self.table.phi, lams, self.bound)
 
 
 @lru_cache(maxsize=128)
@@ -382,12 +440,19 @@ def next_state(c: SpectralCopula, u_prev, w):
     """Solve d1C(u_prev, v) = w for v.
 
     Scalars or 0-d arrays in, a float out; same-shape arrays in, an array
-    of that shape out.  The lanes step as one step of a two-column bank
-    (u_prev, w), so an array of FLOAT_PATH_LANES elements or more is
-    solved vectorized and a smaller one lane by lane on plain floats.
+    of that shape out.  Two plain numbers (float or int) are one step of
+    the plain-float chain, with no numpy set-up; arrays step as one step of
+    a two-column bank (u_prev, w), so an array of FLOAT_PATH_LANES elements
+    or more is solved vectorized and a smaller one lane by lane on plain
+    floats.
     Every family is solved to the tolerances in the module header.
     """
     sampler = _sampler(c)
+    if isinstance(u_prev, (float, int)) and isinstance(w, (float, int)):
+        # one lane of plain floats: the one-row chain of one step
+        if not (0.0 <= u_prev <= 1.0 and 0.0 <= w <= 1.0):
+            raise ValueError("u_prev and w must lie in [0,1]")
+        return sampler.chain(float(u_prev), [float(w)], sampler.rows[0])[0]
     u_arr = np.asarray(u_prev, dtype=float)
     w_arr = np.asarray(w, dtype=float)
     if not (np.all((u_arr >= 0.0) & (u_arr <= 1.0)) and np.all((w_arr >= 0.0) & (w_arr <= 1.0))):
@@ -463,9 +528,9 @@ def generate_chain_bank(c: SpectralCopula | Sequence[SpectralCopula], n: int,
     or tuple of ints), with the same draw order as generate_chain; the row
     first holds those n draws, and each step overwrites its innovation
     with the state, so the bank is the only (r, n) array.  The bank is
-    stepped by `_Sampler.advance`: with FLOAT_PATH_LANES rows or more, one
-    vectorized time step at a time; with fewer, each row as a plain-float
-    chain.
+    stepped by `_Sampler.advance`: with FLOAT_PATH_LANES rows or more, as
+    the lanes of one vectorized Newton loop, each lane on its own column;
+    with fewer, each row as a plain-float chain.
 
     `c` is one copula for every row, or a sequence of copulas, one per
     key, sharing one family and one index set (a copula without terms may

@@ -72,9 +72,12 @@ def test_next_state_keeps_the_shape_of_small_arrays(c):
     assert out.shape == (4, 5)
     assert np.array_equal(out, [[next_state(c, a, b) for a, b in zip(ru, rw)]
                                 for ru, rw in zip(u.tolist(), w.tolist())])
-    # 0-d arrays in, a float out
+    # 0-d arrays in, a float out, as for plain numbers, ints too
     v = next_state(c, np.array(u[0, 0]), np.array(w[0, 0]))
     assert type(v) is float and v == out[0, 0]
+    v = next_state(c, float(u[0, 0]), float(w[0, 0]))
+    assert type(v) is float and v == out[0, 0]
+    assert _same_floats(next_state(c, 1, 0), next_state(c, np.array(1.0), np.array(0.0)))
 
 
 def test_next_state_independence_passthrough():
@@ -228,10 +231,12 @@ def test_solver_stops_at_once_on_no_lanes():
     # evaluated
     c = two_sine_model(0.2, -0.15)
     calls = []
-    counted = _logging(sampling._Sampler(c).sums, calls)
+    sampler = sampling._Sampler(c)
+    counted = _logging(sampler.sums, calls)
     empty = np.array([])
-    out = sampling._solve_vector(counted, [empty] * len(c.terms.indices), empty)
-    assert out.shape == (0,) and calls == []
+    out = sampling._run_lanes(np.empty((0, 5)), counted, sampler.table.phi,
+                              np.empty((len(c.terms.indices), 0)), sampler.bound)
+    assert out.shape == (0, 5) and calls == []
     assert next_state(c, empty, empty).shape == (0,)
 
 
@@ -273,9 +278,10 @@ def _random_smooth_copulas(seed=17, per_family=4):
 
 
 def _logging(f, log):
-    def logged(*args):
-        log.append(f)
-        return f(*args)
+    # f, logging the lane count of each call's first argument
+    def logged(x, *args):
+        log.append(np.size(x))
+        return f(x, *args)
     return logged
 
 
@@ -301,20 +307,12 @@ def _assert_early_stop_is_exact(c):
     plain.bound = None
 
     calls, lanes = [], []
-
-    def counted(sums, log):
-        # the array path's compiled term sums, logging the lanes of each
-        # evaluation
-        def counting(x, *args):
-            log.append(np.size(x))
-            return sums(x, *args)
-        return counting
-
-    # the float path: the stepper with every evaluation logged
+    # the float path: the stepper with every evaluation logged; the array
+    # path: the term sums, logging the lanes of each evaluation
     run = _counting_stepper(c.terms, calls)
     for sampler in (bounded, plain):
         sampler.stepper = run
-        sampler.sums = counted(sampler.sums, lanes)
+        sampler.sums = _logging(sampler.sums, lanes)
     early = 0
     roots = []
     for a, b in zip(u.tolist(), w.tolist()):
@@ -330,7 +328,7 @@ def _assert_early_stop_is_exact(c):
             assert abs(c.conditional_cdf(a, v) - b) <= sampling.RESIDUAL_TOL
     assert early > 0
     # the array path: one bound for every lane, or None, which runs the
-    # full iteration, _solve_vector(..., bound=None)
+    # full iteration, _run_lanes(..., bound=None)
     assert _same_floats(bounded.advance(np.column_stack([u, w]))[:, 1], roots)
     with_bound = sum(lanes)
     assert _same_floats(plain.advance(np.column_stack([u, w]))[:, 1], roots)
@@ -407,6 +405,20 @@ def test_bank_with_one_copula_list_equals_plain_call():
     keys = [(3, r) for r in range(5)]
     assert np.array_equal(generate_chain_bank([c] * 5, 100, keys),
                           generate_chain_bank(c, 100, keys))
+
+
+def test_wide_per_row_bank_with_term_free_lanes_equals_single_copula_banks():
+    # on the array path a term-free lane returns at its first evaluation and
+    # moves on at once, so over 1,000 steps its columns run far ahead of the
+    # other lanes'
+    models = [zero_association_model(0.0), zero_association_model(0.05),
+              zero_association_model(0.11)]
+    lanes = 2 * sampling.FLOAT_PATH_LANES + 2
+    keys = [(19, i) for i in range(lanes)]
+    bank = generate_chain_bank([models[i % 3] for i in range(lanes)], 1000, keys)
+    for j, c in enumerate(models):
+        mine = list(range(j, lanes, 3))
+        assert _same_floats(bank[mine], generate_chain_bank(c, 1000, [keys[i] for i in mine]))
 
 
 @pytest.mark.parametrize("models", [
@@ -568,6 +580,47 @@ def test_newton_converges_within_eight_iterations(monkeypatch, c):
     assert np.array_equal(generate_chain_bank(c, 3000, [41])[0], chain)
     keys = [(41,)] + [(41, r) for r in range(1, sampling.FLOAT_PATH_LANES)]
     assert np.array_equal(generate_chain_bank(c, 3000, keys)[0], chain)
+
+
+LANE_CASES = [two_sine_model(0.05, -0.2), shifted_legendre_copula({1: 0.1, 3: 0.05, 5: 0.02}),
+              two_value_step(2.0, 1.0)]  # the last a boundary step copula
+LANE_IDS = ["two-sine", "legendre-135", "two-value-alpha2-boundary"]
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+@pytest.mark.parametrize("c", LANE_CASES, ids=LANE_IDS)
+def test_max_iter_counts_each_lanes_own_evaluations(monkeypatch, c, max_iter):
+    # a lane cut short at MAX_ITER evaluations of its column returns its last
+    # Newton or midpoint iterate, as the float path does, whatever the other
+    # lanes of the array path are doing
+    keys = [(43, r) for r in range(sampling.FLOAT_PATH_LANES + 1)]
+    full = generate_chain_bank(c, 200, keys)
+    monkeypatch.setattr(sampling, "MAX_ITER", max_iter)
+    bank = generate_chain_bank(c, 200, keys)
+    if max_iter == 1:  # one evaluation per column cuts lanes short in every case
+        assert not np.array_equal(bank, full)
+    assert _same_floats(bank, [generate_chain_bank(c, 200, [key])[0] for key in keys])
+
+
+@pytest.mark.parametrize("c", LANE_CASES + [
+    [zero_association_model(0.0), zero_association_model(0.05), zero_association_model(0.11)]],
+    ids=LANE_IDS + ["per-row-zero-association"])
+def test_array_path_makes_the_float_paths_evaluations_and_no_more(monkeypatch, c):
+    # every lane moves to its next column as soon as its root is found, so
+    # the lanes of all the array path's evaluations add up to the float
+    # stepper's evaluations over the same rows
+    lanes, n = 100, 300
+    sampler = sampling._Sampler([c[i % len(c)] for i in range(lanes)]
+                                if isinstance(c, list) else c)
+    calls, sizes = [], []
+    sampler.stepper = _counting_stepper(sampler.table, calls)
+    sampler.sums = _logging(sampler.sums, sizes)
+    u = np.array([innovation_stream(53, r).random(n) for r in range(lanes)])
+    wide = sampler.advance(u.copy())
+    assert sizes[0] == lanes and calls == []
+    monkeypatch.setattr(sampling, "FLOAT_PATH_LANES", lanes + 1)
+    assert _same_floats(sampler.advance(u), wide)
+    assert sum(sizes) == len(calls)
 
 
 @pytest.mark.parametrize("c", [
