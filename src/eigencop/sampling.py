@@ -98,21 +98,20 @@ vector arithmetic.  The measured float/array time ratios (300-step banks,
 smallest and largest of three runs on 2 cores) are
 
     lanes              32          48          64          80          96
-    two-sine       0.49-0.54   0.60-0.86   0.84-0.90   1.06-1.09   1.15-1.26
-    cosine         0.47-0.49   0.66-0.68   0.85-0.88   0.97-1.02   1.15-1.21
-    Legendre 1,2   0.48-0.51   0.74-0.77   0.98-1.11   1.16-1.22   1.39-1.48
-    Legendre 1,3,5 0.58-0.62   0.85-0.89   1.12-1.20   1.41-1.45   1.61-1.71
-    two-value step 0.50-0.54   0.72-0.75   0.93-0.94   1.11-1.15   1.21-1.31
-    sign flip      0.49-0.63   0.71-0.76   0.76-0.93   1.04-1.08   1.24-1.26
+    two-sine       0.45-0.49   0.56-0.66   0.83-0.84   0.99-1.07   1.10-1.22
+    cosine         0.45-0.65   0.64-0.66   0.82-0.83   0.96-1.01   1.05-1.15
+    Legendre 1,2   0.42-0.44   0.61-0.66   0.79-0.83   1.01-1.06   1.16-1.24
+    Legendre 1,3,5 0.49-0.51   0.70-0.71   0.90-1.09   1.31-1.44   1.41-2.11
+    two-value step 0.52-0.55   0.50-0.72   1.07-1.24   0.80-1.11   1.18-1.36
+    sign flip      0.57-0.67   0.66-0.71   0.82-1.01   1.00-1.28   1.14-1.32
 
-so the crossover lies between 64 and 80 lanes for the trigonometric and
-step families and near 64 for Legendre 1,2; Legendre 1,3,5, whose longer
-recurrence the array path also runs in phi at every iteration, crosses
-below 64.  At 64 lanes the ratio is 0.76-1.20 for every family, while at
-80 the float path would take Legendre 1,3,5 banks of 64 to 79 rows up to
-45% longer, so FLOAT_PATH_LANES stays 64.  One constant serves every
-family, and the choice depends only on the row count.  Each path is
-deterministic for a given seed key; per-replicate seed keys and
+so the crossover lies near 64 to 80 lanes for every family, and near 64
+for Legendre 1,3,5, whose longer recurrence the array path also runs in
+phi at every iteration.  At 64 lanes the ratio is 0.79-1.24 for every
+family, while at 80 the float path would take Legendre 1,3,5 banks of 64
+to 79 rows up to 44% longer, so FLOAT_PATH_LANES stays 64.  One constant
+serves every family, and the choice depends only on the row count.  Each
+path is deterministic for a given seed key; per-replicate seed keys and
 elementwise lane arithmetic make banks independent of how the replicates,
 and the copulas of their lanes, are batched.
 """
