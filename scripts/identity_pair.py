@@ -21,6 +21,9 @@ only, so both trees answer the same calls:
   `sample_wl` on scalars and arrays;
 - `eval_phi` and `eval_Phi` on fixed points for every family and index of
   TABLES;
+- `extrema` of every even-index shifted Legendre function up to k = 200,
+  and the `validate` records of the one-term Legendre copulas of
+  LEGENDRE_EVEN_VALIDATE;
 - the `validate`, `certify_psi` (max_n 20 and 3) and `associate` records of
   the copulas of the tree's own `perfbench/workloads.verdict_specs`, seeds
   1 to 5 (read, not changed);
@@ -142,6 +145,11 @@ def errors(ec):
     ]
 
 
+# one-term copulas lambda_k = 0.01 for even k on either side of 156, the
+# first k at which a 4096-point grid misses the outermost critical point of P_k
+LEGENDRE_EVEN_VALIDATE = (154, 156, 200)
+
+
 CLI_INLINE = [
     ("cosine_1024", '{"basis": {"family": "cosine"}, "lambda": [[1024, 0.9]]}'),
     ("cosine_invalid", '{"basis": {"family": "cosine"}, "lambda": [[1, 5.0]]}'),
@@ -232,6 +240,12 @@ def catalogue(tree: pathlib.Path):
         for k in ks:
             yield f"eval_phi.{name}.{k}", lambda family=family, k=k, x=x: ec.eval_phi(family, k, x)
             yield f"eval_Phi.{name}.{k}", lambda family=family, k=k, x=x: ec.eval_Phi(family, k, x)
+
+    for k in range(2, 201, 2):
+        yield f"extrema.legendre.{k}", lambda k=k: ec.extrema(ec.ShiftedLegendre(), k)
+    for k in LEGENDRE_EVEN_VALIDATE:
+        yield (f"legendre_even.{k}.validate",
+               lambda k=k: _record(ec.shifted_legendre_copula({k: 0.01}).validate()))
 
     sys.path.insert(0, str(tree / "perfbench"))
     import workloads

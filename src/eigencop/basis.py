@@ -5,8 +5,8 @@ constant 1 (which is always an implicit member of the system).  Each
 function comes with a closed-form antiderivative vanishing at both
 endpoints, plus extrema, which the validity and mixing checks rely on.
 The extrema are exact except the minimum of an even-index shifted
-Legendre function, which is located on a 4096-point grid and sharpened by
-bisection: an estimate, not a proven bound.
+Legendre function, the least value of P_k at the computed roots of P_k':
+accurate to rounding, but not a proven bound.
 
 The formulas for phi_k and Phi_k are written once, as expression text in
 the per-family term builders, with every constant bound by name.
@@ -16,8 +16,8 @@ the table.  The work all terms share at x is written into the text as
 well: for the trigonometric families, each term's argument w x, formed
 once for phi and Phi; for shifted Legendre, y = 2x - 1 and the three-term
 recurrence unrolled into one assignment per P_m (`_legendre_recurrence`),
-which `_legendre_even_min` runs too, so no form makes a call or builds a
-list per evaluation; for a step family, the index of x's piece.  One routine,
+so no form makes a call or builds a list per evaluation; for a step
+family, the index of x's piece.  One routine,
 `TermTable.compile`, fills a template with the text and runs it in a
 `math` or a `numpy` namespace, so that every form has the same operations
 in the same order: the list forms `phi(x)` and `Phi(x)`, which evaluate
@@ -113,8 +113,10 @@ class PiecewiseSign:
         object.__setattr__(self, "breakpoints", bp)
         if len(bp) < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if any(b2 <= b1 for b1, b2 in zip(bp[:-1], bp[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+        # `not b1 < b2` also catches NaN; with both ends fixed, every edge
+        # is then finite
+        if any(not b1 < b2 for b1, b2 in zip(bp[:-1], bp[1:])):
+            raise ValueError("breakpoints must be finite and strictly increasing")
 
     @property
     def n_cells(self) -> int:
@@ -153,40 +155,11 @@ def jump_points(family: Family) -> tuple:
 
 @lru_cache(maxsize=128)
 def _legendre_even_min(k: int) -> float:
-    """Interior minimum of P_k on [-1,1] for even k.
-
-    Located on a 4096-point grid, then sharpened by 50 bisection steps on
-    the derivative sign change inside the bracketing grid cell.  This is
-    a numerical estimate, not an enclosure: nothing bounds P_k between
-    the grid points outside that cell.
-    """
-    # P_{k-1}(y) and P_k(y), by the recurrence text every Legendre table runs
-    ns = {}
-    exec(f"def pair(y):\n    {_legendre_recurrence(k)}\n"
-         f"    return P{_int(k - 1)}, P{_int(k)}\n", ns)
-    pair = ns["pair"]
-    grid = np.linspace(-1.0, 1.0, 4096)
-    vals = pair(grid)[1]
-    j = int(np.argmin(vals))
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, grid.size - 1)]
-
-    def deriv(y: float) -> float:
-        if abs(y) >= 1.0:
-            y = math.copysign(1.0 - 1e-12, y)
-        below, top = pair(y)
-        return k * (below - y * top) / (1.0 - y * y)
-
-    dlo, dhi = deriv(lo), deriv(hi)
-    if dlo < 0.0 < dhi:
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if deriv(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-    y_star = 0.5 * (lo + hi)
-    return float(pair(y_star)[1])
+    """Interior minimum of P_k on [-1,1] for even k: the least value of P_k
+    at the roots of P_k' that numpy computes.  Accurate to rounding, but not
+    an enclosure: nothing bounds the error of the computed roots."""
+    p = np.polynomial.Legendre.basis(k)
+    return float(min(p(p.deriv().roots().real)))
 
 
 # -- the term table: every phi/Phi formula, written once -------------------
@@ -369,7 +342,7 @@ def _legendre_recurrence(n: int) -> str:
     """The Legendre polynomials P_0(y), ..., P_n(y) as statements
     `P0 = 1.0; P1 = y; P2 = (3 * y * P1 - 1 * P0) / 2; ...`, the three-term
     recurrence unrolled, for a float or an array y (P0 is the float 1.0).
-    Every Legendre table's shared text, and `_legendre_even_min`, runs it."""
+    Every Legendre table's shared text runs it."""
     steps = ["P0 = 1.0", "P1 = y"]
     for m in range(1, n):
         a, b, c, d = map(_int, (m + 1, 2 * m + 1, m, m - 1))
@@ -512,8 +485,8 @@ def extrema(family: Family, k: Index) -> tuple[float, float]:
     """(min, max) of basis function k over [0,1].
 
     Exact for every family except even-index ShiftedLegendre, whose
-    interior minimum is a grid-plus-bisection estimate (see
-    `_legendre_even_min`), not a proven bound.
+    interior minimum is the least value at the computed roots of P_k'
+    (see `_legendre_even_min`): accurate to rounding, not a proven bound.
     """
     check_index(family, k)
     if isinstance(family, (SineCosine, Cosine)):

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import association, coverage, estimation, mixing, sampling
@@ -140,6 +141,8 @@ def _cmd_estimate(args) -> int:
             mu01, mu02 = (float(t) for t in args.null.split(","))
         except ValueError as exc:
             raise ConfigError("null", "expected MU1,MU2") from exc
+        if not (math.isfinite(mu01) and math.isfinite(mu02)):
+            raise ConfigError("null", "MU1 and MU2 must be finite")
         stat = estimation.chi2_statistic(est, (mu01, mu02))
         out["chi2"] = {"null": [mu01, mu02], "statistic": stat, "df": 2,
                        "p_value": 1.0 - chi2_cdf(stat, 2)}

@@ -68,6 +68,22 @@ def test_extrema_bound_and_attained(family, ks):
         assert vals.max() >= hi - 1e-3
 
 
+@pytest.mark.parametrize("k", [2, 4, 10, 60, 154, 156, 160, 200])
+def test_legendre_even_min_matches_a_fine_grid(k):
+    # the minimum of P_k sits at its outermost critical point (Szego,
+    # Orthogonal Polynomials, 7.2), which a coarse grid misses for large k.
+    # P_k is even, so the nonnegative half of a 2,000,001-point grid on
+    # [-1, 1] holds every value the whole grid does
+    lo, _ = extrema(ShiftedLegendre(), k)
+    least = lo / math.sqrt(2 * k + 1)
+    grid_min = legendre.Legendre.basis(k)(np.linspace(0.0, 1.0, 1_000_001)).min()
+    assert grid_min - 1e-5 <= least <= grid_min
+    if k == 2:
+        assert least == -0.5
+    if k == 4:
+        assert least == -3.0 / 7.0
+
+
 def test_legendre_low_orders_explicit():
     x = np.linspace(0.0, 1.0, 101)
     y = 2 * x - 1
@@ -151,6 +167,9 @@ def test_invalid_family_parameters_rejected():
         PiecewiseSign((0.1, 0.5, 1.0))
     with pytest.raises(ValueError):
         PiecewiseSign((0.0, 0.5, 0.5, 1.0))
+    # a NaN edge fails no `<=` test, so it must be refused as not increasing
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        PiecewiseSign((0.0, math.nan, 1.0))
 
 
 @settings(max_examples=60, deadline=None)

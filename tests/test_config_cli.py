@@ -356,6 +356,15 @@ def test_cli_validate_rejects_grid_without_two_points(capsys):
     assert "grid_n must be at least 2" in err
 
 
+def test_cli_validate_rejects_nan_breakpoint(capsys):
+    # JSON's NaN parses, and a NaN edge fails no `<=` comparison
+    code, out, err = _run(capsys, "validate", "--config",
+                          '{"basis": {"family": "piecewise_sign", "breakpoints": [0, NaN, 1]},'
+                          ' "lambda": [[1, 0.1]]}')
+    assert code == 1 and out == ""
+    assert "config field 'basis.breakpoints'" in err
+
+
 @pytest.mark.parametrize("grid_n", ["0", "1", "-2"])
 def test_cli_density_grid_rejects_grid_without_two_points(capsys, grid_n):
     code, out, err = _run(capsys, "density-grid", "--config", '{"fgm": 0.5}',
@@ -465,6 +474,13 @@ def test_cli_estimate(capsys):
                         '{"zero_association": 0.05}', "--n", "200",
                         "--null", "nope")
     assert code == 1
+    # a non-finite null would print NaN for the statistic and the p-value
+    for null in ("nan,0", "0,inf"):
+        code, out, err = _run(capsys, "estimate", "--config",
+                              '{"zero_association": 0.05}', "--n", "200",
+                              "--null", null)
+        assert code == 1 and out == ""
+        assert "config field 'null'" in err
 
 
 def _coverage_config(tmp_path, **over):

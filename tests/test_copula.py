@@ -178,6 +178,19 @@ def test_validity_one_term_margin_is_an_invalid_witness():
     assert cosine_copula({1024: 0.5}).validate().verdict is Verdict.VALID_BOUNDARY
 
 
+def test_high_even_legendre_margin_is_an_invalid_witness():
+    # the minimum of P_200 sits at its outermost critical point y*, which a
+    # 4096-point grid misses; with one term the margin is the density at
+    # (u*, 1), u* = (y* + 1) / 2, where phi_200 takes both extrema
+    c = shifted_legendre_copula({200: 0.01})
+    report = c.validate()
+    y_star = np.polynomial.Legendre.basis(200).deriv().roots().real.max()
+    assert report.analytic_margin == pytest.approx(
+        c.density((y_star + 1.0) / 2.0, 1.0), abs=1e-9)
+    assert report.analytic_margin < -0.6
+    assert report.verdict is Verdict.INVALID
+
+
 RANGE_CASES = [
     cosine_copula({3: 0.4}),
     cosine_copula({3: -0.4}),

@@ -654,6 +654,9 @@ def test_samplers_refuse_invalid_copula():
         generate_chain_bank([cosine_copula({1: 0.3}), c], 10, [(1,), (2,)])
     with pytest.raises(ValueError, match="INVALID"):
         next_state(c, 0.3, 0.6)
+    # an even-index Legendre term whose minimum only the roots of P_k' find
+    with pytest.raises(ValueError, match="INVALID"):
+        generate_chain_bank(shifted_legendre_copula({200: 0.01}), 10, [(1,), (2,)])
 
 
 def test_chain_marginal_is_uniform():
