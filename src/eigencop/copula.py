@@ -120,11 +120,12 @@ class ValidityReport(Record):
     from `basis.extrema`; a nonnegative margin proves validity outright,
     except that the minimum of an even-index shifted Legendre function is
     its least value at the computed roots of P_k', accurate to rounding but
-    not an enclosure, so a margin with such a term rests on it.  With one term the margin is exact, the density at a point where
-    phi_k takes its extrema, so a margin below -GRID_NEG_TOL is INVALID
-    even where the grid misses that point.  The grid fields record the
-    observed density range on a midpoint grid, which adjudicates the cases
-    the sufficient condition cannot settle.
+    not an enclosure, so a margin with such a term rests on it.  With one
+    term the margin is exact, the density at a point where phi_k takes its
+    extrema, so a margin below -GRID_NEG_TOL is INVALID even where the grid
+    misses that point.  The grid fields record the observed density range
+    on a midpoint grid, which adjudicates the cases the sufficient
+    condition cannot settle.
     """
 
     analytic_ok: bool

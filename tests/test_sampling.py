@@ -654,7 +654,7 @@ def test_samplers_refuse_invalid_copula():
         generate_chain_bank([cosine_copula({1: 0.3}), c], 10, [(1,), (2,)])
     with pytest.raises(ValueError, match="INVALID"):
         next_state(c, 0.3, 0.6)
-    # an even-index Legendre term whose minimum only the roots of P_k' find
+    # INVALID only through the minimum of P_200 at its outermost critical point
     with pytest.raises(ValueError, match="INVALID"):
         generate_chain_bank(shifted_legendre_copula({200: 0.01}), 10, [(1,), (2,)])
 
