@@ -142,6 +142,27 @@ def errors(ec):
         ("bernoulli_threshold", lambda: ec.Bernoulli(1.0)),
         ("config_family", lambda: ec.parse_copula_config({"basis": {"family": "tan"},
                                                           "lambda": [[1, 0.1]]})),
+        # NaN, non-integral and bool arguments
+        ("validate_float_grid", lambda: fgm.validate(2.5)),
+        ("density_grid_float", lambda: fgm.density_grid(8.0)),
+        ("certify_float_grid", lambda: ec.certify_psi(fgm, grid_n=100.0)),
+        ("certify_float_max_n", lambda: ec.certify_psi(fgm, max_n=2.5)),
+        ("rho_float_n_max", lambda: ec.rho_sequence(fgm, 2.5)),
+        ("fold_bool", lambda: fgm.fold(True)),
+        ("chain_bool_seed", lambda: ec.generate_chain(fgm, 5, True)),
+        ("bank_bool_length", lambda: ec.generate_chain_bank(fgm, True, [1])),
+        ("stream_bool", lambda: ec.innovation_stream(True)),
+        ("counterexample_float_terms", lambda: ec.sine_counterexample(2.5)),
+        ("counterexample_float_grid", lambda: ec.sine_counterexample(3, grid_points=100.0)),
+        ("counterexample_negative", lambda: ec.sine_counterexample(-1)),
+        ("estimate_mu_range", lambda: ec.estimate_mu([0.1, 5.0, 0.3])),
+        ("estimate_mu_nan", lambda: ec.estimate_mu([0.1, math.nan, 0.3])),
+        ("transform_range", lambda: ec.apply_transform(ec.Exponential(1.0), [2.0])),
+        ("sine_cosine_float_index", lambda: ec.sine_cosine_copula(sin={1.5: 0.1})),
+        ("sine_cosine_str_index", lambda: ec.sine_cosine_copula(sin={"1": 0.1})),
+        ("sample_wl_nan_lambda", lambda: ec.sample_wl(math.nan, 0.3, 0.4)),
+        ("wald_nan_variance", lambda: ec.wald_interval(0.5, math.nan, 10, 0.95)),
+        ("mean_ci_nan_variance", lambda: ec.mean_ci([0.2, 0.4], math.nan)),
     ]
 
 

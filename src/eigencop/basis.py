@@ -47,6 +47,7 @@ PiecewiseSign   one sign flip per cell of a partition of [0,1]
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -127,6 +128,27 @@ class PiecewiseSign:
 
 
 Family = Union[SineCosine, Cosine, ShiftedLegendre, TwoValueStep, PiecewiseSign]
+
+
+# the one check of values in [0, 1] and the one of counts: every public
+# entry point reads such arguments through these two
+def _unit_array(x, name: str) -> np.ndarray:
+    """x as a float array; ValueError unless all of it lies in [0, 1] (NaN does not)."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValueError(f"{name} must lie in [0,1]")
+    return arr
+
+
+def _count(n, name: str, least: int) -> int:
+    """operator.index(n) as a plain int; ValueError unless n is integral
+    (numpy integers are), not a bool, and at least `least`."""
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise ValueError(f"{name} must be an integer, not {type(n).__name__}")
+    n = int(operator.index(n))
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return n
 
 
 def check_index(family: Family, k: Index) -> None:
@@ -461,24 +483,20 @@ def term_table(family: Family, indices) -> TermTable:
     return _table(family, indices)
 
 
-def _eval_one(values, x, what: str):
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ValueError(f"{what} are defined on [0,1]")
-    out = values(arr)[0]
-    return float(out[0]) if scalar else out
+def _eval_one(values, x):
+    arr = _unit_array(x, "x")
+    out = values(np.atleast_1d(arr))[0]
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def eval_phi(family: Family, k: Index, x):
     """Evaluate basis function k at x (scalar or array), vectorized."""
-    return _eval_one(term_table(family, (k,)).phi, x, "basis functions")
+    return _eval_one(term_table(family, (k,)).phi, x)
 
 
 def eval_Phi(family: Family, k: Index, x):
     """Closed-form antiderivative of basis function k, zero at 0 and 1."""
-    return _eval_one(term_table(family, (k,)).Phi, x, "antiderivatives")
+    return _eval_one(term_table(family, (k,)).Phi, x)
 
 
 def extrema(family: Family, k: Index) -> tuple[float, float]:

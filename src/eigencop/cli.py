@@ -5,8 +5,10 @@ machine readable JSON or CSV to stdout or --out, and exits 0 on success and 1 on
 any usage or config error.  The mixing subcommand refuses a copula that
 `validate` calls INVALID as a config error, and maps its verdict onto the
 exit code: 0 when a certificate was found, 2 on a boundary (non-mixing)
-verdict, 3 when the search was inconclusive.  The coverage subcommand
-writes its table in full and exits 4 when any row carries an error.
+verdict, 3 when the search was inconclusive.  The estimate subcommand fits
+the two-sine model, and refuses a copula with other terms as a config
+error.  The coverage subcommand writes its table in full and exits 4 when
+any row carries an error.
 """
 
 from __future__ import annotations
@@ -133,6 +135,9 @@ def _cmd_mixing(args) -> int:
 
 def _cmd_estimate(args) -> int:
     c = load_copula(args.config)
+    # a copula without terms drives an i.i.d. chain, where both mu are 0
+    if not {k for k, _ in c.coeffs.entries} <= {("sin", 1), ("sin", 2)}:
+        raise ConfigError("copula", "estimate fits the two-sine model: terms sin 1, sin 2 only")
     chain = sampling.generate_chain(c, args.n, args.seed)
     est = estimation.estimate_mu(chain.values)
     out = {"mu_estimate": est.as_dict()}
@@ -212,7 +217,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-n", type=int, default=mixing.DEFAULT_MAX_N)
     p.add_argument("--grid-n", type=int, default=DENSITY_GRID_N)
 
-    p = add("estimate", _cmd_estimate, "simulate a chain and estimate its coefficients")
+    p = add("estimate", _cmd_estimate, "simulate a chain and fit the two-sine model's coefficients")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--null", default=None, help="MU1,MU2 joint null for the chi-square test")

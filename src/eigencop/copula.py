@@ -30,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import (Cosine, Family, PiecewiseSign, ShiftedLegendre,
-                    SineCosine, TermTable, TwoValueStep, check_index,
-                    extrema, jump_points, term_table)
+                    SineCosine, TermTable, TwoValueStep, _count, _unit_array,
+                    check_index, extrema, jump_points, term_table)
 from .quadrature import split_rule
 
 DENSITY_GRID_N = 512
@@ -136,11 +136,11 @@ class ValidityReport(Record):
     grid_shape: tuple = (DENSITY_GRID_N, DENSITY_GRID_N)
 
 
-def _as_unit_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if np.any((arr < 0.0) | (arr > 1.0)) or np.any(~np.isfinite(arr)):
-        raise ValueError(f"{name} must lie in [0,1]")
-    return arr
+def _on_square(f, u, v):
+    """f(U, V) on u and v as unit-interval arrays; a float for two scalars."""
+    U, V = _unit_array(u, "u"), _unit_array(v, "v")
+    out = f(U, V)
+    return float(out) if U.ndim == 0 and V.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -170,14 +170,12 @@ class SpectralCopula:
 
     def _expand(self, u, v, base, left, right):
         # base(U, V) + sum_k lambda_k * left_k(U) * right_k(V), broadcast
-        U = _as_unit_array(u, "u")
-        V = _as_unit_array(v, "v")
-        out = base(U, V) * np.ones(np.broadcast_shapes(U.shape, V.shape))
-        for lam, a, b in zip(self.coeffs.values, left(U), right(V)):
-            out = out + lam * a * b
-        if U.ndim == 0 and V.ndim == 0:
-            return float(out)
-        return out
+        def f(U, V):
+            out = base(U, V) * np.ones(np.broadcast_shapes(U.shape, V.shape))
+            for lam, a, b in zip(self.coeffs.values, left(U), right(V)):
+                out = out + lam * a * b
+            return out
+        return _on_square(f, u, v)
 
     def density(self, u, v):
         t = self.terms
@@ -202,23 +200,18 @@ class SpectralCopula:
         repeated folding composes exactly: fold(fold(c, m), k) has
         bit-identical coefficients to fold(c, m*k).
         """
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("fold power must be an integer >= 1")
         base = self.fold_base if self.fold_base is not None else self.coeffs.entries
-        power = self.fold_power * n
+        power = self.fold_power * _count(n, "fold power", 1)
         entries = tuple((k, lam ** power) for k, lam in base)
         return SpectralCopula(self.family, SpectralCoefficients(entries),
                               fold_base=base, fold_power=power)
 
     def validate(self, grid_n: int = DENSITY_GRID_N) -> ValidityReport:
-        if grid_n < 2:
-            raise ValueError("grid_n must be at least 2")
-        return _validate_cached(self.family, self.coeffs, grid_n)
+        return _validate_cached(self.family, self.coeffs, _count(grid_n, "grid_n", 2))
 
     def density_grid(self, grid_n: int = DENSITY_GRID_N) -> tuple[np.ndarray, np.ndarray]:
         """Midpoint grid and the density matrix on it."""
-        if grid_n < 2:
-            raise ValueError("grid_n must be at least 2")
+        grid_n = _count(grid_n, "grid_n", 2)
         g = (np.arange(grid_n) + 0.5) / grid_n
         m = np.ones((grid_n, grid_n))
         for lam, p in zip(self.coeffs.values, self.terms.phi(g)):
@@ -322,17 +315,10 @@ def star_product(a: SpectralCopula, b: SpectralCopula, n_nodes: int = 64):
     cuts = sorted(set(jump_points(a.family)) | set(jump_points(b.family)))
     t, w = split_rule(cuts, 16, n_nodes)
 
-    def dens(u, v):
-        U = _as_unit_array(u, "u")
-        V = _as_unit_array(v, "v")
-        left = a.density(U[..., None], t)
-        right = b.density(t, V[..., None])
-        out = np.sum(left * right * w, axis=-1)
-        if U.ndim == 0 and V.ndim == 0:
-            return float(out)
-        return out
+    def product(U, V):
+        return np.sum(a.density(U[..., None], t) * b.density(t, V[..., None]) * w, axis=-1)
 
-    return dens
+    return lambda u, v: _on_square(product, u, v)
 
 
 # -- named constructors -------------------------------------------------
@@ -358,7 +344,7 @@ def sine_cosine_copula(sin=None, cos=None) -> SpectralCopula:
     for part, coeffs in (("sin", sin), ("cos", cos)):
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            pairs.extend(((part, int(k)), lam) for k, lam in items)
+            pairs.extend(((part, _count(k, f"{part} index", 1)), lam) for k, lam in items)
     return SpectralCopula(SineCosine(), SpectralCoefficients(tuple(pairs)))
 
 
@@ -429,10 +415,8 @@ def sine_counterexample(n_terms: int, grid_points: int = 4001) -> Counterexample
     (1-cos k*pi*u)(1-cos k*pi*v) over the first `n_terms` odd k (even k do
     not enter the top margin), each coefficient forced to 1 so that the
     margin deficit vanishes term by term."""
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    if n_terms < 0:
-        raise ValueError("n_terms must be >= 0")
+    grid_points = _count(grid_points, "grid_points", 2)
+    n_terms = _count(n_terms, "n_terms", 0)
     k = np.arange(1, 2 * n_terms, 2, dtype=float)
     u = np.linspace(0.0, 1.0, grid_points)
     # C(u, 1), which a genuine copula would return as u; C(1, 1) is the mass

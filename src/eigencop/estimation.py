@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SineCosine, jump_points, moment_table, term_table
+from .basis import SineCosine, _unit_array, jump_points, moment_table, term_table
 from .copula import Record, SpectralCopula
 from .quadrature import composite_rule, log_weighted_sine_integral
 from .sampling import Bernoulli, Exponential, MarginalTransform, Uniform
@@ -56,7 +56,7 @@ def sine_pair_means(values) -> tuple:
 
 def estimate_mu(values) -> MuEstimate:
     """Pairwise coefficient estimates from one chain of uniforms."""
-    u = np.asarray(values, dtype=float)
+    u = _unit_array(values, "chain values")
     if u.ndim != 1 or u.size < 2:
         raise ValueError("need a 1-d chain with at least two values")
     m = u.size - 1
@@ -240,7 +240,7 @@ class MeanCI(Record):
 def wald_interval(estimate: float, sigma2: float, n: int, level: float) -> tuple[float, float]:
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0,1)")
-    if sigma2 < 0.0:
+    if not (0.0 <= sigma2):
         raise ValueError("variance must be nonnegative")
     half = normal_quantile(0.5 * (1.0 + level)) * math.sqrt(sigma2 / n)
     return estimate - half, estimate + half

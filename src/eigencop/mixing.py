@@ -37,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import extrema
+from .basis import _count, extrema
 from .copula import DENSITY_GRID_N, Record, SpectralCopula
 
 SUP_BOUNDARY_TOL = 1e-12
@@ -54,10 +54,8 @@ class Certificate(Enum):
 
 def rho_sequence(c: SpectralCopula, n_max: int):
     """Geometric envelope sup_k|lambda_k|^n for n = 1..n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    sup = c.coeffs.sup_abs
-    return sup ** np.arange(1, n_max + 1, dtype=float)
+    n = np.arange(1, _count(n_max, "n_max", 1) + 1, dtype=float)
+    return c.coeffs.sup_abs ** n
 
 
 @dataclass(frozen=True)
@@ -76,10 +74,8 @@ def certify_psi(c: SpectralCopula, max_n: int = DEFAULT_MAX_N,
                 grid_n: int = DENSITY_GRID_N) -> MixingReport:
     """Search folds n = 1..max_n for a uniform density bound certifying
     psi-mixing of the stationary chain."""
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
+    max_n = _count(max_n, "max_n", 1)
+    grid_n = _count(grid_n, "grid_n", 2)
     sup = c.coeffs.sup_abs
     rho = tuple(float(r) for r in rho_sequence(c, max_n))
 

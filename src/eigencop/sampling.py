@@ -126,7 +126,7 @@ from typing import Union
 
 import numpy as np
 
-from .basis import extrema
+from .basis import _count, _unit_array, extrema
 from .copula import SpectralCopula, Verdict
 
 RESIDUAL_TOL = 1e-12
@@ -169,7 +169,7 @@ MarginalTransform = Union[Uniform, Exponential, Bernoulli]
 
 
 def apply_transform(transform: MarginalTransform, u):
-    arr = np.asarray(u, dtype=float)
+    arr = _unit_array(u, "u")
     if isinstance(transform, Uniform):
         return arr.copy()
     if isinstance(transform, Exponential):
@@ -191,10 +191,8 @@ def innovation_stream(*keys: int) -> np.random.Generator:
     """
     if not keys:
         raise ValueError("at least one key integer is required")
-    for k in keys:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("stream keys must be nonnegative integers")
-    return np.random.default_rng(np.random.SeedSequence(list(keys)))
+    keys = [_count(k, "stream key", 0) for k in keys]
+    return np.random.default_rng(np.random.SeedSequence(keys))
 
 
 # -- conditional CDF inversion -------------------------------------------
@@ -452,10 +450,8 @@ def next_state(c: SpectralCopula, u_prev, w):
         if not (0.0 <= u_prev <= 1.0 and 0.0 <= w <= 1.0):
             raise ValueError("u_prev and w must lie in [0,1]")
         return sampler.chain(float(u_prev), [float(w)], sampler.rows[0])[0]
-    u_arr = np.asarray(u_prev, dtype=float)
-    w_arr = np.asarray(w, dtype=float)
-    if not (np.all((u_arr >= 0.0) & (u_arr <= 1.0)) and np.all((w_arr >= 0.0) & (w_arr <= 1.0))):
-        raise ValueError("u_prev and w must lie in [0,1]")
+    u_arr = _unit_array(u_prev, "u_prev")
+    w_arr = _unit_array(w, "w")
     if u_arr.shape != w_arr.shape:
         raise ValueError("u_prev and w must have matching shapes")
     v = sampler.advance(np.column_stack([u_arr.ravel(), w_arr.ravel()]))[:, 1]
@@ -471,7 +467,7 @@ def sample_wl(lam: float, u_prev, q):
     Scalars in, a float out; arrays are broadcast against each other and
     each lane goes through the same float formula.
     """
-    if abs(lam) > 1.0:
+    if not (-1.0 <= lam <= 1.0):
         raise ValueError("sample_wl requires |lam| <= 1")
     d_plus = (1.0 + lam) if lam != -1.0 else 1.0
     d_minus = (1.0 - lam) if lam != 1.0 else 1.0
@@ -537,8 +533,7 @@ def generate_chain_bank(c: SpectralCopula | Sequence[SpectralCopula], n: int,
     Every row equals the row its key and copula give in a bank of their own.
     """
     keys = [k if isinstance(k, tuple) else (k,) for k in seed_keys]
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("chain length must be a positive integer")
+    n = _count(n, "chain length", 1)
     r = len(keys)
     if not isinstance(c, SpectralCopula) and len(c) != r:
         raise ValueError("need one copula per seed key")

@@ -1,0 +1,81 @@
+"""Values in [0, 1] and counts: one check each, shared by every public entry
+point.  Bad input raises ValueError naming the argument; numpy integers are
+counts like plain ints, and bools are not."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from eigencop import (Bernoulli, Exponential, apply_transform, certify_psi,
+                      estimate_mu, generate_chain, generate_chain_bank,
+                      innovation_stream, mean_ci, rho_sequence, sample_wl,
+                      sine_cosine_copula, sine_counterexample, two_sine_model,
+                      wald_interval)
+
+C = two_sine_model(0.2, -0.15)
+
+# (call, bad argument, message fragment): NaN, non-integral and bool
+# arguments, each of which must raise ValueError with the fragment
+BAD = [
+    (lambda: C.validate(2.5), "grid_n=2.5", "grid_n must be an integer"),
+    (lambda: C.validate(np.float64(64.0)), "grid_n=float64", "grid_n must be an integer"),
+    (lambda: C.density_grid(8.0), "grid_n=8.0", "grid_n must be an integer"),
+    (lambda: certify_psi(C, grid_n=100.0), "grid_n=100.0", "grid_n must be an integer"),
+    (lambda: certify_psi(C, max_n=2.5), "max_n=2.5", "max_n must be an integer"),
+    (lambda: rho_sequence(C, 2.5), "n_max=2.5", "n_max must be an integer"),
+    (lambda: C.fold(True), "n=True", "fold power must be an integer, not bool"),
+    (lambda: generate_chain(C, 5, True), "seed=True", "stream key must be an integer"),
+    (lambda: generate_chain_bank(C, True, [1]), "n=True", "chain length must be an integer"),
+    (lambda: innovation_stream(3, False), "key=False", "stream key must be an integer"),
+    (lambda: sine_counterexample(2.5), "n_terms=2.5", "n_terms must be an integer"),
+    (lambda: sine_counterexample(3, grid_points=100.0), "grid_points=100.0",
+     "grid_points must be an integer"),
+    (lambda: estimate_mu([0.1, 5.0, 0.3]), "values=5.0", r"must lie in \[0,1\]"),
+    (lambda: estimate_mu([0.1, math.nan, 0.3]), "values=nan", r"must lie in \[0,1\]"),
+    (lambda: apply_transform(Exponential(1.0), [2.0]), "u=2.0", r"must lie in \[0,1\]"),
+    (lambda: apply_transform(Bernoulli(0.5), [math.nan]), "u=nan", r"must lie in \[0,1\]"),
+    (lambda: sine_cosine_copula(sin={1.5: 0.1}), "k=1.5", "sin index must be an integer"),
+    (lambda: sine_cosine_copula(sin={"1": 0.1}), "k='1'", "sin index must be an integer"),
+    (lambda: sine_cosine_copula(cos={True: 0.1}), "k=True", "cos index must be an integer"),
+    (lambda: sample_wl(math.nan, 0.3, 0.4), "lam=nan", r"\|lam\| <= 1"),
+    (lambda: wald_interval(0.5, math.nan, 10, 0.95), "sigma2=nan", "variance must be nonnegative"),
+    (lambda: mean_ci([0.2, 0.4], math.nan), "sigma2=nan", "variance must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("call, fragment", [(c, f) for c, _, f in BAD],
+                         ids=[f"{i}-{arg}" for i, (_, arg, _) in enumerate(BAD)])
+def test_bad_arguments_raise(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
+def test_numpy_integers_are_counts():
+    i64 = np.int64
+    assert C.fold(i64(3)).coeffs == C.fold(3).coeffs
+    assert C.fold(i64(3)).fold_power == 3
+    rep = C.validate(i64(64))
+    assert rep == C.validate(64)
+    assert json.loads(json.dumps(rep.as_dict()))["grid_shape"] == [64, 64]
+    mix = certify_psi(C, i64(5), i64(32))
+    assert mix == certify_psi(C, 5, 32)
+    json.dumps(mix.as_dict())
+    assert np.array_equal(generate_chain_bank(C, i64(40), [i64(3), (i64(4), 1)]),
+                          generate_chain_bank(C, 40, [3, (4, 1)]))
+    assert np.array_equal(generate_chain(C, 40, i64(3)).values, generate_chain(C, 40, 3).values)
+    assert np.array_equal(rho_sequence(C, i64(4)), rho_sequence(C, 4))
+    assert sine_counterexample(i64(3)) == sine_counterexample(3)
+    assert sine_cosine_copula(sin={i64(2): 0.1}) == sine_cosine_copula(sin={2: 0.1})
+
+
+def test_limits_name_the_argument():
+    for call, message in ((lambda: C.validate(1), "grid_n must be at least 2"),
+                          (lambda: certify_psi(C, max_n=0), "max_n must be at least 1"),
+                          (lambda: C.fold(0), "fold power must be at least 1"),
+                          (lambda: innovation_stream(-1), "stream key must be at least 0"),
+                          (lambda: generate_chain_bank(C, 0, [1]),
+                           "chain length must be at least 1")):
+        with pytest.raises(ValueError, match=message):
+            call()

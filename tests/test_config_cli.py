@@ -483,6 +483,31 @@ def test_cli_estimate(capsys):
         assert "config field 'null'" in err
 
 
+@pytest.mark.parametrize("config", [
+    '{"fgm": 0.9}',
+    '{"basis": {"family": "cosine"}, "lambda": [[1, 0.2]]}',
+    '{"basis": {"family": "sine_cosine"}, "mu": [[1, 0.1]], "lambda": [[1, 0.1]]}',
+], ids=["fgm", "cosine", "sine_cosine"])
+def test_cli_estimate_refuses_copulas_outside_the_two_sine_model(capsys, config):
+    code, out, err = _run(capsys, "estimate", "--config", config, "--n", "200",
+                          "--null", "0.3,0")
+    assert code == 1 and out == ""
+    assert "config field 'copula'" in err and "two-sine model" in err
+
+
+@pytest.mark.parametrize("config", [
+    '{"two_sine": [0.1, -0.2]}',
+    '{"zero_association": 0.05}',
+    '{"basis": {"family": "cosine"}, "lambda": []}',
+    '{"zero_association": 0.0}',
+], ids=["two_sine", "zero_association", "term_free", "zero_association_0"])
+def test_cli_estimate_fits_the_two_sine_model(capsys, config):
+    code, out, _ = _run(capsys, "estimate", "--config", config, "--n", "200",
+                        "--null", "0,0")
+    assert code == 0
+    assert json.loads(out)["mu_estimate"]["n_pairs"] == 199
+
+
 def _coverage_config(tmp_path, **over):
     cfg = {
         "schema": "eigencop-experiment/1",

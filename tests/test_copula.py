@@ -351,7 +351,7 @@ def test_counterexample_zero_terms():
 def test_counterexample_never_valid():
     for k in (0, 1, 5, 10, 40):
         assert sine_counterexample(k).verdict is Verdict.INVALID
-    with pytest.raises(ValueError, match="n_terms must be >= 0"):
+    with pytest.raises(ValueError, match="n_terms must be at least 0"):
         sine_counterexample(-1)
 
 
