@@ -29,7 +29,8 @@ only, so both trees answer the same calls:
   1 to 5 (read, not changed);
 - the CSVs of the tree's `scripts/run_coverage_tables.py --quick`;
 - stdout, stderr and exit code of the command line on the tree's
-  `scripts/configs` and on a few inline configs;
+  `scripts/configs` and on a few inline configs, and of a few refused
+  arguments;
 - the type and message of each error in ERRORS.
 
 The file gives a sha256 per output for each side.  Where an output differs
@@ -163,6 +164,13 @@ def errors(ec):
         ("sample_wl_nan_lambda", lambda: ec.sample_wl(math.nan, 0.3, 0.4)),
         ("wald_nan_variance", lambda: ec.wald_interval(0.5, math.nan, 10, 0.95)),
         ("mean_ci_nan_variance", lambda: ec.mean_ci([0.2, 0.4], math.nan)),
+        # non-finite config numbers and the transform and count they reached
+        ("experiment_infinite_rate", lambda: ec.load_experiment(
+            '{"schema": "eigencop-experiment/1", "experiment": "coverage_exponential", '
+            '"copula": {"fgm": 0.3}, "rates": [Infinity], "n": 50, "R": 4}')),
+        ("fgm_huge_integer", lambda: ec.parse_copula_config({"fgm": 10 ** 400})),
+        ("exponential_infinite_rate", lambda: ec.Exponential(math.inf)),
+        ("wald_zero_n", lambda: ec.wald_interval(0.5, 0.1, 0, 0.95)),
     ]
 
 
@@ -182,7 +190,10 @@ CLI_INLINE = [
 
 def cli_calls(tree: pathlib.Path):
     """(name, argv) for the command line on the tree's configs."""
-    calls = [("counterexample", ["counterexample", "--terms", "10"])]
+    calls = [("counterexample", ["counterexample", "--terms", "10"]),
+             ("cdf_outside", ["cdf", "--config", '{"fgm": 0.5}', "--u", "0.3", "--v", "2"]),
+             ("sample_infinite_rate", ["sample", "--config", '{"fgm": 0.5}', "--n", "5",
+                                       "--transform", "exponential:inf"])]
     configs = [(p.stem, str(p.relative_to(tree)))
                for p in sorted((tree / "scripts" / "configs").glob("*.json"))]
     for name, config in configs + CLI_INLINE:

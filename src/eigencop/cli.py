@@ -17,11 +17,10 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 from . import association, coverage, estimation, mixing, sampling
-from .config import ConfigError, copula_to_config, load_copula
+from .config import ConfigError, _build, _real, copula_to_config, load_copula
 from .copula import DENSITY_GRID_N, Verdict, sine_counterexample
 from .statutil import chi2_cdf
 
@@ -50,13 +49,10 @@ def _parse_transform(text: str):
     name, _, arg = text.partition(":")
     if name == "uniform" and not arg:
         return sampling.Uniform()
-    try:
-        if name == "exponential":
-            return sampling.Exponential(float(arg))
-        if name == "bernoulli":
-            return sampling.Bernoulli(float(arg))
-    except ValueError as exc:
-        raise ConfigError("transform", str(exc)) from exc
+    if name == "exponential":
+        return _build("transform", lambda: sampling.Exponential(float(arg)))
+    if name == "bernoulli":
+        return _build("transform", lambda: sampling.Bernoulli(float(arg)))
     raise ConfigError("transform",
                       f"expected uniform, exponential:RATE or bernoulli:A, got {text!r}")
 
@@ -85,8 +81,6 @@ def _cmd_density_grid(args) -> int:
 def _cmd_cdf(args) -> int:
     c = load_copula(args.config)
     u, v = args.u, args.v
-    if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
-        raise ConfigError("u", "point must lie in the unit square")
     _emit(_json_text({
         "u": u,
         "v": v,
@@ -146,8 +140,7 @@ def _cmd_estimate(args) -> int:
             mu01, mu02 = (float(t) for t in args.null.split(","))
         except ValueError as exc:
             raise ConfigError("null", "expected MU1,MU2") from exc
-        if not (math.isfinite(mu01) and math.isfinite(mu02)):
-            raise ConfigError("null", "MU1 and MU2 must be finite")
+        mu01, mu02 = _real(mu01, "null"), _real(mu02, "null")
         stat = estimation.chi2_statistic(est, (mu01, mu02))
         out["chi2"] = {"null": [mu01, mu02], "statistic": stat, "df": 2,
                        "p_value": 1.0 - chi2_cdf(stat, 2)}

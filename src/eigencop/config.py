@@ -21,6 +21,7 @@ studies they drive in `coverage`.
 from __future__ import annotations
 
 import json
+import math
 
 from .basis import (Cosine, Family, PiecewiseSign, ShiftedLegendre,
                     SineCosine, TwoValueStep)
@@ -44,9 +45,16 @@ class ConfigError(ValueError):
 
 
 def _real(obj, field_name: str) -> float:
+    # JSON reads NaN, Infinity, 1e400 and integers too large for a float
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(field_name, "expected a number")
-    return float(obj)
+    try:
+        x = float(obj)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(field_name, "expected a finite number")
+    return x
 
 
 def _integer(obj, field_name: str) -> int:
@@ -62,11 +70,20 @@ def _pair_list(obj, field_name: str):
     for i, pair in enumerate(obj):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"{field_name}[{i}]", "expected an [index, value] pair")
-        k = pair[0]
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise ConfigError(f"{field_name}[{i}]", "index must be an integer")
-        out.append((k, _real(pair[1], f"{field_name}[{i}]")))
+        out.append((_integer(pair[0], f"{field_name}[{i}]"),
+                    _real(pair[1], f"{field_name}[{i}]")))
     return out
+
+
+def _build(field_name: str, make, *args):
+    """make(*args), with its ValueError reported on field_name; a
+    ConfigError keeps its own field."""
+    try:
+        return make(*args)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(field_name, str(exc)) from exc
 
 
 def parse_basis(obj) -> Family:
@@ -82,21 +99,14 @@ def parse_basis(obj) -> Family:
     if name == "two_value_step":
         if "alpha" not in obj:
             raise ConfigError("basis.alpha", "two_value_step requires 'alpha'")
-        alpha = _real(obj["alpha"], "basis.alpha")
-        try:
-            return TwoValueStep(alpha)
-        except ValueError as exc:
-            raise ConfigError("basis.alpha", str(exc)) from exc
+        return _build("basis.alpha", TwoValueStep, _real(obj["alpha"], "basis.alpha"))
     if name == "piecewise_sign":
         bps = obj.get("breakpoints")
         if not isinstance(bps, list) or len(bps) < 2:
             raise ConfigError("basis.breakpoints",
                               "piecewise_sign requires a breakpoint list")
-        vals = tuple(_real(b, "basis.breakpoints") for b in bps)
-        try:
-            return PiecewiseSign(vals)
-        except ValueError as exc:
-            raise ConfigError("basis.breakpoints", str(exc)) from exc
+        return _build("basis.breakpoints", PiecewiseSign,
+                      tuple(_real(b, "basis.breakpoints") for b in bps))
     if "alpha" in obj or "breakpoints" in obj:
         raise ConfigError("basis", f"family {name!r} takes no parameters")
     return _FAMILY_NAMES[name]()
@@ -112,19 +122,14 @@ def parse_copula_config(obj) -> SpectralCopula:
         if len(obj) != 1:
             raise ConfigError(shorthands[0], "shorthand records take no other keys")
         key = shorthands[0]
-        try:
-            if key == "fgm":
-                return fgm(_real(obj[key], key))
-            if key == "zero_association":
-                return zero_association_model(_real(obj[key], key))
-            vals = obj[key]
-            if not isinstance(vals, list) or len(vals) != 2:
-                raise ConfigError(key, "expected [mu1, mu2]")
-            return two_sine_model(_real(vals[0], key), _real(vals[1], key))
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(key, str(exc)) from exc
+        if key == "fgm":
+            return _build(key, fgm, _real(obj[key], key))
+        if key == "zero_association":
+            return _build(key, zero_association_model, _real(obj[key], key))
+        vals = obj[key]
+        if not isinstance(vals, list) or len(vals) != 2:
+            raise ConfigError(key, "expected [mu1, mu2]")
+        return _build(key, two_sine_model, _real(vals[0], key), _real(vals[1], key))
 
     if "basis" not in obj:
         raise ConfigError("basis", "missing")
@@ -136,17 +141,13 @@ def parse_copula_config(obj) -> SpectralCopula:
     lam_pairs = _pair_list(obj.get("lambda", []), "lambda")
     mu_pairs = _pair_list(obj.get("mu", []), "mu")
 
-    try:
-        if isinstance(family, SineCosine):
-            # mu rides the sine functions, lambda the cosine ones
-            return sine_cosine_copula(sin=mu_pairs, cos=lam_pairs)
-        if mu_pairs:
-            raise ConfigError("mu", "only the sine_cosine family takes 'mu'")
-        return SpectralCopula(family, SpectralCoefficients.from_pairs(lam_pairs))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("lambda", str(exc)) from exc
+    if isinstance(family, SineCosine):
+        # mu rides the sine functions, lambda the cosine ones
+        return _build("lambda", lambda: sine_cosine_copula(sin=mu_pairs, cos=lam_pairs))
+    if mu_pairs:
+        raise ConfigError("mu", "only the sine_cosine family takes 'mu'")
+    return _build("lambda", lambda: SpectralCopula(
+        family, SpectralCoefficients.from_pairs(lam_pairs)))
 
 
 def copula_to_config(c: SpectralCopula) -> dict:

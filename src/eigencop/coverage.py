@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (ConfigError, _integer, _real, copula_to_config,
+from .config import (ConfigError, _build, _integer, _real, copula_to_config,
                      load_record, parse_copula_config)
 from .copula import Record, SpectralCopula, Verdict, zero_association_model
 from .estimation import long_run_variance, sine_pair_means, weighted_mu
@@ -67,16 +67,8 @@ class ExperimentConfig:
     lists: tuple  # ((key, values), ...) in the order of the kind's table entry
 
     def as_dict(self) -> dict:
-        out = {
-            "schema": EXPERIMENT_SCHEMA,
-            "experiment": self.kind,
-            "n": self.n,
-            "replicates": self.replicates,
-            "level": self.level,
-            "master_seed": self.master_seed,
-            "variance_mode": self.variance_mode,
-            "repeats": self.repeats,
-        }
+        out = {"schema": EXPERIMENT_SCHEMA, "experiment": self.kind,
+               **{key: getattr(self, key) for key, _, _ in _FIELDS}}
         if self.copula is not None:
             out["copula"] = copula_to_config(self.copula)
         out.update((key, list(values)) for key, values in self.lists)
@@ -84,7 +76,7 @@ class ExperimentConfig:
 
 
 def _entry(convert, ok, message: str):
-    # parser for one list entry: convert it, then require ok(value, n)
+    # parser for one field or list entry: convert it, then require ok(value, n)
     def parse(obj, field_name: str, n: int):
         x = convert(obj, field_name)
         if not ok(x, n):
@@ -95,11 +87,22 @@ def _entry(convert, ok, message: str):
 
 def _mu1(obj, field_name: str, n: int) -> float:
     mu1 = _real(obj, field_name)
-    try:
-        zero_association_model(mu1)
-    except ValueError as exc:
-        raise ConfigError(field_name, str(exc)) from exc
+    _build(field_name, zero_association_model, mu1)
     return mu1
+
+
+# the record's scalar fields in `as_dict` order, each (key, parser, the
+# value a missing one defaults to); "R" may stand for "replicates"
+_FIELDS = (
+    ("n", _entry(_integer, lambda n, _: n >= 2, "chain length must be at least 2"), 0),
+    ("replicates",
+     _entry(_integer, lambda r, _: r >= 1, "replicate count must be at least 1"), 0),
+    ("level", _entry(_real, lambda x, _: 0.0 < x < 1.0, "level must be in (0,1)"), 0.95),
+    ("master_seed", _entry(_integer, lambda s, _: s >= 0, "must be nonnegative"), 0),
+    ("variance_mode", _entry(lambda obj, _: obj, lambda m, _: m in ("model", "iid"),
+                             "expected 'model' or 'iid'"), "model"),
+    ("repeats", _entry(_integer, lambda r, _: r >= 1, "must be at least 1"), 1),
+)
 
 
 def parse_experiment_config(obj) -> ExperimentConfig:
@@ -116,27 +119,13 @@ def parse_experiment_config(obj) -> ExperimentConfig:
     if extra:
         raise ConfigError(sorted(extra)[0], "unexpected key")
 
-    n = _integer(obj.get("n", 0), "n")
-    if n < 2:
-        raise ConfigError("n", "chain length must be at least 2")
     if "replicates" in obj and "R" in obj:
         raise ConfigError("R", "give either 'replicates' or 'R', not both")
-    rep_key = "replicates" if "replicates" in obj else "R"
-    replicates = _integer(obj.get(rep_key, 0), rep_key)
-    if replicates < 1:
-        raise ConfigError(rep_key, "replicate count must be at least 1")
-    level = _real(obj.get("level", 0.95), "level")
-    if not 0.0 < level < 1.0:
-        raise ConfigError("level", "level must be in (0,1)")
-    master_seed = _integer(obj.get("master_seed", 0), "master_seed")
-    if master_seed < 0:
-        raise ConfigError("master_seed", "must be nonnegative")
-    variance_mode = obj.get("variance_mode", "model")
-    if variance_mode not in ("model", "iid"):
-        raise ConfigError("variance_mode", "expected 'model' or 'iid'")
-    repeats = _integer(obj.get("repeats", 1), "repeats")
-    if repeats < 1:
-        raise ConfigError("repeats", "must be at least 1")
+    fields = {}
+    for key, parse, default in _FIELDS:
+        name = "R" if key == "replicates" and "R" in obj else key
+        fields[key] = parse(obj.get(name, default), name, None)
+    n = fields["n"]
 
     study = _STUDIES[kind]
     copula = None
@@ -155,8 +144,7 @@ def parse_experiment_config(obj) -> ExperimentConfig:
         lists.append((key, tuple(entry(v, f"{key}[{i}]", n) for i, v in enumerate(vals))))
     if copula is None and "copula" in obj:
         raise ConfigError("copula", f"{kind} derives its copulas from {study.copula_from}")
-    return ExperimentConfig(kind, copula, n, replicates, level, master_seed,
-                            variance_mode, repeats, tuple(lists))
+    return ExperimentConfig(kind, copula, lists=tuple(lists), **fields)
 
 
 def load_experiment(source) -> ExperimentConfig:
@@ -299,8 +287,7 @@ _STUDIES = {
 
 # every key an experiment record may carry; a kind ignores the lists of
 # the others
-_KEYS = ({"schema", "experiment", "copula", "n", "replicates", "R", "level",
-          "master_seed", "variance_mode", "repeats"}
+_KEYS = ({"schema", "experiment", "copula", "R"} | {key for key, _, _ in _FIELDS}
          | {key for study in _STUDIES.values() for key, _, _ in study.lists})
 
 

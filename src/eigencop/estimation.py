@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SineCosine, _unit_array, jump_points, moment_table, term_table
+from .basis import SineCosine, _count, _unit_array, jump_points, moment_table, term_table
 from .copula import Record, SpectralCopula
 from .quadrature import composite_rule, log_weighted_sine_integral
 from .sampling import Bernoulli, Exponential, MarginalTransform, Uniform
@@ -242,7 +242,7 @@ def wald_interval(estimate: float, sigma2: float, n: int, level: float) -> tuple
         raise ValueError("level must be in (0,1)")
     if not (0.0 <= sigma2):
         raise ValueError("variance must be nonnegative")
-    half = normal_quantile(0.5 * (1.0 + level)) * math.sqrt(sigma2 / n)
+    half = normal_quantile(0.5 * (1.0 + level)) * math.sqrt(sigma2 / _count(n, "n", 1))
     return estimate - half, estimate + half
 
 

@@ -150,8 +150,8 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ValueError("Exponential transform requires rate > 0")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError("Exponential transform requires 0 < rate < inf")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,10 @@ BAD = [
     (lambda: sample_wl(math.nan, 0.3, 0.4), "lam=nan", r"\|lam\| <= 1"),
     (lambda: wald_interval(0.5, math.nan, 10, 0.95), "sigma2=nan", "variance must be nonnegative"),
     (lambda: mean_ci([0.2, 0.4], math.nan), "sigma2=nan", "variance must be nonnegative"),
+    (lambda: wald_interval(0.5, 0.1, 0, 0.95), "n=0", "n must be at least 1"),
+    (lambda: wald_interval(0.5, 0.1, 2.5, 0.95), "n=2.5", "n must be an integer"),
+    (lambda: wald_interval(0.5, 0.1, True, 0.95), "n=True", "n must be an integer"),
+    (lambda: Exponential(math.inf), "rate=inf", "0 < rate < inf"),
 ]
 
 

@@ -287,6 +287,86 @@ def test_experiment_config_errors():
         assert _field_of(e) == field, record
 
 
+# every kind of real field, each as (record with the value at its place,
+# the field the error names); JSON reads NaN, Infinity and 1e400, and
+# integers of any size
+_REAL_FIELDS = [
+    (lambda x: _base_experiment(level=x), "level"),
+    (lambda x: _base_experiment(thresholds=[x]), "thresholds[0]"),
+    (lambda x: _kind_experiment("coverage_exponential", rates=[x]), "rates[0]"),
+    (lambda x: _kind_experiment("coverage_mu_w", weights=[x]), "weights[0]"),
+    (lambda x: _kind_experiment("coverage_mu_w", mu1_values=[x]), "mu1_values[0]"),
+    (lambda x: {"fgm": x}, "fgm"),
+    (lambda x: {"two_sine": [0.1, x]}, "two_sine"),
+    (lambda x: {"zero_association": x}, "zero_association"),
+    (lambda x: {"basis": {"family": "two_value_step", "alpha": x}, "lambda": [[1, 0.1]]},
+     "basis.alpha"),
+    (lambda x: {"basis": {"family": "piecewise_sign", "breakpoints": [0.0, x, 1.0]},
+                "lambda": [[1, 0.1]]}, "basis.breakpoints"),
+    (lambda x: {"basis": {"family": "cosine"}, "lambda": [[1, x]]}, "lambda[0]"),
+    (lambda x: {"basis": {"family": "sine_cosine"}, "mu": [[1, x]]}, "mu[0]"),
+]
+_NOT_FINITE = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+               "int400": 10 ** 400, "-int400": -(10 ** 400)}
+
+
+@pytest.mark.parametrize("value", list(_NOT_FINITE.values()), ids=list(_NOT_FINITE))
+@pytest.mark.parametrize("make, field", _REAL_FIELDS, ids=[f for _, f in _REAL_FIELDS])
+def test_every_real_field_refuses_non_finite_values(make, field, value):
+    record = make(value)
+    parse = parse_experiment_config if "schema" in record else parse_copula_config
+    with pytest.raises(ConfigError, match="expected a finite number") as e:
+        parse(record)
+    assert _field_of(e) == field
+    # the same through JSON text, as a file or --config gives it
+    with pytest.raises(ConfigError) as e:
+        (load_experiment if "schema" in record else load_copula)(json.dumps(record))
+    assert _field_of(e) == field
+
+
+def test_finite_extremes_still_parse():
+    # large integers and floats whose float is finite pass the reader, and a
+    # model's own range check still names the field
+    assert dict(parse_experiment_config(
+        _kind_experiment("coverage_exponential", rates=[10 ** 300, 1.7e308])).lists)[
+            "rates"] == (1e300, 1.7e308)
+    with pytest.raises(ConfigError, match="0.11") as e:
+        parse_copula_config({"zero_association": 10 ** 300})
+    assert _field_of(e) == "zero_association"
+
+
+def test_each_scalar_field_names_itself():
+    for over, field in [({"n": 1.5}, "n"), ({"replicates": 0}, "replicates"),
+                        ({"replicates": True}, "replicates"), ({"level": "0.9"}, "level"),
+                        ({"master_seed": -1}, "master_seed"), ({"repeats": 0}, "repeats"),
+                        ({"variance_mode": ["model"]}, "variance_mode")]:
+        with pytest.raises(ConfigError) as e:
+            parse_experiment_config(_base_experiment(**over))
+        assert _field_of(e) == field, over
+    # the R alias keeps its own name
+    for r in (0, 2.5, float("inf")):
+        with pytest.raises(ConfigError) as e:
+            parse_experiment_config(_without({**_base_experiment(), "R": r}, "replicates"))
+        assert _field_of(e) == "R", r
+
+
+def test_cli_coverage_refuses_an_infinite_rate(capsys):
+    # the study ran and printed an error row, exit 4
+    for rate in ("Infinity", "1e400"):
+        record = ('{"schema": "eigencop-experiment/1", "experiment": "coverage_exponential",'
+                  f' "copula": {{"fgm": 0.3}}, "rates": [{rate}], "n": 50, "R": 4}}')
+        code, out, err = _run(capsys, "coverage", "--config", record)
+        assert code == 1 and out == ""
+        assert "config field 'rates[0]'" in err
+
+
+def test_cli_huge_integer_is_a_config_error(capsys):
+    # float() of it raised OverflowError, which escaped main as a traceback
+    code, out, err = _run(capsys, "validate", "--config", '{"fgm": 1%s}' % ("0" * 400))
+    assert code == 1 and out == ""
+    assert "config field 'fgm': expected a finite number" in err
+
+
 _CHAIN = [0.1, 0.7, 0.4, 0.9, 0.2, 0.5]
 
 
@@ -388,7 +468,15 @@ def test_cli_cdf_rejects_outside_unit_square(capsys):
     code, _, err = _run(capsys, "cdf", "--config", '{"fgm": 0.5}',
                         "--u", "1.3", "--v", "0.6")
     assert code == 1
-    assert "unit square" in err
+    assert "u must lie in [0,1]" in err
+
+
+@pytest.mark.parametrize("u, v, name", [("0.3", "2", "v"), ("nan", "0.6", "u"),
+                                        ("0.3", "-0.1", "v")])
+def test_cli_cdf_names_the_argument_outside_the_unit_square(capsys, u, v, name):
+    code, out, err = _run(capsys, "cdf", "--config", '{"fgm": 0.5}', "--u", u, "--v", v)
+    assert code == 1 and out == ""
+    assert f"error: {name} must lie in [0,1]" in err
 
 
 def test_cli_sample_deterministic(capsys, tmp_path):
@@ -421,6 +509,12 @@ def test_cli_sample_transform(capsys):
                         "--n", "5", "--transform", "cauchy:1")
     assert code == 1
     assert "transform" in err
+    # an infinite rate printed inf for every state
+    for rate in ("inf", "1e400", "nan", "0"):
+        code, out, err = _run(capsys, "sample", "--config", '{"fgm": 0.2}',
+                              "--n", "5", "--transform", f"exponential:{rate}")
+        assert code == 1 and out == ""
+        assert "config field 'transform'" in err and "0 < rate < inf" in err
 
 
 def test_cli_associate(capsys):
