@@ -86,6 +86,9 @@ def test_copula_config_errors_name_their_field():
     with pytest.raises(ConfigError) as e:
         parse_copula_config({"basis": {"family": "cosine"}, "lambda": [[1]]})
     assert _field_of(e) == "lambda[0]"
+    with pytest.raises(ConfigError, match="expected an integer") as e:
+        parse_copula_config({"basis": {"family": "cosine"}, "lambda": [[1.0, 0.3]]})
+    assert _field_of(e) == "lambda[0]"
     with pytest.raises(ConfigError) as e:
         parse_copula_config({"basis": {"family": "two_value_step"}})
     assert _field_of(e) == "basis.alpha"
@@ -152,6 +155,11 @@ def test_experiment_replicates_alias():
     with pytest.raises(ConfigError) as e:
         parse_experiment_config(_base_experiment(R=8))
     assert _field_of(e) == "R"
+    # a bad alias keeps its own name
+    for r in (0, 2.5, float("inf")):
+        with pytest.raises(ConfigError) as e:
+            parse_experiment_config({**raw, "R": r})
+        assert _field_of(e) == "R", r
 
 
 # one record per experiment kind, with the keys that kind reads
@@ -280,6 +288,14 @@ def test_experiment_config_errors():
             (_without(mu_w, "mu1_values"), "mu1_values"),
             (_without(_base_experiment(), "copula"), "copula"),
             (_base_experiment(experiment=["coverage_mean"]), "experiment"),
+            (_base_experiment(n=1.5), "n"),
+            (_base_experiment(replicates=0), "replicates"),
+            (_base_experiment(replicates=True), "replicates"),
+            (_without(_base_experiment(), "replicates"), "replicates"),
+            (_base_experiment(level="0.9"), "level"),
+            (_base_experiment(master_seed=-1), "master_seed"),
+            (_base_experiment(repeats=0), "repeats"),
+            (_base_experiment(variance_mode=["model"]), "variance_mode"),
             # a copula the samplers would refuse is refused at parse time
             (_base_experiment(copula={"fgm": 3.0}), "copula")]:
         with pytest.raises(ConfigError) as e:
@@ -333,21 +349,6 @@ def test_finite_extremes_still_parse():
     with pytest.raises(ConfigError, match="0.11") as e:
         parse_copula_config({"zero_association": 10 ** 300})
     assert _field_of(e) == "zero_association"
-
-
-def test_each_scalar_field_names_itself():
-    for over, field in [({"n": 1.5}, "n"), ({"replicates": 0}, "replicates"),
-                        ({"replicates": True}, "replicates"), ({"level": "0.9"}, "level"),
-                        ({"master_seed": -1}, "master_seed"), ({"repeats": 0}, "repeats"),
-                        ({"variance_mode": ["model"]}, "variance_mode")]:
-        with pytest.raises(ConfigError) as e:
-            parse_experiment_config(_base_experiment(**over))
-        assert _field_of(e) == field, over
-    # the R alias keeps its own name
-    for r in (0, 2.5, float("inf")):
-        with pytest.raises(ConfigError) as e:
-            parse_experiment_config(_without({**_base_experiment(), "R": r}, "replicates"))
-        assert _field_of(e) == "R", r
 
 
 def test_cli_coverage_refuses_an_infinite_rate(capsys):
