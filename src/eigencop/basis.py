@@ -362,13 +362,15 @@ def _trig_slope(family, k):
 
 def _legendre_recurrence(n: int) -> str:
     """The Legendre polynomials P_0(y), ..., P_n(y) as statements
-    `P0 = 1.0; P1 = y; P2 = (3 * y * P1 - 1 * P0) / 2; ...`, the three-term
-    recurrence unrolled, for a float or an array y (P0 is the float 1.0).
-    Every Legendre table's shared text runs it."""
+    `P0 = 1.0; P1 = y; P2 = (3.0 * y * P1 - 1.0 * P0) / 2.0; ...`, the
+    three-term recurrence unrolled, for a float or an array y (P0 is the
+    float 1.0).  Its constants are float literals, exact for these small
+    integers, so a float y meets only float operands.  Every Legendre
+    table's shared text runs it."""
     steps = ["P0 = 1.0", "P1 = y"]
     for m in range(1, n):
         a, b, c, d = map(_int, (m + 1, 2 * m + 1, m, m - 1))
-        steps.append(f"P{a} = ({b} * y * P{c} - {c} * P{d}) / {a}")
+        steps.append(f"P{a} = ({b}.0 * y * P{c} - {c}.0 * P{d}) / {a}.0")
     return "; ".join(steps)
 
 

@@ -128,6 +128,9 @@ def _cmd_mixing(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    # only the weighted interval reads the level, so check it before any work
+    if not 0.0 < args.level < 1.0:
+        raise ConfigError("level", "level must be in (0,1)")
     c = load_copula(args.config)
     # a copula without terms drives an i.i.d. chain, where both mu are 0
     if not {k for k, _ in c.coeffs.entries} <= {("sin", 1), ("sin", 2)}:

@@ -128,8 +128,8 @@ def indicator_zero_effect_closed(mu1: float) -> float:
 def sigma2_exponential(rate: float, mu1: float) -> float:
     """Long-run variance of the mean of -rate*log(1-U_i) under the chain
     with coefficients (mu1, -4*mu1)."""
-    if not rate > 0.0:
-        raise ValueError("rate must be positive")
+    if not 0.0 < rate < math.inf:
+        raise ValueError("sigma2_exponential requires 0 < rate < inf")
     corr = 4.0 * mu1 * (_LOG_SIN_1_SQ / (1.0 - mu1)
                         - 4.0 * _LOG_SIN_2_SQ / (1.0 + 4.0 * mu1))
     return rate * rate * (1.0 + corr)

@@ -90,30 +90,33 @@ evaluations the rows need: on the two-sine model at 100 lanes a lane needs
 3.29 evaluations per step, and a loop that moved every lane one step at a
 time made 4.67 iterations per step, waiting each time for the slowest
 lane.  A narrower bank runs each row as a plain-float chain through the
-stepper `_STEPPER`: the Newton loop with the same lines written into it,
-so that no function is called per term.  Both paths make the same
-operations in the same order on each lane, so they give the same floats.
-Below FLOAT_PATH_LANES = 64 lanes numpy's per-call cost outweighs the
-vector arithmetic.  The measured float/array time ratios (300-step banks,
-smallest and largest of three runs on 2 cores) are
+stepper `_STEPPER`: the Newton loop with the same terms written into it,
+so that no function is called per term.  There g and c are each one sum,
+((x - w) + t_0) + t_1 + ..., in the order of `_SUMS`'s lines; -tol and the
+iteration range are formed once per chain, and the bracket midpoint only
+where it is taken.  Both paths make the same operations in the same order
+on each lane, so they give the same floats.  Below FLOAT_PATH_LANES = 64
+lanes numpy's per-call cost outweighs the vector arithmetic.  The measured
+float/array time ratios (300-step banks, smallest and largest of three
+runs on 2 cores) are
 
     lanes              32          48          64          80          96
-    two-sine       0.45-0.49   0.56-0.66   0.83-0.84   0.99-1.07   1.10-1.22
-    cosine         0.45-0.65   0.64-0.66   0.82-0.83   0.96-1.01   1.05-1.15
-    Legendre 1,2   0.42-0.44   0.61-0.66   0.79-0.83   1.01-1.06   1.16-1.24
-    Legendre 1,3,5 0.49-0.51   0.70-0.71   0.90-1.09   1.31-1.44   1.41-2.11
-    two-value step 0.52-0.55   0.50-0.72   1.07-1.24   0.80-1.11   1.18-1.36
-    sign flip      0.57-0.67   0.66-0.71   0.82-1.01   1.00-1.28   1.14-1.32
+    two-sine       0.38-0.41   0.56-0.59   0.69-0.71   0.84-0.89   0.94-1.00
+    cosine         0.36-0.39   0.49-0.55   0.54-0.72   0.83-0.89   0.89-0.96
+    Legendre 1,2   0.33-0.35   0.46-0.50   0.59-0.65   0.80-0.82   0.93-1.00
+    Legendre 1,3,5 0.38-0.46   0.53-0.57   0.69-0.90   0.91-1.13   1.21-1.28
+    two-value step 0.43-0.46   0.61-0.76   0.78-0.82   0.83-0.99   1.09-1.15
+    sign flip      0.42-0.77   0.65-0.82   0.78-0.84   0.79-0.95   1.10-1.12
 
-so the crossover lies near 64 to 80 lanes for every family, and near 64
-for Legendre 1,3,5, whose longer recurrence the array path also runs in
-phi at every iteration.  At 64 lanes the ratio is 0.79-1.24 for every
-family, while at 80 the float path would take Legendre 1,3,5 banks of 64
-to 79 rows up to 44% longer, so FLOAT_PATH_LANES stays 64.  One constant
-serves every family, and the choice depends only on the row count.  Each
-path is deterministic for a given seed key; per-replicate seed keys and
-elementwise lane arithmetic make banks independent of how the replicates,
-and the copulas of their lanes, are batched.
+so the crossover lies near 96 lanes for most families, and between 80
+and 96 for Legendre 1,3,5, whose longer recurrence the array path also
+runs in phi at every iteration.  At 64 lanes the float path is the faster
+for every family (0.54-0.90); FLOAT_PATH_LANES stays 64, below every
+family's crossover.  One constant serves every family, and the choice
+depends only on the row count.  Each path is deterministic for a given
+seed key; per-replicate seed keys and elementwise lane arithmetic make
+banks independent of how the replicates, and the copulas of their lanes,
+are batched.
 """
 
 from __future__ import annotations
@@ -215,40 +218,41 @@ def innovation_stream(*keys: int) -> np.random.Generator:
 _STEPPER = """\
 def run(state, states, lams, bound, limits):
     max_iter, tol, bracket = limits
+    ntol, tries = -tol, range(max_iter)
     l{k} = lams[{k}]
     for i, w in enumerate(states):
         x = state
         {shared}
         s{k} = l{k} * ({phi})
         lo, hi = 0.0, 1.0
-        v = w
-        for _ in range(max_iter):
-            x = v
+        x = w
+        for _ in tries:
             {shared}
-            g = v - w
-            c = 1.0
-            g += s{k} * ({Phi})
-            c += s{k} * ({phi})
-            if -tol <= g <= tol:
+            g = (x - w
+                 + s{k} * ({Phi})
+                 )
+            c = (1.0
+                 + s{k} * ({phi})
+                 )
+            if ntol <= g <= tol:
                 break
             if g < 0.0:
-                lo = v
+                lo = x
             else:
-                hi = v
-            mid = 0.5 * (lo + hi)
+                hi = x
             if hi - lo <= bracket:
-                v = mid
+                x = 0.5 * (lo + hi)
                 break
             if c > 0.0:
                 q = g / c
-                z = v - q
+                z = x - q
                 if lo < z < hi:
-                    v = z
+                    x = z
                     if bound is not None and {stop}:
                         break
                     continue
-            v = mid
-        state = states[i] = v
+            x = 0.5 * (lo + hi)
+        state = states[i] = x
     return states
 """
 

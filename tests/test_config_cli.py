@@ -578,6 +578,16 @@ def test_cli_estimate(capsys):
         assert "config field 'null'" in err
 
 
+@pytest.mark.parametrize("level", ["2", "nan", "0", "1", "-0.5"])
+def test_cli_estimate_refuses_a_level_outside_the_unit_interval(capsys, level):
+    # the level is checked before any work, with or without --weight
+    for weight in ([], ["--weight", "0.5"]):
+        code, out, err = _run(capsys, "estimate", "--config", '{"zero_association": 0.05}',
+                              "--n", "100", "--level", level, *weight)
+        assert code == 1 and out == ""
+        assert "config field 'level'" in err and "level must be in (0,1)" in err
+
+
 @pytest.mark.parametrize("config", [
     '{"fgm": 0.9}',
     '{"basis": {"family": "cosine"}, "lambda": [[1, 0.2]]}',

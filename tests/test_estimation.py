@@ -97,8 +97,10 @@ def test_sigma2_exponential_frozen_factor():
     # variance scales with rate^2
     assert sigma2_exponential(3.0, 0.05) == pytest.approx(9.0 * sigma2_exponential(1.0, 0.05))
     assert sigma2_exponential(2.0, 0.0) == pytest.approx(4.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        sigma2_exponential(0.0, 0.05)
+    # a rate as sampling.Exponential takes it: 0 < rate < inf
+    for rate in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="0 < rate < inf"):
+            sigma2_exponential(rate, 0.05)
 
 
 def test_sigma2_uniform_mean_values():

@@ -289,7 +289,7 @@ def _counting_stepper(table, log):
     """The float stepper compiled from a copy of its template that logs each
     evaluation of g and c; the term text is inlined and calls nothing, so
     evaluations are counted in the loop itself."""
-    line = "            g = v - w\n"
+    line = "            g = (x - w\n"
     assert sampling._STEPPER.count(line) == 1
     template = sampling._STEPPER.replace(line, "            log.append(x)\n" + line)
     return table.compile(template, {**table.namespace(math), "log": log})["run"]
@@ -554,7 +554,9 @@ def test_one_family_and_index_set_compile_once():
     # each term enters g and c in parentheses
     phi, Phi = a.terms.terms[0]
     source = a.terms.source(sampling._STEPPER)
-    assert f"g += s0 * ({Phi})" in source and f"c += s0 * ({phi})" in source
+    pad = " " * 17
+    assert f"g = (x - w\n{pad}+ s0 * ({Phi})\n" in source
+    assert f"c = (1.0\n{pad}+ s0 * ({phi})\n" in source
     assert sampling._Sampler(cosine_copula({1: 0.3})).stepper is not run
     # a single copula's sampler is prepared once, for equal copulas too
     assert sampling._sampler(a) is sampling._sampler(cosine_copula({1: 0.3, 2: 0.1}))
