@@ -28,9 +28,11 @@ only, so both trees answer the same calls:
   the copulas of the tree's own `perfbench/workloads.verdict_specs`, seeds
   1 to 5 (read, not changed);
 - the CSVs of the tree's `scripts/run_coverage_tables.py --quick`;
+- the config echo and `associate` record of copulas built with numpy
+  integer indices;
 - stdout, stderr and exit code of the command line on the tree's
-  `scripts/configs` and on a few inline configs, and of a few refused
-  arguments;
+  `scripts/configs` and on a few inline configs (`estimate` with and
+  without `--weight`), and of a few refused arguments;
 - the type and message of each error in ERRORS.
 
 The file gives a sha256 per output for each side.  Where an output differs
@@ -171,6 +173,11 @@ def errors(ec):
         ("fgm_huge_integer", lambda: ec.parse_copula_config({"fgm": 10 ** 400})),
         ("exponential_infinite_rate", lambda: ec.Exponential(math.inf)),
         ("wald_zero_n", lambda: ec.wald_interval(0.5, 0.1, 0, 0.95)),
+        # bool indices and alpha, whose config echo no reader takes
+        ("cosine_bool_index", lambda: ec.cosine_copula({True: 0.3})),
+        ("sine_cosine_bool_index", lambda: ec.SpectralCopula(
+            ec.SineCosine(), ec.SpectralCoefficients(((("sin", True), 0.1),)))),
+        ("two_value_bool_alpha", lambda: ec.two_value_step(True, 0.5)),
     ]
 
 
@@ -205,7 +212,9 @@ def cli_calls(tree: pathlib.Path):
                            ("sample", ["--n", "200", "--seed", "7"]),
                            ("sample.exponential", ["--n", "200", "--transform", "exponential:2.0"]),
                            ("associate", []), ("mixing", []),
-                           ("estimate", ["--n", "500", "--seed", "3"])):
+                           ("estimate", ["--n", "500", "--seed", "3"]),
+                           ("estimate.weight", ["--n", "500", "--seed", "3", "--weight", "0.5",
+                                                "--null", "0.05,-0.2"])):
             calls.append((f"{name}.{sub}", [sub.split(".")[0], "--config", config, *extra]))
     return calls
 
@@ -278,6 +287,16 @@ def catalogue(tree: pathlib.Path):
     for k in LEGENDRE_EVEN_VALIDATE:
         yield (f"legendre_even.{k}.validate",
                lambda k=k: _record(ec.shifted_legendre_copula({k: 0.01}).validate()))
+
+    def echo(make):
+        c = make()
+        return json.dumps({"copula": ec.copula_to_config(c), **ec.associate(c).as_dict()})
+    i64 = np.int64
+    for name, make in (("cosine", lambda: ec.cosine_copula({i64(2): 0.3})),
+                       ("legendre", lambda: ec.shifted_legendre_copula({i64(1): 0.2})),
+                       ("sine_cosine", lambda: ec.SpectralCopula(
+                           ec.SineCosine(), ec.SpectralCoefficients(((("cos", i64(3)), 0.1),))))):
+        yield f"numpy_index.{name}", lambda make=make: echo(make)
 
     sys.path.insert(0, str(tree / "perfbench"))
     import workloads

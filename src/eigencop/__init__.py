@@ -18,11 +18,11 @@ from .copula import (CounterexampleRecord, SpectralCoefficients,
 from .coverage import (CoverageRow, CoverageTable, ExperimentConfig,
                        load_experiment, parse_experiment_config, run_coverage)
 from .estimation import (MeanCI, MuEstimate, WeightedMuEstimate,
-                         chi2_statistic, estimate_mu, estimate_mu_weighted,
+                         chi2_statistic, estimate_mu,
                          indicator_zero_effect_closed,
                          indicator_zero_effect_threshold, long_run_variance,
                          mean_ci, sigma2_exponential, sigma2_indicator,
-                         sigma2_uniform_mean, wald_interval)
+                         sigma2_uniform_mean, wald_interval, weighted_mu)
 from .mixing import Certificate, MixingReport, certify_psi, rho_sequence
 from .sampling import (Bernoulli, ChainSample, Exponential, Uniform,
                        apply_transform, generate_chain, generate_chain_bank,

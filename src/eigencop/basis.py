@@ -84,6 +84,9 @@ class TwoValueStep:
     alpha: float
 
     def __post_init__(self):
+        # a bool alpha would echo as a JSON true, which no record reads
+        if isinstance(self.alpha, bool):
+            raise ValueError("TwoValueStep alpha must be a number, not bool")
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError("TwoValueStep requires alpha > 0")
         # for alpha below about 1.1e-16 the breakpoint rounds to 1, and phi_1
@@ -151,20 +154,33 @@ def _count(n, name: str, least: int) -> int:
     return n
 
 
-def check_index(family: Family, k: Index) -> None:
-    """Raise ValueError unless k is a valid function index for the family."""
+def _whole(k, message: str) -> int:
+    # k itself when it is a plain int >= 1, else read through _count
+    if type(k) is int and k >= 1:
+        return k
+    try:
+        return _count(k, "index", 1)
+    except ValueError:
+        raise ValueError(message) from None
+
+
+def check_index(family: Family, k: Index) -> Index:
+    """k as the family stores it, its integer read through `_count` as a
+    plain int, which the term text relies on (`_int`); k itself when it
+    already is one.  ValueError unless k is a valid function index for the
+    family: numpy integers are, bools are not."""
     if isinstance(family, SineCosine):
-        ok = (isinstance(k, tuple) and len(k) == 2 and k[0] in ("sin", "cos")
-              and isinstance(k[1], int) and k[1] >= 1)
-        if not ok:
-            raise ValueError("SineCosine indices are ('sin', k) or ('cos', k) with k >= 1")
-        return
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError("indices are integers >= 1")
+        message = "SineCosine indices are ('sin', k) or ('cos', k) with k >= 1"
+        if not (isinstance(k, tuple) and len(k) == 2 and k[0] in ("sin", "cos")):
+            raise ValueError(message)
+        n = _whole(k[1], message)
+        return k if n is k[1] else (k[0], n)
+    k = _whole(k, "indices are integers >= 1")
     if isinstance(family, TwoValueStep) and k != 1:
         raise ValueError("TwoValueStep has a single function, index 1")
     if isinstance(family, PiecewiseSign) and k > family.n_cells:
         raise ValueError(f"PiecewiseSign with {family.n_cells} cells has no index {k}")
+    return k
 
 
 def jump_points(family: Family) -> tuple:
@@ -476,13 +492,10 @@ def _table(family: Family, indices: tuple) -> TermTable:
 
 
 def term_table(family: Family, indices) -> TermTable:
-    """The one `TermTable` of (family, indices).  The indices are checked
-    before the lookup, so the cache never equates an invalid index with a
-    valid one (1.0 == 1)."""
-    indices = tuple(indices)
-    for k in indices:
-        check_index(family, k)
-    return _table(family, indices)
+    """The one `TermTable` of (family, indices).  The indices are checked,
+    and read as plain ints, before the lookup, so the cache never equates
+    an invalid index with a valid one (1.0 == 1)."""
+    return _table(family, tuple(check_index(family, k) for k in indices))
 
 
 def _eval_one(values, x):
@@ -508,7 +521,7 @@ def extrema(family: Family, k: Index) -> tuple[float, float]:
     interior minimum is the least value at the computed roots of P_k'
     (see `_legendre_even_min`): accurate to rounding, not a proven bound.
     """
-    check_index(family, k)
+    k = check_index(family, k)
     if isinstance(family, (SineCosine, Cosine)):
         return (-_SQRT2, _SQRT2)
     if isinstance(family, ShiftedLegendre):

@@ -128,9 +128,11 @@ def _cmd_mixing(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    # only the weighted interval reads the level, so check it before any work
+    # only the weighted estimate reads these, so check them before any work
     if not 0.0 < args.level < 1.0:
         raise ConfigError("level", "level must be in (0,1)")
+    if args.weight is not None and not 0.0 <= args.weight <= 1.0:
+        raise ConfigError("weight", "weight must be in [0,1]")
     c = load_copula(args.config)
     # a copula without terms drives an i.i.d. chain, where both mu are 0
     if not {k for k, _ in c.coeffs.entries} <= {("sin", 1), ("sin", 2)}:
@@ -148,7 +150,7 @@ def _cmd_estimate(args) -> int:
         out["chi2"] = {"null": [mu01, mu02], "statistic": stat, "df": 2,
                        "p_value": 1.0 - chi2_cdf(stat, 2)}
     if args.weight is not None:
-        wm = estimation.estimate_mu_weighted(chain.values, args.weight)
+        wm = estimation.weighted_mu(est.mu1, est.mu2, args.weight, est.n_pairs)
         lo, hi = estimation.wald_interval(wm.estimate,
                                           wm.variance, wm.n_pairs, args.level)
         out["weighted"] = {**wm.as_dict(), "level": args.level,

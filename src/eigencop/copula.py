@@ -158,8 +158,12 @@ class SpectralCopula:
     fold_power: int = field(default=1, compare=False, repr=False)
 
     def __post_init__(self):
-        for k, _ in self.coeffs.entries:
-            check_index(self.family, k)
+        # store the checked indices, so a numpy integer is kept as a plain int
+        entries = self.coeffs.entries
+        checked = [check_index(self.family, k) for k, _ in entries]
+        if any(k is not e[0] for k, e in zip(checked, entries)):
+            object.__setattr__(self, "coeffs", SpectralCoefficients(
+                tuple(zip(checked, self.coeffs.values))))
 
     # -- evaluation ----------------------------------------------------
 

@@ -216,11 +216,6 @@ def weighted_mu(mu1_hat, mu2_hat, weight: float, n_pairs: int) -> WeightedMuEsti
     return WeightedMuEstimate(w, mu, variance, variance_delta, n_pairs)
 
 
-def estimate_mu_weighted(values, weight: float) -> WeightedMuEstimate:
-    est = estimate_mu(values)
-    return weighted_mu(est.mu1, est.mu2, weight, est.n_pairs)
-
-
 # -- Wald intervals --------------------------------------------------------
 
 

@@ -104,9 +104,10 @@ def test_criterion_01_association_closed_vs_quadrature():
                 w = np.diff(c.family.breakpoints)
                 lam = dict(c.coeffs.entries)
                 s = sum(lam.get(k + 1, 0.0) * w[k] ** 3 for k in range(w.size))
+                rep = associate(c)
                 gap = max(gap,
-                          abs(0.75 * s - spearman_rho(c, "numeric")),
-                          abs(0.50 * s - kendall_tau(c, "numeric")))
+                          abs(0.75 * s - rep.rho_numeric),
+                          abs(0.50 * s - rep.tau_numeric))
             else:
                 rep = associate(c)
                 gap = max(gap, rep.rho_gap, rep.tau_gap)
@@ -130,8 +131,8 @@ def test_criterion_02_cosine_half_constants():
     ok = (abs(rho - 48.0 / math.pi ** 4) < 1e-12
           and abs(tau - 32.0 / math.pi ** 4) < 1e-12
           and 0.49 <= rho < 0.50 and 0.32 <= tau < 0.33
-          and abs(rho - spearman_rho(c, "numeric")) < TOL_SMOOTH
-          and abs(tau - kendall_tau(c, "numeric")) < TOL_SMOOTH)
+          and abs(rho - associate(c).rho_numeric) < TOL_SMOOTH
+          and abs(tau - associate(c).tau_numeric) < TOL_SMOOTH)
     _check(2, "half-coefficient cosine copula hits 48/pi^4 and 32/pi^4",
            ok, f"rho={rho:.6f} tau={tau:.6f}")
 
@@ -142,9 +143,9 @@ def test_criterion_03_polynomial_family_sweep():
         for lam2 in (-0.2, -0.1, 0.0, 0.1, 0.2, 0.3):
             c = shifted_legendre_copula({1: lam1, 2: lam2})
             assert spearman_rho(c) == lam1  # first coefficient, exactly
-            worst_rho = max(worst_rho, abs(spearman_rho(c, "numeric") - lam1))
+            worst_rho = max(worst_rho, abs(associate(c).rho_numeric - lam1))
             worst_tau = max(worst_tau,
-                            abs(kendall_tau(c) - kendall_tau(c, "numeric")))
+                            abs(kendall_tau(c) - associate(c).tau_numeric))
     ok = worst_rho <= TOL_SWEEP and worst_tau <= TOL_SWEEP
     _check(3, "rank correlation equals the first polynomial coefficient across sweep",
            ok, f"rho gap {worst_rho:.2e}, tau gap {worst_tau:.2e}")

@@ -8,10 +8,15 @@ import math
 import numpy as np
 import pytest
 
-from eigencop import (Bernoulli, Exponential, apply_transform, certify_psi,
-                      estimate_mu, generate_chain, generate_chain_bank,
-                      innovation_stream, mean_ci, rho_sequence, sample_wl,
-                      sine_cosine_copula, sine_counterexample, two_sine_model,
+from eigencop import (Bernoulli, Cosine, Exponential, ShiftedLegendre,
+                      SineCosine, SpectralCoefficients, SpectralCopula,
+                      TwoValueStep, apply_transform, certify_psi,
+                      copula_to_config, cosine_copula, estimate_mu, eval_Phi,
+                      eval_phi, extrema, generate_chain, generate_chain_bank,
+                      innovation_stream, load_copula, mean_ci,
+                      parse_copula_config, rho_sequence, sample_wl,
+                      shifted_legendre_copula, sine_cosine_copula,
+                      sine_counterexample, two_sine_model, two_value_step,
                       wald_interval)
 
 C = two_sine_model(0.2, -0.15)
@@ -46,6 +51,17 @@ BAD = [
     (lambda: wald_interval(0.5, 0.1, 2.5, 0.95), "n=2.5", "n must be an integer"),
     (lambda: wald_interval(0.5, 0.1, True, 0.95), "n=True", "n must be an integer"),
     (lambda: Exponential(math.inf), "rate=inf", "0 < rate < inf"),
+    # a bool index or alpha would echo as a JSON true, which no record reads
+    (lambda: cosine_copula({True: 0.3}), "k=True", "indices are integers >= 1"),
+    (lambda: shifted_legendre_copula({True: 0.2}), "k=True", "indices are integers >= 1"),
+    (lambda: SpectralCopula(SineCosine(), SpectralCoefficients(((("sin", True), 0.1),))),
+     "k=(sin,True)", "SineCosine indices are"),
+    (lambda: SpectralCopula(TwoValueStep(1.0), SpectralCoefficients(((True, 0.5),))),
+     "step k=True", "indices are integers >= 1"),
+    (lambda: eval_phi(Cosine(), True, 0.5), "eval_phi k=True", "indices are integers >= 1"),
+    (lambda: extrema(ShiftedLegendre(), True), "extrema k=True", "indices are integers >= 1"),
+    (lambda: two_value_step(True, 0.5), "alpha=True", "alpha must be a number, not bool"),
+    (lambda: TwoValueStep(False), "alpha=False", "alpha must be a number, not bool"),
 ]
 
 
@@ -72,6 +88,29 @@ def test_numpy_integers_are_counts():
     assert np.array_equal(rho_sequence(C, i64(4)), rho_sequence(C, 4))
     assert sine_counterexample(i64(3)) == sine_counterexample(3)
     assert sine_cosine_copula(sin={i64(2): 0.1}) == sine_cosine_copula(sin={2: 0.1})
+
+
+def test_numpy_indices_are_stored_as_plain_ints():
+    i64 = np.int64
+    x = np.linspace(0.0, 1.0, 9)
+    for c, plain in ((cosine_copula({i64(2): 0.3}), cosine_copula({2: 0.3})),
+                     (shifted_legendre_copula({i64(1): 0.2, 3: 0.05}),
+                      shifted_legendre_copula({1: 0.2, 3: 0.05})),
+                     (SpectralCopula(SineCosine(), SpectralCoefficients(((("cos", i64(3)), 0.1),))),
+                      sine_cosine_copula(cos={3: 0.1})),
+                     (two_value_step(0.5, 0.4).fold(i64(2)), two_value_step(0.5, 0.4).fold(2))):
+        assert c == plain
+        ks = [k[1] if isinstance(k, tuple) else k for k, _ in c.coeffs.entries]
+        assert all(type(k) is int for k in ks)
+        assert np.array_equal(c.cdf(x, x[::-1]), plain.cdf(x, x[::-1]))
+        # the echo is a record the reader takes back
+        assert parse_copula_config(copula_to_config(c)) == c
+        assert load_copula(json.dumps(copula_to_config(c))) == c
+    assert np.array_equal(eval_phi(Cosine(), i64(1), x), eval_phi(Cosine(), 1, x))
+    assert np.array_equal(eval_Phi(ShiftedLegendre(), i64(2), x),
+                          eval_Phi(ShiftedLegendre(), 2, x))
+    assert extrema(Cosine(), i64(1)) == extrema(Cosine(), 1)
+    assert extrema(ShiftedLegendre(), i64(4)) == extrema(ShiftedLegendre(), 4)
 
 
 def test_limits_name_the_argument():

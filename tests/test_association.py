@@ -18,8 +18,8 @@ def test_independence_zero():
     c = independence()
     assert spearman_rho(c) == 0.0
     assert kendall_tau(c) == 0.0
-    assert abs(spearman_rho(c, method="numeric")) < 1e-12
-    assert abs(kendall_tau(c, method="numeric")) < 1e-12
+    assert abs(associate(c).rho_numeric) < 1e-12
+    assert abs(associate(c).tau_numeric) < 1e-12
 
 
 def test_cosine_single_term_closed_forms():
@@ -31,8 +31,8 @@ def test_cosine_single_term_closed_forms():
     c2 = cosine_copula({2: 0.4})
     assert spearman_rho(c2) == 0.0
     assert kendall_tau(c2) == 0.0
-    assert abs(spearman_rho(c2, method="numeric")) < 1e-10
-    assert abs(kendall_tau(c2, method="numeric")) < 1e-10
+    assert abs(associate(c2).rho_numeric) < 1e-10
+    assert abs(associate(c2).tau_numeric) < 1e-10
 
 
 def test_cosine_cross_term_in_tau():
@@ -42,7 +42,7 @@ def test_cosine_cross_term_in_tau():
     want_tau = (64 / PI4) * (0.3 + 2 * 0.3 * 0.25 / (2**2 - 1**2) ** 2)
     assert abs(spearman_rho(c) - want_rho) < 1e-15
     assert abs(kendall_tau(c) - want_tau) < 1e-15
-    assert abs(kendall_tau(c, method="numeric") - want_tau) < 1e-10
+    assert abs(associate(c).tau_numeric - want_tau) < 1e-10
 
 
 def test_sine_cosine_closed_forms():
@@ -52,22 +52,22 @@ def test_sine_cosine_closed_forms():
     want_tau = (1 / PI2) * ((4 * 0.2 + 2 * 0.15 * 0.2) / 1 + (4 * -0.1) / 4)
     assert abs(spearman_rho(c) - want_rho) < 1e-15
     assert abs(kendall_tau(c) - want_tau) < 1e-15
-    assert abs(spearman_rho(c, method="numeric") - want_rho) < 1e-10
-    assert abs(kendall_tau(c, method="numeric") - want_tau) < 1e-10
+    assert abs(associate(c).rho_numeric - want_rho) < 1e-10
+    assert abs(associate(c).tau_numeric - want_tau) < 1e-10
 
 
 def test_pure_cosine_part_has_no_association():
     c = sine_cosine_copula(cos={1: 0.3, 2: -0.2})
     assert spearman_rho(c) == 0.0
     assert kendall_tau(c) == 0.0
-    assert abs(spearman_rho(c, method="numeric")) < 1e-10
+    assert abs(associate(c).rho_numeric) < 1e-10
 
 
 def test_legendre_rho_is_first_coefficient():
     for lam2 in (-0.2, 0.0, 0.15, 0.3):
         c = shifted_legendre_copula({1: 0.22, 2: lam2})
         assert spearman_rho(c) == pytest.approx(0.22, abs=1e-15)
-        assert spearman_rho(c, method="numeric") == pytest.approx(0.22, abs=1e-10)
+        assert associate(c).rho_numeric == pytest.approx(0.22, abs=1e-10)
 
 
 def test_legendre_tau_two_terms():
@@ -78,7 +78,7 @@ def test_legendre_tau_two_terms():
     c = shifted_legendre_copula({1: lam1, 2: lam2})
     want = (2 / 3) * lam1 * (1 + lam2 / 5)
     assert abs(kendall_tau(c) - want) < 1e-15
-    assert abs(kendall_tau(c, method="numeric") - want) < 1e-10
+    assert abs(associate(c).tau_numeric - want) < 1e-10
 
 
 def test_legendre_tau_adjacent_coupling_only():
@@ -86,12 +86,12 @@ def test_legendre_tau_adjacent_coupling_only():
     base = kendall_tau(shifted_legendre_copula({1: 0.2}))
     with3 = shifted_legendre_copula({1: 0.2, 3: 0.15})
     assert kendall_tau(with3) == pytest.approx(base, abs=1e-15)
-    assert kendall_tau(with3, method="numeric") == pytest.approx(base, abs=1e-9)
+    assert associate(with3).tau_numeric == pytest.approx(base, abs=1e-9)
     # a 2-3 pair couples with weight 2/((5)(7))
     c23 = shifted_legendre_copula({2: 0.2, 3: 0.1})
     want = 2 * 0.2 * 0.1 / 35
     assert abs(kendall_tau(c23) - want) < 1e-15
-    assert abs(kendall_tau(c23, method="numeric") - want) < 1e-9
+    assert abs(associate(c23).tau_numeric - want) < 1e-9
 
 
 def test_fgm_reduces_to_classic_values():
@@ -108,8 +108,8 @@ def test_two_value_step_closed_forms():
         want_tau = 2 * alpha * lam / (1 + alpha) ** 2
         assert abs(spearman_rho(c) - want_rho) < 1e-15
         assert abs(kendall_tau(c) - want_tau) < 1e-15
-        assert abs(spearman_rho(c, method="numeric") - want_rho) < 1e-8
-        assert abs(kendall_tau(c, method="numeric") - want_tau) < 1e-8
+        assert abs(associate(c).rho_numeric - want_rho) < 1e-8
+        assert abs(associate(c).tau_numeric - want_tau) < 1e-8
 
 
 def test_piecewise_sign_closed_forms():
@@ -145,8 +145,8 @@ def test_zero_association_sweep():
         c = zero_association_model(mu1)
         assert abs(spearman_rho(c)) < 1e-12
         assert abs(kendall_tau(c)) < 1e-12
-        assert abs(spearman_rho(c, method="numeric")) < 1e-7
-        assert abs(kendall_tau(c, method="numeric")) < 1e-7
+        assert abs(associate(c).rho_numeric) < 1e-7
+        assert abs(associate(c).tau_numeric) < 1e-7
 
 
 def test_step_alpha_inversion_symmetry():
@@ -169,14 +169,6 @@ def test_sine_cosine_range_caps():
         assert abs(kendall_tau(c)) <= 2.0 / PI2 + 1e-12
 
 
-def test_unknown_method_rejected():
-    for c in (independence(), piecewise_sign((0.0, 0.4, 1.0), (0.5, -0.3))):
-        with pytest.raises(ValueError):
-            spearman_rho(c, method="magic")
-        with pytest.raises(ValueError):
-            kendall_tau(c, method="magic")
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=-0.45, max_value=0.45),
        st.floats(min_value=-0.45, max_value=0.45))
@@ -185,8 +177,8 @@ def test_measures_bounded_and_consistent(l1, l3):
     rho, tau = spearman_rho(c), kendall_tau(c)
     assert -1.0 <= rho <= 1.0
     assert -1.0 <= tau <= 1.0
-    assert abs(spearman_rho(c, method="numeric") - rho) < 1e-8
-    assert abs(kendall_tau(c, method="numeric") - tau) < 1e-8
+    assert abs(associate(c).rho_numeric - rho) < 1e-8
+    assert abs(associate(c).tau_numeric - tau) < 1e-8
 
 
 @settings(max_examples=30, deadline=None)

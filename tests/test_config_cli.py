@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from eigencop import (ConfigError, associate, certify_psi, cosine_copula,
-                      copula_to_config, estimate_mu, estimate_mu_weighted, fgm,
+                      copula_to_config, estimate_mu, fgm,
                       load_copula, load_experiment, mean_ci, parse_copula_config,
                       parse_experiment_config, piecewise_sign, run_coverage,
                       shifted_legendre_copula, sine_cosine_copula,
                       sine_counterexample, two_sine_model, two_value_step,
-                      zero_association_model)
+                      weighted_mu, zero_association_model)
 from eigencop.cli import main
 
 # -- copula records ---------------------------------------------------------
@@ -383,7 +383,7 @@ _CHAIN = [0.1, 0.7, 0.4, 0.9, 0.2, 0.5]
     (lambda: associate(fgm(0.3)),
      ["rho_closed", "tau_closed", "rho_numeric", "tau_numeric", "rho_gap", "tau_gap"]),
     (lambda: estimate_mu(_CHAIN), ["mu1", "mu2", "n_pairs", "covariance"]),
-    (lambda: estimate_mu_weighted(_CHAIN, 0.5),
+    (lambda: weighted_mu(estimate_mu(_CHAIN).mu1, estimate_mu(_CHAIN).mu2, 0.5, 5),
      ["weight", "estimate", "variance", "variance_delta", "n_pairs"]),
     (lambda: mean_ci(_CHAIN, 0.1), ["estimate", "variance", "level", "lower", "upper", "n"]),
     (lambda: run_coverage(parse_experiment_config(_base_experiment(n=20, replicates=3))).rows[0],
@@ -586,6 +586,36 @@ def test_cli_estimate_refuses_a_level_outside_the_unit_interval(capsys, level):
                               "--n", "100", "--level", level, *weight)
         assert code == 1 and out == ""
         assert "config field 'level'" in err and "level must be in (0,1)" in err
+
+
+@pytest.mark.parametrize("weight", ["2", "nan", "-0.1"])
+def test_cli_estimate_refuses_a_weight_outside_the_unit_interval(capsys, monkeypatch, weight):
+    # the weight is checked before any work: no chain is sampled
+    import eigencop.sampling as sampling
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("sampled a chain before refusing the weight")
+    monkeypatch.setattr(sampling, "generate_chain", no_chain)
+    code, out, err = _run(capsys, "estimate", "--config", '{"zero_association": 0.05}',
+                          "--n", "100", "--weight", weight)
+    assert code == 1 and out == ""
+    assert "config field 'weight'" in err and "weight must be in [0,1]" in err
+
+
+def test_cli_estimate_weight_reuses_the_pair_means(capsys, monkeypatch):
+    # the weighted estimate is formed from the estimate_mu the command holds
+    import eigencop.estimation as estimation
+    calls = []
+    pair_means = estimation.sine_pair_means
+
+    def counted(values):
+        calls.append(1)
+        return pair_means(values)
+    monkeypatch.setattr(estimation, "sine_pair_means", counted)
+    code, out, _ = _run(capsys, "estimate", "--config", '{"zero_association": 0.05}',
+                        "--n", "200", "--seed", "3", "--weight", "0.5")
+    assert code == 0 and "weighted" in json.loads(out)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("config", [

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from eigencop import (Bernoulli, Exponential, Uniform, chi2_statistic,
-                      cosine_copula, estimate_mu, estimate_mu_weighted, fgm,
+                      cosine_copula, estimate_mu, fgm,
                       generate_chain_bank, indicator_zero_effect_closed,
                       indicator_zero_effect_threshold, long_run_variance,
                       mean_ci, piecewise_sign, shifted_legendre_copula,
                       sigma2_exponential, sigma2_indicator, sigma2_uniform_mean,
                       sine_cosine_copula, two_sine_model, two_value_step,
-                      wald_interval, zero_association_model)
+                      wald_interval, weighted_mu, zero_association_model)
 from eigencop.basis import jump_points
 from eigencop.quadrature import composite_rule
 
@@ -184,20 +184,21 @@ def test_long_run_variance_refuses_non_mixing_chain(c):
 def test_weighted_estimator_degenerates_at_full_weight():
     u = np.linspace(0.02, 0.98, 60) ** 1.1
     est = estimate_mu(u)
-    w1 = estimate_mu_weighted(u, 1.0)
+    w1 = weighted_mu(est.mu1, est.mu2, 1.0, est.n_pairs)
     assert w1.estimate == pytest.approx(est.mu1, abs=1e-15)
     assert w1.variance == pytest.approx(1.0, abs=1e-15)
     assert w1.variance_delta == pytest.approx(1.0, abs=1e-15)
-    w0 = estimate_mu_weighted(u, 0.0)
+    w0 = weighted_mu(est.mu1, est.mu2, 0.0, est.n_pairs)
     assert w0.estimate == pytest.approx(-est.mu2 / 4.0, abs=1e-15)
     assert w0.variance_delta == pytest.approx(1.0 / 16.0, abs=1e-12)
     with pytest.raises(ValueError):
-        estimate_mu_weighted(u, 1.5)
+        weighted_mu(est.mu1, est.mu2, 1.5, est.n_pairs)
 
 
 def test_weighted_variance_forms_coincide_only_at_endpoints():
     u = np.linspace(0.02, 0.98, 60) ** 1.1
-    mid = estimate_mu_weighted(u, 0.5)
+    est = estimate_mu(u)
+    mid = weighted_mu(est.mu1, est.mu2, 0.5, est.n_pairs)
     assert abs(mid.variance - mid.variance_delta) > 1e-3
 
 
@@ -217,10 +218,11 @@ def test_pair_average_scaled_variance_is_unit(pair_means):
 
 def test_weighted_delta_variance_matches_monte_carlo(model_bank, pair_means):
     m1, m2 = pair_means
+    first = estimate_mu(model_bank[0])
     for w in (0.3, 0.7):
         est = w * m1 - (1.0 - w) * m2 / 4.0
         mc_var = (CLT_N - 1) * est.var()
-        predicted = estimate_mu_weighted(model_bank[0], w).variance_delta
+        predicted = weighted_mu(first.mu1, first.mu2, w, first.n_pairs).variance_delta
         assert mc_var == pytest.approx(predicted, rel=0.1)
 
 
