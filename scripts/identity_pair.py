@@ -27,6 +27,9 @@ only, so both trees answer the same calls:
 - the `validate`, `certify_psi` (max_n 20 and 3) and `associate` records of
   the copulas of the tree's own `perfbench/workloads.verdict_specs`, seeds
   1 to 5 (read, not changed);
+- the `validate` records at grid sizes 37, 100 and 1,000 and the
+  `certify_psi(grid_n=100)` record of every multi-term copula of COPULAS
+  and of seed 1's verdict set, whose grids end in partial tiles;
 - the CSVs of the tree's `scripts/run_coverage_tables.py --quick`;
 - the config echo and `associate` record of copulas built with numpy
   integer indices;
@@ -300,6 +303,7 @@ def catalogue(tree: pathlib.Path):
 
     sys.path.insert(0, str(tree / "perfbench"))
     import workloads
+    multi = {name: c for name, c in cops.items() if len(c.coeffs) > 1}
     for seed in range(1, 6):
         for label, spec, _, _ in workloads.verdict_specs(seed):
             c = workloads.build_copula(ec, spec)
@@ -308,6 +312,12 @@ def catalogue(tree: pathlib.Path):
             yield f"{key}.certify_psi", lambda c=c: _record(ec.certify_psi(c))
             yield f"{key}.certify_psi.3", lambda c=c: _record(ec.certify_psi(c, max_n=3))
             yield f"{key}.associate", lambda c=c: _record(ec.associate(c))
+            if seed == 1 and len(c.coeffs) > 1:
+                multi[key] = c
+    for name, c in multi.items():
+        for grid_n in (37, 100, 1000):
+            yield f"grid.{name}.validate.{grid_n}", lambda c=c, g=grid_n: _record(c.validate(g))
+        yield f"grid.{name}.certify_psi.100", lambda c=c: _record(ec.certify_psi(c, grid_n=100))
 
     with tempfile.TemporaryDirectory(prefix="identity_tables_") as out:
         subprocess.run([sys.executable, "scripts/run_coverage_tables.py", "--quick",

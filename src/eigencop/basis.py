@@ -84,6 +84,10 @@ class TwoValueStep:
     alpha: float
 
     def __post_init__(self):
+        # a numpy scalar is kept as the equal Python number, which the config
+        # echo can write
+        if isinstance(self.alpha, np.generic):
+            object.__setattr__(self, "alpha", self.alpha.item())
         # a bool alpha would echo as a JSON true, which no record reads
         if isinstance(self.alpha, bool):
             raise ValueError("TwoValueStep alpha must be a number, not bool")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,10 +29,12 @@ from .statutil import normal_quantile
 
 _PI2 = math.pi ** 2
 
-# squared projections of log(1-t) on the first two sine eigenfunctions,
-# re-derived at import time by singularity-splitting quadrature
-_LOG_SIN_1_SQ = log_weighted_sine_integral(1) ** 2
-_LOG_SIN_2_SQ = log_weighted_sine_integral(2) ** 2
+
+@lru_cache(maxsize=1)
+def _log_sin_sq() -> tuple[float, float]:
+    """Squared projections of log(1-t) on the first two sine
+    eigenfunctions, by singularity-splitting quadrature on first use."""
+    return log_weighted_sine_integral(1) ** 2, log_weighted_sine_integral(2) ** 2
 
 
 # phi_1 and phi_2, the two sine functions of the model
@@ -130,8 +133,8 @@ def sigma2_exponential(rate: float, mu1: float) -> float:
     with coefficients (mu1, -4*mu1)."""
     if not 0.0 < rate < math.inf:
         raise ValueError("sigma2_exponential requires 0 < rate < inf")
-    corr = 4.0 * mu1 * (_LOG_SIN_1_SQ / (1.0 - mu1)
-                        - 4.0 * _LOG_SIN_2_SQ / (1.0 + 4.0 * mu1))
+    sin1_sq, sin2_sq = _log_sin_sq()
+    corr = 4.0 * mu1 * (sin1_sq / (1.0 - mu1) - 4.0 * sin2_sq / (1.0 + 4.0 * mu1))
     return rate * rate * (1.0 + corr)
 
 

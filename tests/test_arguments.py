@@ -113,6 +113,21 @@ def test_numpy_indices_are_stored_as_plain_ints():
     assert extrema(ShiftedLegendre(), i64(4)) == extrema(ShiftedLegendre(), 4)
 
 
+def test_numpy_alpha_is_stored_as_a_python_number():
+    x = np.linspace(0.0, 1.0, 9)
+    for alpha, plain in ((np.int64(2), 2), (np.float32(0.5), 0.5), (np.float64(0.7), 0.7)):
+        c = two_value_step(alpha, 0.5)
+        assert type(c.family.alpha) is type(plain) and c.family.alpha == plain
+        assert c == two_value_step(plain, 0.5)
+        assert np.array_equal(c.cdf(x, x[::-1]), two_value_step(plain, 0.5).cdf(x, x[::-1]))
+        # the echo is written as JSON and read back
+        text = json.dumps(copula_to_config(c))
+        assert text == json.dumps(copula_to_config(two_value_step(plain, 0.5)))
+        assert load_copula(text) == c
+    with pytest.raises(ValueError, match="not bool"):
+        two_value_step(np.True_, 0.5)
+
+
 def test_limits_name_the_argument():
     for call, message in ((lambda: C.validate(1), "grid_n must be at least 2"),
                           (lambda: certify_psi(C, max_n=0), "max_n must be at least 1"),

@@ -224,6 +224,56 @@ def test_density_range_equals_full_grid(c, grid_n):
         (float(m.min()), float(m.max()))
 
 
+def _full_matrix_range(terms):
+    # every entry, in the scan's order: 1.0, then per term the rounded
+    # product, times lam, added
+    n = terms[0][1].size
+    m = np.ones((n, n))
+    for lam, p in terms:
+        t = np.outer(p, p)
+        t *= lam
+        m += t
+    return float(m.min()), float(m.max())
+
+
+# below, at and above a tile side, partial last tiles, the default grid
+TILE_GRIDS = [2, 31, 32, 33, 64, 65, 100, 512, 513]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(TILE_GRIDS))
+def test_density_range_equals_full_matrix_on_random_terms(seed, grid_n):
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(int(rng.integers(2, 7))):
+        lam = float(rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.01, 1.0))
+        kind = rng.integers(3)
+        if kind == 0:
+            p = rng.normal(size=grid_n)
+        elif kind == 1:  # a few values, repeated: ties within and across tiles
+            p = rng.choice(rng.normal(size=int(rng.integers(1, 4))), size=grid_n)
+        else:  # the same function as an earlier term
+            p = terms[-1][1] if terms else np.full(grid_n, 0.5)
+        terms.append((lam, p))
+    assert _density_range(terms) == _full_matrix_range(terms)
+
+
+@pytest.mark.parametrize("grid_n", TILE_GRIDS)
+@pytest.mark.parametrize("c", [cosine_copula({1: 0.3, 2: -0.2, 5: 0.1}),
+                               sine_cosine_copula(sin={1: 0.1, 2: -0.2}, cos={3: 0.15}),
+                               shifted_legendre_copula({1: 0.2, 2: -0.1, 4: 0.05}),
+                               piecewise_sign((0.0, 0.3, 0.7, 1.0), (0.5, -0.8, 0.9))])
+def test_fold_density_ranges_equal_full_matrix(c, grid_n):
+    g = (np.arange(grid_n) + 0.5) / grid_n
+    for n in range(1, 6):
+        f = c.fold(n)
+        terms = [(lam, eval_phi(f.family, k, g)) for k, lam in f.coeffs.entries]
+        want = _full_matrix_range(terms)
+        assert _density_range(terms) == want
+        rep = f.validate(grid_n)
+        assert (rep.grid_min_density, rep.grid_max_density) == want
+
+
 @pytest.mark.parametrize("grid_n", [0, 1, -3])
 @pytest.mark.parametrize("c", [cosine_copula({1: 0.9}),
                                cosine_copula({1: 0.9, 2: 0.9})])
