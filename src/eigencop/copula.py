@@ -253,24 +253,23 @@ def _density_range(terms) -> tuple[float, float]:
     """Min and max of 1 + sum lam * p[i] * p[j] over the midpoint grid.
 
     `terms` holds (lam, p) pairs, p a basis function on the grid, and the
-    floats returned are those of the full matrix, built as the scan below
-    builds it: 1.0, then for each term in order the rounded product
-    p[i] * p[j], times lam, added.  Round-to-nearest is monotone, and each
-    of these steps is monotone in its inputs, so bounds on the inputs bound
-    the computed floats, not only the exact values.
+    floats returned are those of the full matrix as the scan builds it:
+    1.0, then for each term in order the rounded product p[i] * p[j], times
+    lam, added.  Round-to-nearest is monotone, so a bound on an exact
+    result bounds its rounding too.  An exact product over a box of inputs
+    is extreme at a corner, lam * q is monotone in q (rising or falling by
+    lam's sign) and a sum in each addend; so bounds carried through these
+    steps in the scan's order hold for the computed floats.
 
     One term: the extremes are among the products of p's own min and max.
-    Several terms: the grid is cut into square tiles of side _TILE, and the
-    matrix is exactly symmetric (fl(a*b) = fl(b*a)), so the tiles on and
-    above the diagonal hold every value.  For each tile and term, the least
-    and greatest p over its row block and its column block bound the
-    rounded product by the least and greatest rounded corner product, and
-    lam times those bounds the term (which end is which goes by lam's
-    sign); summed in the scan's order they bound every float of the tile.
-    Tiles are scanned best first: by ascending lower bound until one is no
-    lower than the least value seen, then by descending upper bound until
-    one is no higher than the greatest; no tile is scanned twice.  What is
-    left unscanned cannot hold a new extreme.
+    Several terms: the grid is cut into square tiles of side _TILE, those
+    on and above the diagonal (the matrix is exactly symmetric, as
+    fl(a*b) = fl(b*a)), and each tile is bounded from the least and
+    greatest p over its row block and its column block.  Tiles are scanned
+    best first: by ascending lower bound until one is no lower than the
+    least value seen, then by descending upper bound until one is no
+    higher than the greatest, none twice.  No tile left holds a new
+    extreme.
     """
     if not terms:
         return 1.0, 1.0
@@ -280,15 +279,14 @@ def _density_range(terms) -> tuple[float, float]:
         vals = [1.0 + lam * (a * b) for a, b in ((lo, lo), (lo, hi), (hi, hi))]
         return min(vals), max(vals)
     n = terms[0][1].size
+    lams, p = map(np.array, zip(*terms))
     starts = np.arange(0, n, _TILE)
-    p = np.array([q for _, q in terms])
     lo, hi = np.minimum.reduceat(p, starts, axis=1), np.maximum.reduceat(p, starts, axis=1)
     bi, bj = np.triu_indices(starts.size)
     corners = np.array([lo[:, bi] * lo[:, bj], lo[:, bi] * hi[:, bj],
                         hi[:, bi] * lo[:, bj], hi[:, bi] * hi[:, bj]])
-    lams = np.array([[lam] for lam, _ in terms])
     low, high = np.ones(bi.size), np.ones(bi.size)
-    for a, b in zip(lams * corners.min(axis=0), lams * corners.max(axis=0)):
+    for a, b in zip(lams[:, None] * corners.min(axis=0), lams[:, None] * corners.max(axis=0)):
         low += np.minimum(a, b)
         high += np.maximum(a, b)
 
@@ -298,18 +296,17 @@ def _density_range(terms) -> tuple[float, float]:
     # ones (about a dozen page faults per verdicts round)
     side = min(_TILE, n)
     block, product = np.split(np.empty(2 * side * side), 2)
-    columns = [(lam, q[:, None], q) for lam, q in terms]
-    starts, bi, bj = starts.tolist(), bi.tolist(), bj.tolist()
+    bi, bj = bi.tolist(), bj.tolist()
     scanned = set()
 
     def scan(t):
-        r, c = starts[bi[t]], starts[bj[t]]
+        r, c = _TILE * bi[t], _TILE * bj[t]
         shape = (min(_TILE, n - r), min(_TILE, n - c))
         m = block[:shape[0] * shape[1]].reshape(shape)
         prod = product[:m.size].reshape(shape)
         m.fill(1.0)
-        for lam, col, q in columns:
-            np.multiply(col[r:r + _TILE], q[c:c + _TILE], out=prod)
+        for lam, q in terms:
+            np.multiply(q[r:r + _TILE, None], q[c:c + _TILE], out=prod)
             prod *= lam
             m += prod
         scanned.add(t)
