@@ -13,8 +13,10 @@ between grid points, and at the corners, is not looked at.
 
 The range is the exact min and max of the grid's floats, computed without
 building the grid: with one nonzero term it is read off the extremes of
-phi on the grid, with several it is accumulated over 64-row blocks of the
-upper triangle of the (exactly symmetric) matrix.  Every fold's range is
+phi on the grid, with several it is found by scanning tiles of the upper
+triangle of the (exactly symmetric) matrix best first, skipping the tiles
+whose bounds on the computed floats show they hold no new extreme (see
+`copula._density_range`).  Every fold's range is
 the one that validate() computes and memoises for the folded copula, from
 phi on the grid, which the folds share: the term table keeps it once per
 grid size.
