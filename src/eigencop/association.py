@@ -15,6 +15,13 @@ an independent quadrature route, which works from the CDF alone,
 
 and the gaps between them.  The two routes must agree to tight tolerance;
 the test suite enforces that on random valid copulas of every family.
+
+The quadrature rule is split at the family's jump points.  Its nodes and
+weights, and phi and Phi at the nodes, depend on the term table alone, so
+the table keeps them (`TermTable.on_rule`); each call forms the full node
+grid matrices of C and d1C from them, with the expansion sum that
+`SpectralCopula.cdf` and `conditional_cdf` use, so the floats are those of
+a call to either.
 """
 
 from __future__ import annotations
@@ -22,9 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .basis import jump_points, moment_table
-from .copula import Record, SpectralCopula
-from .quadrature import split_rule
+from .basis import moment_table
+from .copula import Record, SpectralCopula, _expansion
 
 
 def _closed(c: SpectralCopula) -> tuple[float, float]:
@@ -59,9 +65,12 @@ class AssociationReport(Record):
 
 def associate(c: SpectralCopula) -> AssociationReport:
     """Both association measures by both routes, with their gaps."""
-    x, w = split_rule(jump_points(c.family), 8, 64)
-    rho_n = 12.0 * float(w @ c.cdf(x[:, None], x[None, :]) @ w) - 3.0
-    d1 = c.conditional_cdf(x[:, None], x[None, :])
+    x, w, phi, Phi = c.terms.on_rule(8, 64)
+    u, v, shape, lams = x[:, None], x[None, :], (x.size, x.size), c.coeffs.values
+    # C and d1C on the node grid, summed as `cdf` and `conditional_cdf` sum them
+    cdf = _expansion(u * v, shape, lams, [a[:, None] for a in Phi], [b[None, :] for b in Phi])
+    rho_n = 12.0 * float(w @ cdf @ w) - 3.0
+    d1 = _expansion(v, shape, lams, [a[:, None] for a in phi], [b[None, :] for b in Phi])
     # the construction is symmetric, so d2C(u,v) = d1C(v,u): the transpose
     # holds the same floats a second evaluation would
     tau_n = 1.0 - 4.0 * float(w @ (d1 * d1.T) @ w)

@@ -11,9 +11,10 @@ accurate to rounding, but not a proven bound.
 The formulas for phi_k and Phi_k are written once, as expression text in
 the per-family term builders, with every constant bound by name.
 `term_table` gives the one `TermTable` of each (family, indices): that
-text, its compiled forms and its values on the validity grid, memoised on
-the table.  The work all terms share at x is written into the text as
-well: for the trigonometric families, each term's argument w x, formed
+text, its compiled forms and its values on the validity grid and at the
+association rule's nodes, memoised on the table.  The work all terms
+share at x is written into the text as well: for the trigonometric
+families, each term's argument w x, formed
 once for phi and Phi; for shifted Legendre, y = 2x - 1 and the three-term
 recurrence unrolled into one assignment per P_m (`_legendre_recurrence`),
 so no form makes a call or builds a list per evaluation; for a step
@@ -54,6 +55,8 @@ from functools import cached_property, lru_cache, partial
 from typing import Union
 
 import numpy as np
+
+from .quadrature import split_rule
 
 Index = Union[int, tuple]
 
@@ -269,6 +272,13 @@ class TermTable:
     bisect), anything else the array form (ufuncs, searchsorted), with the
     same formulas in the same order, so both give the same floats.  No
     domain check is made: x must lie in [0, 1].
+
+    The table also keeps, as read-only arrays, what its copulas' checks
+    read apart from the coefficients: phi on the validity grid of the last
+    size asked for (`on_grid`), with what the range scan derives from it
+    (`from_grid`: each term's extremes, or the tiles' corner bounds), and
+    the association rule's nodes, weights and phi and Phi there
+    (`on_rule`).
     """
 
     family: Family
@@ -324,13 +334,35 @@ class TermTable:
         """phi(x) on the midpoint grid x_i = (i + 0.5) / n, i < n: one
         read-only array per index, kept for the last n asked for, so that a
         caller who tries many grid sizes does not keep them all."""
-        n_kept, values = self._memo.get("grid", (None, None))
+        return self._grid(n)[0]
+
+    def from_grid(self, n: int, derive):
+        """derive(on_grid(n)), computed once and kept with the grid values,
+        so it goes when they do.  derive must read nothing else, so that its
+        result holds for every copula of the table."""
+        values, derived = self._grid(n)
+        if derive not in derived:
+            derived[derive] = derive(values)
+        return derived[derive]
+
+    def _grid(self, n: int) -> tuple:
+        n_kept, values, derived = self._memo.get("grid", (None, None, None))
         if n_kept != n:
-            values = self.phi((np.arange(n) + 0.5) / n)
-            for a in values:
-                a.flags.writeable = False
-            self._memo["grid"] = n, values
-        return values
+            values = _read_only(self.phi((np.arange(n) + 0.5) / n))
+            derived = {}
+            self._memo["grid"] = n, values, derived
+        return values, derived
+
+    def on_rule(self, points_per_cell: int, n_nodes: int) -> tuple:
+        """(x, w, phi(x), Phi(x)) for the quadrature rule split at the
+        family's jump points, split_rule(jump_points(family),
+        points_per_cell, n_nodes): read-only arrays, one per index for phi
+        and Phi, computed once per rule."""
+        key = ("rule", points_per_cell, n_nodes)
+        if key not in self._memo:
+            x, w = _read_only(split_rule(jump_points(self.family), points_per_cell, n_nodes))
+            self._memo[key] = x, w, _read_only(self.phi(x)), _read_only(self.Phi(x))
+        return self._memo[key]
 
     @cached_property
     def slopes(self):
@@ -344,6 +376,12 @@ class TermTable:
 
     def Phi(self, x) -> list:
         return self.compiled(_FORMS, math if isinstance(x, float) else np)["Phi"](x)
+
+
+def _read_only(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _trig_terms(family, indices):

@@ -137,6 +137,15 @@ class ValidityReport(Record):
     grid_shape: tuple = (DENSITY_GRID_N, DENSITY_GRID_N)
 
 
+def _expansion(base, shape, lams, left, right):
+    """base + sum_k lams[k] * left[k] * right[k], as an array of the given
+    shape: the one place a copula's expansion is summed."""
+    out = base * np.ones(shape)
+    for lam, a, b in zip(lams, left, right):
+        out = out + lam * a * b
+    return out
+
+
 def _on_square(f, u, v):
     """f(U, V) on u and v as unit-interval arrays; a float for two scalars."""
     U, V = _unit_array(u, "u"), _unit_array(v, "v")
@@ -176,10 +185,8 @@ class SpectralCopula:
     def _expand(self, u, v, base, left, right):
         # base(U, V) + sum_k lambda_k * left_k(U) * right_k(V), broadcast
         def f(U, V):
-            out = base(U, V) * np.ones(np.broadcast_shapes(U.shape, V.shape))
-            for lam, a, b in zip(self.coeffs.values, left(U), right(V)):
-                out = out + lam * a * b
-            return out
+            return _expansion(base(U, V), np.broadcast_shapes(U.shape, V.shape),
+                              self.coeffs.values, left(U), right(V))
         return _on_square(f, u, v)
 
     def density(self, u, v):
@@ -249,11 +256,33 @@ def _analytic_margin(family: Family, coeffs: SpectralCoefficients) -> float:
     return margin
 
 
-def _density_range(terms) -> tuple[float, float]:
+def _grid_bounds(p: list) -> tuple:
+    """What `_density_range` reads of p, phi_k on the grid with one array per
+    term, that no coefficient changes; the term table keeps it with p
+    (`TermTable.from_grid`).  With at most one term, each term's least
+    and greatest value.  With several: for every term and tile, the least
+    and greatest of the products of its row block's and its column block's
+    extreme p, as read-only arrays of shape (terms, tiles), and the tiles'
+    block rows and columns."""
+    if len(p) < 2:
+        return tuple((float(q.min()), float(q.max())) for q in p)
+    p = np.array(p)
+    starts = np.arange(0, p.shape[1], _TILE)
+    lo, hi = np.minimum.reduceat(p, starts, axis=1), np.maximum.reduceat(p, starts, axis=1)
+    bi, bj = np.triu_indices(starts.size)
+    corners = np.array([lo[:, bi] * lo[:, bj], lo[:, bi] * hi[:, bj],
+                        hi[:, bi] * lo[:, bj], hi[:, bi] * hi[:, bj]])
+    cmin, cmax = corners.min(axis=0), corners.max(axis=0)
+    cmin.flags.writeable = cmax.flags.writeable = False
+    return cmin, cmax, tuple(bi.tolist()), tuple(bj.tolist())
+
+
+def _density_range(lams, p, bounds) -> tuple[float, float]:
     """Min and max of 1 + sum lam * p[i] * p[j] over the midpoint grid.
 
-    `terms` holds (lam, p) pairs, p a basis function on the grid, and the
-    floats returned are those of the full matrix as the scan builds it:
+    `lams` holds the coefficients and `p` the basis functions on the grid,
+    one array per term, and `bounds` is `_grid_bounds(p)`.  The floats
+    returned are those of the full matrix as the scan builds it:
     1.0, then for each term in order the rounded product p[i] * p[j], times
     lam, added.  Round-to-nearest is monotone, so a bound on an exact
     result bounds its rounding too.  An exact product over a box of inputs
@@ -265,28 +294,24 @@ def _density_range(terms) -> tuple[float, float]:
     Several terms: the grid is cut into square tiles of side _TILE, those
     on and above the diagonal (the matrix is exactly symmetric, as
     fl(a*b) = fl(b*a)), and each tile is bounded from the least and
-    greatest p over its row block and its column block.  Tiles are scanned
+    greatest p over its row block and its column block: lam times the
+    least and greatest corner product.  Tiles are scanned
     best first: by ascending lower bound until one is no lower than the
     least value seen, then by descending upper bound until one is no
     higher than the greatest, none twice.  No tile left holds a new
     extreme.
     """
-    if not terms:
+    if not lams:
         return 1.0, 1.0
-    if len(terms) == 1:
-        lam, p = terms[0]
-        lo, hi = float(p.min()), float(p.max())
+    if len(lams) == 1:
+        (lam,), ((lo, hi),) = lams, bounds
         vals = [1.0 + lam * (a * b) for a, b in ((lo, lo), (lo, hi), (hi, hi))]
         return min(vals), max(vals)
-    n = terms[0][1].size
-    lams, p = map(np.array, zip(*terms))
-    starts = np.arange(0, n, _TILE)
-    lo, hi = np.minimum.reduceat(p, starts, axis=1), np.maximum.reduceat(p, starts, axis=1)
-    bi, bj = np.triu_indices(starts.size)
-    corners = np.array([lo[:, bi] * lo[:, bj], lo[:, bi] * hi[:, bj],
-                        hi[:, bi] * lo[:, bj], hi[:, bi] * hi[:, bj]])
-    low, high = np.ones(bi.size), np.ones(bi.size)
-    for a, b in zip(lams[:, None] * corners.min(axis=0), lams[:, None] * corners.max(axis=0)):
+    cmin, cmax, bi, bj = bounds
+    n = p[0].size
+    col = np.array(lams)[:, None]
+    low, high = np.ones(len(bi)), np.ones(len(bi))
+    for a, b in zip(col * cmin, col * cmax):
         low += np.minimum(a, b)
         high += np.maximum(a, b)
 
@@ -296,7 +321,6 @@ def _density_range(terms) -> tuple[float, float]:
     # ones (about a dozen page faults per verdicts round)
     side = min(_TILE, n)
     block, product = np.split(np.empty(2 * side * side), 2)
-    bi, bj = bi.tolist(), bj.tolist()
     scanned = set()
 
     def scan(t):
@@ -305,7 +329,7 @@ def _density_range(terms) -> tuple[float, float]:
         m = block[:shape[0] * shape[1]].reshape(shape)
         prod = product[:m.size].reshape(shape)
         m.fill(1.0)
-        for lam, q in terms:
+        for lam, q in zip(lams, p):
             np.multiply(q[r:r + _TILE, None], q[c:c + _TILE], out=prod)
             prod *= lam
             m += prod
@@ -331,10 +355,11 @@ def _density_range(terms) -> tuple[float, float]:
 def _validate_cached(family: Family, coeffs: SpectralCoefficients, grid_n: int) -> ValidityReport:
     margin = _analytic_margin(family, coeffs)
     analytic_ok = margin >= -BOUNDARY_TOL
-    # phi on the grid is kept by the table: every fold of a copula, and every
-    # copula of one (family, indices), reads the same arrays
+    # phi on the grid and its bounds are kept by the table: every fold of a
+    # copula, and every copula of one (family, indices), reads the same ones
     table = term_table(family, (k for k, _ in coeffs.entries))
-    grid_min, grid_max = _density_range(list(zip(coeffs.values, table.on_grid(grid_n))))
+    grid_min, grid_max = _density_range(coeffs.values, table.on_grid(grid_n),
+                                        table.from_grid(grid_n, _grid_bounds))
 
     # with one term the margin is the density at a point: the family's phi_k
     # attains both extrema, so a negative margin is a witness the grid can miss

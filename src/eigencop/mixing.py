@@ -17,9 +17,12 @@ phi on the grid, with several it is found by scanning tiles of the upper
 triangle of the (exactly symmetric) matrix best first, skipping the tiles
 whose bounds on the computed floats show they hold no new extreme (see
 `copula._density_range`).  Every fold's range is
-the one that validate() computes and memoises for the folded copula, from
-phi on the grid, which the folds share: the term table keeps it once per
-grid size.
+the one that validate() computes and memoises for the folded copula.  What
+that range reads apart from the coefficients, phi on the grid, each term's
+extremes there for a one-term table and the tiles' corner bounds for
+several terms, is shared by the folds: the term table keeps it for the last
+grid size asked for, and each fold forms only its tile bounds
+1 + sum min/max(lambda * least corner, lambda * greatest corner).
 
 Beside the grid ranges the report carries, for every family, the analytic
 envelope |c_n - 1| <= E_n = sum_k |lambda_k|^n sup phi_k^2, with sup phi_k^2

@@ -14,9 +14,12 @@ import numpy as np
 
 @lru_cache(maxsize=32)
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule mapped to [0,1]."""
+    """Nodes and weights of the n-point Gauss-Legendre rule mapped to [0,1],
+    as read-only arrays: every caller shares them."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def composite_rule(cuts, points_per_cell: int = 8) -> tuple[np.ndarray, np.ndarray]:

@@ -475,7 +475,9 @@ def sample_wl(lam: float, u_prev, q):
         raise ValueError("sample_wl requires |lam| <= 1")
     d_plus = (1.0 + lam) if lam != -1.0 else 1.0
     d_minus = (1.0 - lam) if lam != 1.0 else 1.0
-    if isinstance(u_prev, (float, int)) and isinstance(q, (float, int)):
+    # plain floats and numpy float scalars; an int takes the array path,
+    # which gives the same float
+    if isinstance(u_prev, float) and isinstance(q, float):
         return _wl_lane(lam, d_plus, d_minus, float(u_prev), float(q))
     u, qq = np.broadcast_arrays(np.asarray(u_prev, dtype=float), np.asarray(q, dtype=float))
     v = [_wl_lane(lam, d_plus, d_minus, a, b)

@@ -9,9 +9,21 @@ from eigencop import (associate, cosine_copula, fgm, independence,
                       kendall_tau, piecewise_sign, shifted_legendre_copula,
                       sine_cosine_copula, spearman_rho, two_value_step,
                       zero_association_model)
+from eigencop.basis import jump_points
+from eigencop.quadrature import split_rule
 
 PI2 = math.pi**2
 PI4 = math.pi**4
+
+
+def _assert_numeric_is_the_cdf_route(c):
+    # the quadrature route from c.cdf and c.conditional_cdf on the node grid,
+    # which associate must reproduce bit for bit from the term table's values
+    x, w = split_rule(jump_points(c.family), 8, 64)
+    d1 = c.conditional_cdf(x[:, None], x[None, :])
+    report = associate(c)
+    assert report.rho_numeric == 12.0 * float(w @ c.cdf(x[:, None], x[None, :]) @ w) - 3.0
+    assert report.tau_numeric == 1.0 - 4.0 * float(w @ (d1 * d1.T) @ w)
 
 
 def test_independence_zero():
@@ -116,8 +128,11 @@ def test_piecewise_sign_closed_forms():
     # rho = (3/4) sum lambda_k w_k^3 and tau = (1/2) sum lambda_k w_k^3
     for bps, thetas in (((0.0, 0.4, 1.0), (0.5, -0.3)),
                         ((0.0, 0.25, 0.6, 1.0), (0.9, -0.7, 0.4)),
-                        ((0.0, 1.0), (-0.8,))):
+                        ((0.0, 1.0), (-0.8,)),
+                        ((0.0, 0.5, 0.8, 1.0), (0.9, -0.7, 0.4))):
         c = piecewise_sign(bps, thetas)
+        # the last two have equal indices on different cells
+        _assert_numeric_is_the_cdf_route(c)
         s = sum(lam * (bps[k] - bps[k - 1]) ** 3 for k, lam in c.coeffs.entries)
         report = associate(c)
         assert abs(report.rho_closed - 0.75 * s) < 1e-15
@@ -143,6 +158,8 @@ def test_zero_association_sweep():
         if mu1 == 0.0:
             continue
         c = zero_association_model(mu1)
+        # every copula of the sweep shares one term table
+        _assert_numeric_is_the_cdf_route(c)
         assert abs(spearman_rho(c)) < 1e-12
         assert abs(kendall_tau(c)) < 1e-12
         assert abs(associate(c).rho_numeric) < 1e-7

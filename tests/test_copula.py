@@ -11,7 +11,7 @@ from eigencop import (SpectralCoefficients, SpectralCopula, Verdict,
                       sine_counterexample, star_product, two_sine_model,
                       two_value_step, zero_association_model)
 from eigencop.basis import Cosine, ShiftedLegendre, eval_phi, jump_points
-from eigencop.copula import _density_range
+from eigencop.copula import _density_range, _grid_bounds, _validate_cached
 from eigencop.quadrature import composite_rule, gauss_legendre_01
 
 PINNED = [
@@ -210,18 +210,37 @@ RANGE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("grid_n", [2, 63, 64, 100, 512])
-@pytest.mark.parametrize("c", RANGE_CASES)
-def test_density_range_equals_full_grid(c, grid_n):
+def _range(terms):
+    # _density_range on (lam, p) pairs, with the bounds built from p alone
+    p = [q for _, q in terms]
+    return _density_range([lam for lam, _ in terms], p, _grid_bounds(p))
+
+
+def _full_grid(c, grid_n):
     g = (np.arange(grid_n) + 0.5) / grid_n
     terms = [(lam, eval_phi(c.family, k, g)) for k, lam in c.coeffs.entries]
     m = np.ones((grid_n, grid_n))
     for lam, p in terms:
         m += lam * np.outer(p, p)
-    assert _density_range(terms) == (float(m.min()), float(m.max()))
+    return terms, (float(m.min()), float(m.max()))
+
+
+@pytest.mark.parametrize("grid_n", [2, 63, 64, 100, 512])
+@pytest.mark.parametrize("c", RANGE_CASES)
+def test_density_range_equals_full_grid(c, grid_n):
+    terms, want = _full_grid(c, grid_n)
+    assert _range(terms) == want
+    _validate_cached.cache_clear()
     rep = c.validate(grid_n)
-    assert (rep.grid_min_density, rep.grid_max_density) == \
-        (float(m.min()), float(m.max()))
+    assert (rep.grid_min_density, rep.grid_max_density) == want
+    # the term table keeps its grid bounds for one grid size at a time and
+    # for every copula of its (family, indices): a second copula of the
+    # table, on a grid of 37 points and back, reads only its own range
+    half = SpectralCopula(c.family, SpectralCoefficients(
+        tuple((k, 0.5 * lam) for k, lam in c.coeffs.entries)))
+    for f, n in ((half, 37), (c, 37), (half, grid_n), (c, grid_n)):
+        rep = f.validate(n)
+        assert (rep.grid_min_density, rep.grid_max_density) == _full_grid(f, n)[1]
 
 
 def _full_matrix_range(terms):
@@ -255,7 +274,7 @@ def test_density_range_equals_full_matrix_on_random_terms(seed, grid_n):
         else:  # the same function as an earlier term
             p = terms[-1][1] if terms else np.full(grid_n, 0.5)
         terms.append((lam, p))
-    assert _density_range(terms) == _full_matrix_range(terms)
+    assert _range(terms) == _full_matrix_range(terms)
 
 
 @pytest.mark.parametrize("grid_n", TILE_GRIDS)
@@ -269,7 +288,7 @@ def test_fold_density_ranges_equal_full_matrix(c, grid_n):
         f = c.fold(n)
         terms = [(lam, eval_phi(f.family, k, g)) for k, lam in f.coeffs.entries]
         want = _full_matrix_range(terms)
-        assert _density_range(terms) == want
+        assert _range(terms) == want
         rep = f.validate(grid_n)
         assert (rep.grid_min_density, rep.grid_max_density) == want
 
