@@ -334,24 +334,19 @@ class TermTable:
         """phi(x) on the midpoint grid x_i = (i + 0.5) / n, i < n: one
         read-only array per index, kept for the last n asked for, so that a
         caller who tries many grid sizes does not keep them all."""
-        return self._grid(n)[0]
+        if self._memo.get("grid", (None,))[0] != n:
+            self._memo["grid"] = n, _read_only(self.phi((np.arange(n) + 0.5) / n)), {}
+        return self._memo["grid"][1]
 
     def from_grid(self, n: int, derive):
         """derive(on_grid(n)), computed once and kept with the grid values,
         so it goes when they do.  derive must read nothing else, so that its
         result holds for every copula of the table."""
-        values, derived = self._grid(n)
+        values = self.on_grid(n)
+        derived = self._memo["grid"][2]
         if derive not in derived:
             derived[derive] = derive(values)
         return derived[derive]
-
-    def _grid(self, n: int) -> tuple:
-        n_kept, values, derived = self._memo.get("grid", (None, None, None))
-        if n_kept != n:
-            values = _read_only(self.phi((np.arange(n) + 0.5) / n))
-            derived = {}
-            self._memo["grid"] = n, values, derived
-        return values, derived
 
     def on_rule(self, points_per_cell: int, n_nodes: int) -> tuple:
         """(x, w, phi(x), Phi(x)) for the quadrature rule split at the

@@ -238,7 +238,7 @@ def test_density_range_equals_full_grid(c, grid_n):
     # table, on a grid of 37 points and back, reads only its own range
     half = SpectralCopula(c.family, SpectralCoefficients(
         tuple((k, 0.5 * lam) for k, lam in c.coeffs.entries)))
-    for f, n in ((half, 37), (c, 37), (half, grid_n), (c, grid_n)):
+    for f, n in ((half, 37), (c, 37), (half, grid_n)):
         rep = f.validate(n)
         assert (rep.grid_min_density, rep.grid_max_density) == _full_grid(f, n)[1]
 
