@@ -256,32 +256,31 @@ def _analytic_margin(family: Family, coeffs: SpectralCoefficients) -> float:
     return margin
 
 
-def _grid_bounds(p: list) -> tuple:
+def _scan_inputs(p: list) -> tuple:
     """What `_density_range` reads of p, phi_k on the grid with one array per
-    term, that no coefficient changes; the term table keeps it with p
-    (`TermTable.from_grid`).  With at most one term, each term's least
-    and greatest value.  With several: for every term and tile, the least
-    and greatest of the products of its row block's and its column block's
-    extreme p, as read-only arrays of shape (terms, tiles), and the tiles'
-    block rows and columns."""
+    term, none of it depending on the coefficients; the term table keeps it
+    with p (`TermTable.from_grid`).  With at most one term, each term's
+    least and greatest value.  With several: p; for every term and tile,
+    the least and greatest of the products of its row block's and its
+    column block's extreme p, as read-only arrays of shape (terms, tiles);
+    and the tiles' block rows and columns."""
     if len(p) < 2:
-        return tuple((float(q.min()), float(q.max())) for q in p)
-    p = np.array(p)
-    starts = np.arange(0, p.shape[1], _TILE)
+        return [(float(q.min()), float(q.max())) for q in p]
+    starts = np.arange(0, p[0].size, _TILE)
     lo, hi = np.minimum.reduceat(p, starts, axis=1), np.maximum.reduceat(p, starts, axis=1)
     bi, bj = np.triu_indices(starts.size)
     corners = np.array([lo[:, bi] * lo[:, bj], lo[:, bi] * hi[:, bj],
                         hi[:, bi] * lo[:, bj], hi[:, bi] * hi[:, bj]])
     cmin, cmax = corners.min(axis=0), corners.max(axis=0)
     cmin.flags.writeable = cmax.flags.writeable = False
-    return cmin, cmax, tuple(bi.tolist()), tuple(bj.tolist())
+    return p, cmin, cmax, tuple(bi.tolist()), tuple(bj.tolist())
 
 
-def _density_range(lams, p, bounds) -> tuple[float, float]:
+def _density_range(lams, grid) -> tuple[float, float]:
     """Min and max of 1 + sum lam * p[i] * p[j] over the midpoint grid.
 
-    `lams` holds the coefficients and `p` the basis functions on the grid,
-    one array per term, and `bounds` is `_grid_bounds(p)`.  The floats
+    `lams` holds the coefficients and `grid` is `_scan_inputs(p)`, p the
+    basis functions on the grid, one array per term.  The floats
     returned are those of the full matrix as the scan builds it:
     1.0, then for each term in order the rounded product p[i] * p[j], times
     lam, added.  Round-to-nearest is monotone, so a bound on an exact
@@ -304,10 +303,11 @@ def _density_range(lams, p, bounds) -> tuple[float, float]:
     if not lams:
         return 1.0, 1.0
     if len(lams) == 1:
-        (lam,), ((lo, hi),) = lams, bounds
+        (lam,), ((lo, hi),) = lams, grid
         vals = [1.0 + lam * (a * b) for a, b in ((lo, lo), (lo, hi), (hi, hi))]
         return min(vals), max(vals)
-    cmin, cmax, bi, bj = bounds
+    p, cmin, cmax, bi, bj = grid
+    terms = list(zip(lams, p))
     n = p[0].size
     col = np.array(lams)[:, None]
     low, high = np.ones(len(bi)), np.ones(len(bi))
@@ -329,7 +329,7 @@ def _density_range(lams, p, bounds) -> tuple[float, float]:
         m = block[:shape[0] * shape[1]].reshape(shape)
         prod = product[:m.size].reshape(shape)
         m.fill(1.0)
-        for lam, q in zip(lams, p):
+        for lam, q in terms:
             np.multiply(q[r:r + _TILE, None], q[c:c + _TILE], out=prod)
             prod *= lam
             m += prod
@@ -358,8 +358,7 @@ def _validate_cached(family: Family, coeffs: SpectralCoefficients, grid_n: int) 
     # phi on the grid and its bounds are kept by the table: every fold of a
     # copula, and every copula of one (family, indices), reads the same ones
     table = term_table(family, (k for k, _ in coeffs.entries))
-    grid_min, grid_max = _density_range(coeffs.values, table.on_grid(grid_n),
-                                        table.from_grid(grid_n, _grid_bounds))
+    grid_min, grid_max = _density_range(coeffs.values, table.from_grid(grid_n, _scan_inputs))
 
     # with one term the margin is the density at a point: the family's phi_k
     # attains both extrema, so a negative margin is a witness the grid can miss

@@ -11,7 +11,7 @@ from eigencop.basis import (Cosine, PiecewiseSign, ShiftedLegendre,
                             SineCosine, TwoValueStep, check_index, eval_phi,
                             eval_Phi, extrema, jump_points, moment_table,
                             term_table, _FORMS, _piece_table)
-from eigencop.copula import _grid_bounds
+from eigencop.copula import _scan_inputs
 from eigencop.quadrature import composite_rule, gauss_legendre_01
 
 FAMILIES = [
@@ -353,7 +353,7 @@ def test_grid_values_are_kept_for_the_last_grid_size_and_read_only():
     step = term_table(PiecewiseSign((0.0, 0.3, 0.7, 1.0)), [1, 3])
     for t in (table, step):
         x, w, phi, Phi = t.on_rule(8, 64)
-        cmin, cmax, _, _ = t.from_grid(512, _grid_bounds)
+        _, cmin, cmax, _, _ = t.from_grid(512, _scan_inputs)
         for a in (x, w, *phi, *Phi, *t.on_grid(512), cmin, cmax):
             with pytest.raises(ValueError):
                 a[0] = 0.5

@@ -11,7 +11,7 @@ from eigencop import (SpectralCoefficients, SpectralCopula, Verdict,
                       sine_counterexample, star_product, two_sine_model,
                       two_value_step, zero_association_model)
 from eigencop.basis import Cosine, ShiftedLegendre, eval_phi, jump_points
-from eigencop.copula import _density_range, _grid_bounds, _validate_cached
+from eigencop.copula import _density_range, _scan_inputs, _validate_cached
 from eigencop.quadrature import composite_rule, gauss_legendre_01
 
 PINNED = [
@@ -211,9 +211,8 @@ RANGE_CASES = [
 
 
 def _range(terms):
-    # _density_range on (lam, p) pairs, with the bounds built from p alone
-    p = [q for _, q in terms]
-    return _density_range([lam for lam, _ in terms], p, _grid_bounds(p))
+    # _density_range on (lam, p) pairs, with its inputs built from p alone
+    return _density_range([lam for lam, _ in terms], _scan_inputs([q for _, q in terms]))
 
 
 def _full_grid(c, grid_n):
