@@ -27,9 +27,12 @@ only, so both trees answer the same calls:
 - the `validate`, `certify_psi` (max_n 20 and 3) and `associate` records of
   the copulas of the tree's own `perfbench/workloads.verdict_specs`, seeds
   1 to 5 (read, not changed);
-- the `validate` records at grid sizes 37, 100 and 1,000 and the
-  `certify_psi(grid_n=100)` record of every multi-term copula of COPULAS
-  and of seed 1's verdict set, whose grids end in partial tiles;
+- the `validate` records at grid sizes 37, 100, 512 and 1,000 and the
+  `certify_psi` records at 100 and 512 points of every multi-term copula
+  of COPULAS, of seed 1's verdict set and of three cosine copulas whose
+  terms oscillate within a tile, {k: 0.1, k + 1: -0.1, k + 2: 0.05} at
+  k = 8, 22 and 40; the grids of 37, 100 and 1,000 points end in partial
+  tiles;
 - the CSVs of the tree's `scripts/run_coverage_tables.py --quick`;
 - the config echo and `associate` record of copulas built with numpy
   integer indices;
@@ -314,10 +317,13 @@ def catalogue(tree: pathlib.Path):
             yield f"{key}.associate", lambda c=c: _record(ec.associate(c))
             if seed == 1 and len(c.coeffs) > 1:
                 multi[key] = c
+    for k in (8, 22, 40):  # terms that oscillate within a tile of the default grid
+        multi[f"cosine_{k}_{k + 1}_{k + 2}"] = ec.cosine_copula({k: 0.1, k + 1: -0.1, k + 2: 0.05})
     for name, c in multi.items():
-        for grid_n in (37, 100, 1000):
+        for grid_n in (37, 100, 512, 1000):
             yield f"grid.{name}.validate.{grid_n}", lambda c=c, g=grid_n: _record(c.validate(g))
         yield f"grid.{name}.certify_psi.100", lambda c=c: _record(ec.certify_psi(c, grid_n=100))
+        yield f"grid.{name}.certify_psi.512", lambda c=c: _record(ec.certify_psi(c))
 
     with tempfile.TemporaryDirectory(prefix="identity_tables_") as out:
         subprocess.run([sys.executable, "scripts/run_coverage_tables.py", "--quick",

@@ -37,7 +37,7 @@ from .quadrature import split_rule
 DENSITY_GRID_N = 512
 BOUNDARY_TOL = 1e-12
 GRID_NEG_TOL = 1e-9
-_TILE = 32  # side of the square tiles that _density_range scans
+_TILE = 16  # side of the square tiles that _density_range scans
 
 
 def _key_order(k):
@@ -142,7 +142,7 @@ def _expansion(base, shape, lams, left, right):
     shape: the one place a copula's expansion is summed."""
     out = base * np.ones(shape)
     for lam, a, b in zip(lams, left, right):
-        out = out + lam * a * b
+        out += np.multiply(lam * a, b)
     return out
 
 
@@ -260,20 +260,27 @@ def _scan_inputs(p: list) -> tuple:
     """What `_density_range` reads of p, phi_k on the grid with one array per
     term, none of it depending on the coefficients; the term table keeps it
     with p (`TermTable.from_grid`).  With at most one term, each term's
-    least and greatest value.  With several: p; for every term and tile,
-    the least and greatest of the products of its row block's and its
-    column block's extreme p, as read-only arrays of shape (terms, tiles);
-    and the tiles' block rows and columns."""
+    least and greatest value.  With several, as read-only arrays: p cut into
+    blocks of _TILE points, of shape (terms, blocks, _TILE), the last block
+    padded with the grid's last point; for every term and tile, the least
+    and greatest of the products of its row block's and its column block's
+    extreme p, and the product of p at the tile's probe, the centre points
+    of its two blocks, each of shape (terms, tiles); and the tiles' block
+    rows and columns, on and above the diagonal."""
     if len(p) < 2:
         return [(float(q.min()), float(q.max())) for q in p]
-    starts = np.arange(0, p[0].size, _TILE)
-    lo, hi = np.minimum.reduceat(p, starts, axis=1), np.maximum.reduceat(p, starts, axis=1)
-    bi, bj = np.triu_indices(starts.size)
+    nb = -(-p[0].size // _TILE)
+    blocks = np.take(p, np.arange(nb * _TILE).reshape(nb, _TILE), axis=1, mode="clip")
+    lo, hi = blocks.min(axis=2), blocks.max(axis=2)
+    bi, bj = np.triu_indices(nb)
     corners = np.array([lo[:, bi] * lo[:, bj], lo[:, bi] * hi[:, bj],
                         hi[:, bi] * lo[:, bj], hi[:, bi] * hi[:, bj]])
-    cmin, cmax = corners.min(axis=0), corners.max(axis=0)
-    cmin.flags.writeable = cmax.flags.writeable = False
-    return p, cmin, cmax, tuple(bi.tolist()), tuple(bj.tolist())
+    centre = blocks[:, :, _TILE // 2]
+    probe = centre[:, bi] * centre[:, bj]
+    out = blocks, corners.min(axis=0), corners.max(axis=0), probe, bi, bj
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _density_range(lams, grid) -> tuple[float, float]:
@@ -294,11 +301,12 @@ def _density_range(lams, grid) -> tuple[float, float]:
     on and above the diagonal (the matrix is exactly symmetric, as
     fl(a*b) = fl(b*a)), and each tile is bounded from the least and
     greatest p over its row block and its column block: lam times the
-    least and greatest corner product.  Tiles are scanned
-    best first: by ascending lower bound until one is no lower than the
-    least value seen, then by descending upper bound until one is no
-    higher than the greatest, none twice.  No tile left holds a new
-    extreme.
+    least and greatest corner product.  Each tile's probe, the entry at its
+    blocks' centre points, is built with the same operations, so the least
+    and greatest probe are entries of the matrix.  A tile whose bounds lie
+    within theirs holds no new extreme; every other tile is scanned, a
+    fixed number of tiles at a time.  Past the grid's edge a block repeats
+    the last point, so a partial tile reads only entries of the matrix.
     """
     if not lams:
         return 1.0, 1.0
@@ -306,49 +314,25 @@ def _density_range(lams, grid) -> tuple[float, float]:
         (lam,), ((lo, hi),) = lams, grid
         vals = [1.0 + lam * (a * b) for a, b in ((lo, lo), (lo, hi), (hi, hi))]
         return min(vals), max(vals)
-    p, cmin, cmax, bi, bj = grid
-    terms = list(zip(lams, p))
-    n = p[0].size
-    col = np.array(lams)[:, None]
-    low, high = np.ones(len(bi)), np.ones(len(bi))
-    for a, b in zip(col * cmin, col * cmax):
+    blocks, cmin, cmax, probe, bi, bj = grid
+    low, high, probed = np.ones(bi.size), np.ones(bi.size), np.ones(bi.size)
+    for lam, a, b, q in zip(lams, cmin, cmax, probe):
+        a, b = lam * a, lam * b
         low += np.minimum(a, b)
         high += np.maximum(a, b)
-
-    # one allocation holds the tile and the product buffer for every tile
-    # and term: 16 KB, far under glibc's mmap threshold, so it comes from
-    # the heap and later calls reuse its pages instead of faulting in fresh
-    # ones (about a dozen page faults per verdicts round)
-    side = min(_TILE, n)
-    block, product = np.split(np.empty(2 * side * side), 2)
-    scanned = set()
-
-    def scan(t):
-        r, c = _TILE * bi[t], _TILE * bj[t]
-        shape = (min(_TILE, n - r), min(_TILE, n - c))
-        m = block[:shape[0] * shape[1]].reshape(shape)
-        prod = product[:m.size].reshape(shape)
-        m.fill(1.0)
-        for lam, q in terms:
-            np.multiply(q[r:r + _TILE, None], q[c:c + _TILE], out=prod)
+        probed += lam * q
+    grid_min, grid_max = probed.min(), probed.max()
+    todo = np.flatnonzero((low < grid_min) | (high > grid_max))
+    step = 2**14 // _TILE**2  # tiles per pass: 128 KB per array
+    for s in range(0, todo.size, step):
+        t = todo[s:s + step]
+        m = np.ones((t.size, _TILE, _TILE))
+        for lam, a, b in zip(lams, blocks[:, bi[t], :, None], blocks[:, bj[t], None, :]):
+            prod = a * b
             prod *= lam
             m += prod
-        scanned.add(t)
-        return float(m.min()), float(m.max())
-
-    grid_min, grid_max = math.inf, -math.inf
-    low, high = low.tolist(), high.tolist()
-    for t in sorted(range(len(low)), key=low.__getitem__):
-        if low[t] >= grid_min:
-            break
-        t_min, t_max = scan(t)
-        grid_min, grid_max = min(grid_min, t_min), max(grid_max, t_max)
-    for t in sorted(range(len(high)), key=high.__getitem__, reverse=True):
-        if high[t] <= grid_max:
-            break
-        if t not in scanned:
-            grid_max = max(grid_max, scan(t)[1])
-    return grid_min, grid_max
+        grid_min, grid_max = min(grid_min, m.min()), max(grid_max, m.max())
+    return float(grid_min), float(grid_max)
 
 
 @lru_cache(maxsize=512)

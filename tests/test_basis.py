@@ -348,13 +348,14 @@ def test_grid_values_are_kept_for_the_last_grid_size_and_read_only():
     again = table.on_grid(512)
     assert again is not values
     assert all(np.array_equal(a, b) for a, b in zip(again, values))
-    # every array the tables keep is read-only: the grid bounds of the
-    # validity scan and the association rule's nodes, weights and values
+    # every array the tables keep is read-only: the validity scan's blocks,
+    # tile bounds, probe products and tile lists, and the association rule's
+    # nodes, weights and values
     step = term_table(PiecewiseSign((0.0, 0.3, 0.7, 1.0)), [1, 3])
     for t in (table, step):
         x, w, phi, Phi = t.on_rule(8, 64)
-        _, cmin, cmax, _, _ = t.from_grid(512, _scan_inputs)
-        for a in (x, w, *phi, *Phi, *t.on_grid(512), cmin, cmax):
+        scan = t.from_grid(512, _scan_inputs)
+        for a in (x, w, *phi, *Phi, *t.on_grid(512), *scan):
             with pytest.raises(ValueError):
                 a[0] = 0.5
 

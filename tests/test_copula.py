@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from eigencop import (SpectralCoefficients, SpectralCopula, Verdict,
                       sine_counterexample, star_product, two_sine_model,
                       two_value_step, zero_association_model)
 from eigencop.basis import Cosine, ShiftedLegendre, eval_phi, jump_points
-from eigencop.copula import _density_range, _scan_inputs, _validate_cached
+from eigencop.copula import _TILE, _density_range, _scan_inputs, _validate_cached
 from eigencop.quadrature import composite_rule, gauss_legendre_01
 
 PINNED = [
@@ -254,8 +255,12 @@ def _full_matrix_range(terms):
     return float(m.min()), float(m.max())
 
 
-# below, at and above a tile side, partial last tiles, the default grid
-TILE_GRIDS = [2, 31, 32, 33, 64, 65, 100, 512, 513]
+# one point below, at and above one and two tile sides, so the last tile is
+# partial or whole whatever the tile size; grids smaller than a tile; the
+# default grid and one point more; and the grids these tests had before
+# their grids followed the tile size
+TILE_GRIDS = sorted({m * _TILE + d for m in (1, 2) for d in (-1, 0, 1)}
+                    | {2, 3, 100, 512, 513} | {31, 32, 33, 64, 65})
 
 
 @settings(max_examples=60, deadline=None)
@@ -276,11 +281,18 @@ def test_density_range_equals_full_matrix_on_random_terms(seed, grid_n):
     assert _range(terms) == _full_matrix_range(terms)
 
 
+def _oscillating(k):
+    # terms that oscillate within a tile at the default grid from k of about
+    # 20 on, so the tile bounds prune (almost) nothing there
+    return cosine_copula({k: 0.1, k + 1: -0.1, k + 2: 0.05})
+
+
 @pytest.mark.parametrize("grid_n", TILE_GRIDS)
 @pytest.mark.parametrize("c", [cosine_copula({1: 0.3, 2: -0.2, 5: 0.1}),
                                sine_cosine_copula(sin={1: 0.1, 2: -0.2}, cos={3: 0.15}),
                                shifted_legendre_copula({1: 0.2, 2: -0.1, 4: 0.05}),
-                               piecewise_sign((0.0, 0.3, 0.7, 1.0), (0.5, -0.8, 0.9))])
+                               piecewise_sign((0.0, 0.3, 0.7, 1.0), (0.5, -0.8, 0.9)),
+                               _oscillating(8), _oscillating(22), _oscillating(40)])
 def test_fold_density_ranges_equal_full_matrix(c, grid_n):
     g = (np.arange(grid_n) + 0.5) / grid_n
     for n in range(1, 6):
@@ -290,6 +302,25 @@ def test_fold_density_ranges_equal_full_matrix(c, grid_n):
         assert _range(terms) == want
         rep = f.validate(grid_n)
         assert (rep.grid_min_density, rep.grid_max_density) == want
+
+
+@pytest.mark.parametrize("k", [40, 160])
+def test_density_range_memory_is_bounded_on_a_large_grid(k):
+    # the range scan takes a fixed number of tiles at a time: on a
+    # 2048-point grid, where the full matrix is 32 MiB, its temporaries stay
+    # under 2 MiB, though at k = 160 (the k = 40 case scaled to a four times
+    # finer grid) the tile bounds prune almost nothing
+    c = _oscillating(k)
+    grid = c.terms.from_grid(2048, _scan_inputs)
+    tracemalloc.start()
+    try:
+        got = _density_range(c.coeffs.values, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert got == _full_matrix_range([(lam, q) for lam, q in zip(c.coeffs.values,
+                                                                 c.terms.on_grid(2048))])
 
 
 @pytest.mark.parametrize("grid_n", [0, 1, -3])
