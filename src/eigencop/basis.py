@@ -276,7 +276,8 @@ class TermTable:
     The table also keeps, as read-only arrays, what its copulas' checks
     read apart from the coefficients: phi on the validity grid of the last
     size asked for (`on_grid`), with what the range scan derives from it
-    (`from_grid`: each term's extremes, or the tiles' corner bounds), and
+    (`from_grid`: each term's extremes, or phi in blocks with the tiles'
+    corner bounds and probe products), and
     the association rule's nodes, weights and phi and Phi there
     (`on_rule`).
     """

@@ -139,10 +139,12 @@ class ValidityReport(Record):
 
 def _expansion(base, shape, lams, left, right):
     """base + sum_k lams[k] * left[k] * right[k], as an array of the given
-    shape: the one place a copula's expansion is summed."""
-    out = base * np.ones(shape)
+    shape: the one place a copula's expansion is summed, term by term in
+    place, each product (lams[k] * left[k]) * right[k]."""
+    out, term = np.empty(shape), np.empty(shape)
+    out[...] = base
     for lam, a, b in zip(lams, left, right):
-        out += np.multiply(lam * a, b)
+        out += np.multiply(lam * a, b, out=term)
     return out
 
 

@@ -13,16 +13,18 @@ between grid points, and at the corners, is not looked at.
 
 The range is the exact min and max of the grid's floats, computed without
 building the grid: with one nonzero term it is read off the extremes of
-phi on the grid, with several it is found by scanning tiles of the upper
-triangle of the (exactly symmetric) matrix best first, skipping the tiles
-whose bounds on the computed floats show they hold no new extreme (see
+phi on the grid, with several it is found from the tiles of the upper
+triangle of the (exactly symmetric) matrix: one entry per tile, its probe,
+is computed, and only the tiles whose bounds on the computed floats reach
+outside the probes' range are scanned, in one vectorized pass (see
 `copula._density_range`).  Every fold's range is
 the one that validate() computes and memoises for the folded copula.  What
 that range reads apart from the coefficients, phi on the grid, each term's
-extremes there for a one-term table and the tiles' corner bounds for
-several terms, is shared by the folds: the term table keeps it for the last
-grid size asked for, and each fold forms only its tile bounds
-1 + sum min/max(lambda * least corner, lambda * greatest corner).
+extremes there for a one-term table and, for several terms, phi in blocks
+with the tiles' corner bounds and probe products, is shared by the folds:
+the term table keeps it for the last grid size asked for, and each fold
+forms only its tile bounds 1 + sum min/max(lambda * least corner,
+lambda * greatest corner) and its probe entries.
 
 Beside the grid ranges the report carries, for every family, the analytic
 envelope |c_n - 1| <= E_n = sum_k |lambda_k|^n sup phi_k^2, with sup phi_k^2
