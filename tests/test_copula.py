@@ -282,8 +282,8 @@ def test_density_range_equals_full_matrix_on_random_terms(seed, grid_n):
 
 
 def _oscillating(k):
-    # terms that oscillate within a tile at the default grid from k of about
-    # 20 on, so the tile bounds prune (almost) nothing there
+    # from k of about 20 on the terms oscillate within a tile of the default
+    # grid, and from about 30 on the tile bounds prune (almost) nothing
     return cosine_copula({k: 0.1, k + 1: -0.1, k + 2: 0.05})
 
 
