@@ -96,6 +96,7 @@ so that no function is called per term.  There g and c are each one sum,
 iteration range are formed once per chain, and the bracket midpoint only
 where it is taken.  Both paths make the same operations in the same order
 on each lane, so they give the same floats.  Below FLOAT_PATH_LANES = 64
+START_N = 64
 lanes numpy's per-call cost outweighs the vector arithmetic.  The measured
 float/array time ratios (300-step banks, smallest and largest of three
 runs on 2 cores) are
@@ -136,6 +137,7 @@ RESIDUAL_TOL = 1e-12
 BRACKET_TOL = 1e-14
 MAX_ITER = 100
 FLOAT_PATH_LANES = 64
+START_N = 64
 
 
 # -- marginal transforms -------------------------------------------------
@@ -208,17 +210,21 @@ def innovation_stream(*keys: int) -> np.random.Generator:
 # lines compiled for arrays (`_SUMS`).  Their locals are lower-case words
 # and the term text's constants upper-case names, so neither shadows the
 # other.
-# run(state, states, lams, bound, limits) steps the chain from state through
-# the innovations in the list states, overwriting each with the state it
-# gives, and returns the list; lams holds the K coefficients, bound is the
-# number the table's stop rule reads (M >= |g''| on [0,1], or a step
+# run(state, states, lams, bound, limits, start) steps the chain from state
+# through the innovations in the list states, overwriting each with the
+# state it gives, and returns the list; lams holds the K coefficients, bound
+# is the number the table's stop rule reads (M >= |g''| on [0,1], or a step
 # family's rounding bound B; see the module docstring) or None, which turns
-# the early stop off, and limits holds MAX_ITER, RESIDUAL_TOL and
-# BRACKET_TOL as the caller reads them.
+# the early stop off, limits holds MAX_ITER, RESIDUAL_TOL, BRACKET_TOL and
+# START_N as the caller reads them, and start is the copula's start table
+# (`_start_table`), or None, which starts every solve at w.  Each solve
+# starts at v0 = clamp(w + delta, 0, 1), delta read bilinearly from the
+# table's cell of (u, w), as `_start` reads it for arrays.
 _STEPPER = """\
-def run(state, states, lams, bound, limits):
-    max_iter, tol, bracket = limits
+def run(state, states, lams, bound, limits, start):
+    max_iter, tol, bracket, cells = limits
     ntol, tries = -tol, range(max_iter)
+    scale, last, width = float(cells), cells - 1, cells + 1
     l{k} = lams[{k}]
     for i, w in enumerate(states):
         x = state
@@ -226,6 +232,21 @@ def run(state, states, lams, bound, limits):
         s{k} = l{k} * ({phi})
         lo, hi = 0.0, 1.0
         x = w
+        if start is not None:
+            fu = state * scale
+            row = int(fu) if fu < scale else last
+            fw = w * scale
+            col = int(fw) if fw < scale else last
+            fu -= row
+            fw -= col
+            col += row * width
+            near = start[col]
+            near += fw * (start[col + 1] - near)
+            col += width
+            far = start[col]
+            far += fw * (start[col + 1] - far)
+            x += near + fu * (far - near)
+            x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
         for _ in tries:
             {shared}
             g = (x - w
@@ -271,12 +292,36 @@ def sums(x, w, s, bound, tol):
 """
 
 
-def _run_lanes(u, sums, phi, lams, bound) -> np.ndarray:
+def _start(table, base, u, w) -> np.ndarray:
+    """The compiled stepper's start on arrays, with the same operations:
+    v0 = clamp(w + delta, 0, 1), delta read bilinearly from the cell of
+    (u, w) of each lane's start table, which begins at its offset base in
+    the flat array table."""
+    fu = u * START_N
+    row = np.minimum(fu.astype(np.intp), START_N - 1)
+    fw = w * START_N
+    col = np.minimum(fw.astype(np.intp), START_N - 1)
+    fu -= row
+    fw -= col
+    col += base
+    col += row * (START_N + 1)
+    near = table.take(col)
+    near += fw * (table.take(col + 1) - near)
+    col += START_N + 1
+    far = table.take(col)
+    far += fw * (table.take(col + 1) - far)
+    x = w + (near + fu * (far - near))
+    return np.minimum(np.maximum(x, 0.0, out=x), 1.0, out=x)
+
+
+def _run_lanes(u, sums, phi, lams, bound, table=None, base=None) -> np.ndarray:
     """Step the bank u in place and return it, each row a lane of one
     Newton loop: the compiled stepper's solve lane by lane, with the same
     operations in the same order.  sums is the table's compiled `_SUMS`,
     phi its array form, lams the coefficients, shape (K, rows), and bound
-    one bound for every lane, or None.  A lane whose root is found writes it
+    one bound for every lane, or None.  table is None, which starts every
+    solve at w, or the lanes' start tables as one flat array, and base
+    each lane's offset into it.  A lane whose root is found writes it
     into the bank and starts its next column at the next evaluation, while
     the others keep iterating; it leaves the working arrays after its last
     column."""
@@ -288,7 +333,10 @@ def _run_lanes(u, sums, phi, lams, bound) -> np.ndarray:
     at = np.arange(1, r * n, n)
     w = u.take(at)
     s = [lam * p for lam, p in zip(lams, phi(u[:, 0]))]
-    lo, hi, v = np.zeros(r), np.ones(r), w
+    if table is None:
+        base = np.zeros(r, dtype=np.intp)
+    lo, hi = np.zeros(r), np.ones(r)
+    v = w if table is None else _start(table, base, u[:, 0], w)
     begun = np.zeros(r, dtype=int)  # evaluations made before each lane's column
     # k counts evaluations; oldest <= min(begun), and no lane can find the
     # root of its last column before evaluation ends_from
@@ -332,19 +380,20 @@ def _run_lanes(u, sums, phi, lams, bound) -> np.ndarray:
                     keep = ~done
                     if left:
                         keep[fin[go]] = True
-                    at, w, lo, hi, v, begun = (a.compress(keep)
-                                               for a in (at, w, lo, hi, v, begun))
+                    at, w, lo, hi, v, begun, base = (
+                        a.compress(keep) for a in (at, w, lo, hi, v, begun, base))
                     s = [a.compress(keep) for a in s]
                     lams = lams.compress(keep, axis=1)
                     if not left:
                         continue
                     fin = done[keep].nonzero()[0]
                     pos, root = pos[go], root[go]
-            # the next column: its innovation, s_k = lambda_k phi_k(root) and
-            # the bracket [0, 1]
+            # the next column: its innovation, its start, s_k =
+            # lambda_k phi_k(root) and the bracket [0, 1]
             pos += 1
             at[fin] = pos
-            w[fin] = v[fin] = u.take(pos)
+            w[fin] = nxt = u.take(pos)
+            v[fin] = nxt if table is None else _start(table, base[fin], root, nxt)
             lo[fin] = 0.0
             hi[fin] = 1.0
             begun[fin] = k
@@ -378,6 +427,7 @@ class _Sampler:
                                  "is not a distribution function")
         zeros = (0.0,) * len(table.indices)
         self.rows = [d.coeffs.values or zeros for d in lanes]
+        self.copulas = lanes
         self.table = table
 
     @cached_property
@@ -387,6 +437,16 @@ class _Sampler:
     @cached_property
     def sums(self):
         return self.table.compiled(_SUMS, np)["sums"]
+
+    @cached_property
+    def starts(self) -> list:
+        """Each row's start table (`_start_table`), built at the first
+        stepping, or None where the solve starts at w: on a step family and
+        for a copula without terms."""
+        smooth = self.table.slopes is not None
+        built = {d: _start_table(d) if smooth and d.coeffs.entries else None
+                 for d in dict.fromkeys(self.copulas)}
+        return [built[d] for d in self.copulas]
 
     @cached_property
     def bound(self):
@@ -403,12 +463,12 @@ class _Sampler:
         weights = [d * p for d, p in zip(table.slopes, sup)]
         return max(sum(abs(lam) * wk for lam, wk in zip(row, weights)) for row in rows)
 
-    def chain(self, state: float, states: list, lams) -> list:
+    def chain(self, state: float, states: list, lams, start) -> list:
         """The compiled `stepper` on plain floats: the chain from state
         through the innovations in the list states, each overwritten with
         the state it gives."""
         return self.stepper(state, states, lams, self.bound,
-                            (MAX_ITER, RESIDUAL_TOL, BRACKET_TOL))
+                            (MAX_ITER, RESIDUAL_TOL, BRACKET_TOL, START_N), start)
 
     def advance(self, u: np.ndarray) -> np.ndarray:
         """Step the bank u in place and return it.  Row i starts at
@@ -417,14 +477,35 @@ class _Sampler:
         `chain`, with its own coefficients (a one-copula sampler's one row
         serves every lane); otherwise the rows are the lanes of one
         `_run_lanes` loop."""
+        rows = list(zip(self.rows, self.starts))
         if len(u) < FLOAT_PATH_LANES:
-            rows = self.rows * len(u) if len(self.rows) == 1 else self.rows
-            for row, lams in zip(u, rows):
-                row[1:] = self.chain(float(row[0]), row[1:].tolist(), lams)
+            for row, (lams, start) in zip(u, rows * len(u) if len(rows) == 1 else rows):
+                row[1:] = self.chain(float(row[0]), row[1:].tolist(), lams, start)
             return u
-        # one column of coefficients per lane
-        lams = np.repeat(np.array(self.rows).T, len(u) // len(self.rows), axis=1)
-        return _run_lanes(u, self.sums, self.table.phi, lams, self.bound)
+        # one column of coefficients per lane, and the distinct start tables
+        # as one flat array, a zero table where the start is w
+        each = len(u) // len(rows)
+        lams = np.repeat(np.array(self.rows).T, each, axis=1)
+        if not any(self.starts):
+            return _run_lanes(u, self.sums, self.table.phi, lams, self.bound)
+        tables = {id(t): t for t in self.starts}
+        first = {key: i * (START_N + 1) ** 2 for i, key in enumerate(tables)}
+        zeros = [0.0] * (START_N + 1) ** 2
+        table = np.array([t or zeros for t in tables.values()]).ravel()
+        base = np.repeat([first[id(t)] for t in self.starts], each)
+        return _run_lanes(u, self.sums, self.table.phi, lams, self.bound, table, base)
+
+
+@lru_cache(maxsize=128)
+def _start_table(c: SpectralCopula) -> list:
+    """delta(u, w) = Q(u, w) - w, the conditional quantile less the
+    innovation, at the nodes (i / START_N, j / START_N), row i after row, as
+    one list of floats.  Each row of Q(u_i, .) is the inverse of d1C(u_i, .)
+    on a grid twice as fine in v, by linear interpolation; no solve."""
+    nodes = np.arange(START_N + 1) / START_N
+    v = np.arange(2 * START_N + 1) / (2 * START_N)
+    cdf = c.conditional_cdf(nodes[:, None], v)
+    return np.concatenate([np.interp(nodes, row, v) - nodes for row in cdf]).tolist()
 
 
 @lru_cache(maxsize=128)
@@ -453,7 +534,8 @@ def next_state(c: SpectralCopula, u_prev, w):
         # one lane of plain floats: the one-row chain of one step
         if not (0.0 <= u_prev <= 1.0 and 0.0 <= w <= 1.0):
             raise ValueError("u_prev and w must lie in [0,1]")
-        return sampler.chain(float(u_prev), [float(w)], sampler.rows[0])[0]
+        return sampler.chain(float(u_prev), [float(w)], sampler.rows[0],
+                             sampler.starts[0])[0]
     u_arr = _unit_array(u_prev, "u_prev")
     w_arr = _unit_array(w, "w")
     if u_arr.shape != w_arr.shape:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from eigencop import sampling
 from eigencop.basis import Cosine, eval_phi, eval_Phi, extrema, term_table
-from eigencop import (Bernoulli, Exponential, Uniform, Verdict, apply_transform,
+from eigencop import (Bernoulli, Exponential, SpectralCoefficients, SpectralCopula,
+                      Uniform, Verdict, apply_transform,
                       cosine_copula, fgm, generate_chain, generate_chain_bank,
                       independence, innovation_stream, next_state,
                       piecewise_sign, sample_wl, shifted_legendre_copula,
@@ -305,6 +306,9 @@ def _assert_early_stop_is_exact(c):
     bounded, plain = sampling._Sampler(c), sampling._Sampler(c)
     assert bounded.bound is not None
     plain.bound = None
+    # the start tables are built before the counting begins, so that the
+    # counts below are the bank's evaluations alone
+    assert bounded.starts == plain.starts
 
     calls, lanes = [], []
     # the float path: the stepper with every evaluation logged; the array
@@ -448,12 +452,27 @@ def _reference_stop(table, bound, q, t, v):
     return bound * q * q <= sampling.RESIDUAL_TOL
 
 
-def _reference_solve(table, s, w, bound):
+def _reference_start(start, u, w):
+    """v0 = clamp(w + delta, 0, 1), delta bilinear in the start table's
+    cell of (u, w), whose nodes are (i / START_N, j / START_N); w where
+    there is no table."""
+    if start is None:
+        return w
+    n = sampling.START_N
+    i, j = min(int(u * n), n - 1), min(int(w * n), n - 1)
+    fu, fw = u * n - i, w * n - j
+    (d00, d01), (d10, d11) = [start[a * (n + 1) + j:a * (n + 1) + j + 2] for a in (i, i + 1)]
+    near = d00 + fw * (d01 - d00)
+    far = d10 + fw * (d11 - d10)
+    return min(max(w + (near + fu * (far - near)), 0.0), 1.0)
+
+
+def _reference_solve(table, s, w, bound, v0):
     """Root of g(v) = v + sum s_k*Phi_k(v) - w on [0,1] by the float solve
-    that the compiled stepper replaced, with the terms from the table's
-    float form."""
+    that the compiled stepper replaced, from v0, with the terms from the
+    table's float form."""
     lo, hi = 0.0, 1.0
-    v = w
+    v = v0
     for _ in range(sampling.MAX_ITER):
         g = v - w
         c = 1.0
@@ -481,11 +500,12 @@ def _reference_solve(table, s, w, bound):
     return v
 
 
-def _reference_chain(table, state, states, lams, bound):
+def _reference_chain(table, state, states, lams, bound, start):
     # the float path's chain loop, with a new coefficient list at every step
     for t, w in enumerate(states):
         s = [lam * p for lam, p in zip(lams, table.phi(state))]
-        state = states[t] = _reference_solve(table, s, w, bound)
+        v0 = _reference_start(start, state, w)
+        state = states[t] = _reference_solve(table, s, w, bound, v0)
     return states
 
 
@@ -499,20 +519,26 @@ def test_compiled_stepper_equals_the_closure_loop_on_every_table(family, ks):
     # coefficients of alternating sign with sum |lambda_k| sup phi_k^2 = 0.9,
     # with and without the early stop: the slope bound
     # M = sum |lambda_k| sup |phi_k| D_k, or a step family's rounding bound
+    # a smooth table also runs from its start table; both from v0 = w
     table = term_table(family, ks)
     run = table.compiled(sampling._STEPPER, math)["run"]
-    limits = (sampling.MAX_ITER, sampling.RESIDUAL_TOL, sampling.BRACKET_TOL)
+    limits = (sampling.MAX_ITER, sampling.RESIDUAL_TOL, sampling.BRACKET_TOL, sampling.START_N)
     sup = [max(map(abs, extrema(family, k))) for k in ks]
     lams = tuple((-1.0) ** i * 0.9 / (len(ks) * s * s) for i, s in enumerate(sup))
+    tables = [None]
     if table.slopes is None:
         bounds = [None, (3 * len(ks) + 10) * 2.0 ** -53 * 1.9]
     else:
         bounds = [None, sum(abs(lam) * s * d for lam, s, d in zip(lams, sup, table.slopes))]
+        c = SpectralCopula(family, SpectralCoefficients(tuple(zip(ks, lams))))
+        tables.append(sampling._start_table(c))
     states = np.random.default_rng(9).random(300).tolist() + [0.0, 1.0, 1.0, 0.0, 0.5]
     for bound in bounds:
-        for start in (0.0, 0.3, 1.0):
-            got = run(start, list(states), lams, bound, limits)
-            assert _same_floats(got, _reference_chain(table, start, list(states), lams, bound))
+        for tab in tables:
+            for start in (0.0, 0.3, 1.0):
+                got = run(start, list(states), lams, bound, limits, tab)
+                want = _reference_chain(table, start, list(states), lams, bound, tab)
+                assert _same_floats(got, want)
 
 
 def _reference_bank(c, n, keys):
@@ -521,10 +547,10 @@ def _reference_bank(c, n, keys):
     u = np.empty((len(keys), n))
     for i, key in enumerate(keys):
         innovation_stream(*key).random(n, out=u[i])
-    rows = sampler.rows * len(u) if len(sampler.rows) == 1 else sampler.rows
-    for row, lams in zip(u, rows):
+    rows = list(zip(sampler.rows, sampler.starts))
+    for row, (lams, start) in zip(u, rows * len(u) if len(rows) == 1 else rows):
         row[1:] = _reference_chain(sampler.table, float(row[0]), row[1:].tolist(), lams,
-                                   sampler.bound)
+                                   sampler.bound, start)
     return u
 
 
@@ -614,6 +640,7 @@ def test_array_path_makes_the_float_paths_evaluations_and_no_more(monkeypatch, c
     lanes, n = 100, 300
     sampler = sampling._Sampler([c[i % len(c)] for i in range(lanes)]
                                 if isinstance(c, list) else c)
+    sampler.starts  # built before the counting begins
     calls, sizes = [], []
     sampler.stepper = _counting_stepper(sampler.table, calls)
     sampler.sums = _logging(sampler.sums, sizes)
@@ -623,6 +650,80 @@ def test_array_path_makes_the_float_paths_evaluations_and_no_more(monkeypatch, c
     monkeypatch.setattr(sampling, "FLOAT_PATH_LANES", lanes + 1)
     assert _same_floats(sampler.advance(u), wide)
     assert sum(sizes) == len(calls)
+
+
+def _evaluations(sampler, u):
+    # the lanes of every evaluation of the array path over the bank u
+    sizes = []
+    sampler.sums = _logging(sampler.sums, sizes)
+    sampler.advance(u)
+    return sum(sizes)
+
+
+@pytest.mark.parametrize("family,ks", [t for t in TABLES if term_table(*t).slopes is not None])
+def test_warm_start_saves_evaluations_on_every_smooth_table(family, ks):
+    # a 2,000-lane two-column bank from the start table, and from v0 = w
+    sup = [max(map(abs, extrema(family, k))) for k in ks]
+    lams = tuple((-1.0) ** i * 0.9 / (len(ks) * s * s) for i, s in enumerate(sup))
+    c = SpectralCopula(family, SpectralCoefficients(tuple(zip(ks, lams))))
+    rng = np.random.default_rng(47)
+    u = rng.random((2000, 2))
+    cold = sampling._Sampler(c)
+    cold.starts = [None]
+    assert _evaluations(sampling._Sampler(c), u.copy()) < _evaluations(cold, u.copy())
+
+
+def test_warm_start_saves_a_third_of_the_two_sine_evaluations():
+    c = two_sine_model(0.05, -0.2)
+    u = np.random.default_rng(48).random((2000, 2))
+    cold = sampling._Sampler(c)
+    cold.starts = [None]
+    warm, full = _evaluations(sampling._Sampler(c), u.copy()), _evaluations(cold, u.copy())
+    assert warm <= 0.7 * full
+
+
+def test_start_table_depends_on_its_copula_alone():
+    # a per-row bank's rows share one bound, but each row's start table is
+    # its copula's own, bit for bit; a term-free row has none
+    models = [zero_association_model(0.05), zero_association_model(0.11),
+              zero_association_model(0.0)]
+    rows = [models[i % 3] for i in range(2 * sampling.FLOAT_PATH_LANES)]
+    sampling._start_table.cache_clear()
+    in_bank = sampling._Sampler(rows)
+    generate_chain_bank(rows, 50, [(61, r) for r in range(len(rows))])
+    sampling._start_table.cache_clear()
+    alone = [sampling._Sampler(c).starts[0] for c in models]
+    assert in_bank.bound != sampling._Sampler(models[0]).bound
+    assert alone[2] is None and in_bank.starts[2] is None
+    for j in (0, 1):
+        assert _same_floats(in_bank.starts[j], alone[j])
+        assert len(alone[j]) == (sampling.START_N + 1) ** 2
+
+
+@pytest.mark.parametrize("c", STEPS + [
+    two_value_step(2.0, 1.0), piecewise_sign((0.0, 0.2, 0.5, 1.0), (0.9, -0.8, 0.7)),
+    independence(), shifted_legendre_copula({}),
+    [zero_association_model(0.0), zero_association_model(0.05), zero_association_model(0.11)],
+], ids=["two-value", "two-value-alpha0.4", "sign-flip", "two-value-alpha2-boundary",
+        "sign-3-cells", "independence", "legendre-no-terms", "per-row-zero-association"])
+@pytest.mark.parametrize("lanes", [5, sampling.FLOAT_PATH_LANES + 1])
+def test_step_families_and_term_free_lanes_start_at_w(c, lanes):
+    # no start table is read for them: every solve starts at v0 = w, on both
+    # paths, and a term-free lane returns its innovation
+    keys = [(59, r) for r in range(lanes)]
+    rows = [c[i % len(c)] for i in range(lanes)] if isinstance(c, list) else [c] * lanes
+    bank = generate_chain_bank(rows if isinstance(c, list) else c, 200, keys)
+    for i, (d, key) in enumerate(zip(rows, keys)):
+        sampler = sampling._Sampler(d)
+        draws = innovation_stream(*key).random(200)
+        if d.coeffs.entries and d.terms.slopes is not None:
+            continue
+        assert sampler.starts == [None]
+        want = [draws[0]] + _reference_chain(sampler.table, draws[0], draws[1:].tolist(),
+                                             sampler.rows[0], sampler.bound, None)
+        assert _same_floats(bank[i], want)
+        if not d.coeffs.entries:
+            assert _same_floats(bank[i], draws)
 
 
 @pytest.mark.parametrize("c", [
