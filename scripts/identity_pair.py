@@ -16,7 +16,10 @@ only, so both trees answer the same calls:
   copulas;
 - 1,000-step banks whose lanes drift apart on the array path: 200 lanes
   of `two_sine`, `legendre_135` and `sign_3_cells`, and 130 per-row
-  zero-association lanes, a third of them term-free;
+  zero-association lanes, a third of them term-free; each with its worst
+  residual |d1C(u_t, u_{t+1}) - w_t| against its rows' own streams, so
+  that a change which moves roots shows on both sides that every root
+  still inverts;
 - `next_state` on scalars, 0-d and 2-D arrays and 1 to 1,000 lanes, and
   `sample_wl` on scalars and arrays;
 - `eval_phi` and `eval_Phi` on fixed points for every family and index of
@@ -45,8 +48,9 @@ The file gives a sha256 per output for each side.  Where an output differs
 and both sides hold the same numbers of floats in the same layout, it adds
 the largest absolute difference and the largest distance in units in the
 last place (the count of floats between the two values, which is large
-near 0: from 1e-16 to 0 it is about 4e18).  The exit status is 0 when
-every output is identical, else 1.
+near 0: from 1e-16 to 0 it is about 4e18).  It also gives both sides'
+drift-bank residuals.  The exit status is 0 when every output is
+identical and every residual is at most RESIDUAL_TOL, else 1.
 """
 
 import argparse
@@ -187,6 +191,9 @@ def errors(ec):
     ]
 
 
+# the sampler's tolerance on |d1C(u, v) - w| at every root
+RESIDUAL_TOL = 1e-12
+
 # one-term copulas lambda_k = 0.01 for even k on either side of 156, the
 # first k at which a 4096-point grid misses the outermost critical point of P_k
 LEGENDRE_EVEN_VALIDATE = (154, 156, 200)
@@ -244,10 +251,6 @@ def catalogue(tree: pathlib.Path):
                 yield (f"bank.{name}.{lanes}.n{n}",
                        lambda c=c, lanes=lanes, n=n: ec.generate_chain_bank(
                            c, n, [(17, r) for r in range(lanes)]))
-    for name in ("two_sine", "legendre_135", "sign_3_cells"):
-        yield (f"bank_long.{name}.200",
-               lambda c=cops[name]: ec.generate_chain_bank(
-                   c, 1000, [(19, r) for r in range(200)]))
     for t in (ec.Uniform(), ec.Exponential(2.0), ec.Bernoulli(0.4)):
         yield (f"chain.legendre.{type(t).__name__}",
                lambda t=t: ec.generate_chain(cops["legendre"], 300, 5, t).transformed)
@@ -260,9 +263,22 @@ def catalogue(tree: pathlib.Path):
                    lambda models=models, lanes=lanes: ec.generate_chain_bank(
                        [models[i % len(models)] for i in range(lanes)], 60,
                        [(13, r) for r in range(lanes)]))
-    yield ("bank_per_row_long.zero_association.130",
-           lambda models=per_row["zero_association"]: ec.generate_chain_bank(
-               [models[i % 3] for i in range(130)], 1000, [(23, r) for r in range(130)]))
+    # the 1,000-step drift banks, each with its worst residual against its
+    # rows' own streams: (name, the bank's copula argument, each row's
+    # copula, keys)
+    zero = per_row["zero_association"]
+    drift = [(f"bank_long.{name}.200", cops[name], [cops[name]] * 200,
+              [(19, r) for r in range(200)])
+             for name in ("two_sine", "legendre_135", "sign_3_cells")]
+    drift.append(("bank_per_row_long.zero_association.130",
+                  [zero[i % 3] for i in range(130)], [zero[i % 3] for i in range(130)],
+                  [(23, r) for r in range(130)]))
+    for name, arg, rows, keys in drift:
+        bank = {}
+        yield name, lambda arg=arg, keys=keys, bank=bank: bank.setdefault(
+            "u", ec.generate_chain_bank(arg, 1000, keys))
+        yield (f"{name}.residual",
+               lambda rows=rows, keys=keys, bank=bank: _worst_residual(ec, rows, bank["u"], keys))
 
     rng = np.random.default_rng(3)
     u, w = rng.random(1000), rng.random(1000)
@@ -337,6 +353,17 @@ def catalogue(tree: pathlib.Path):
 
     for name, call in errors(ec):
         yield f"error.{name}", call
+
+
+def _worst_residual(ec, rows, bank, keys) -> float:
+    """max |d1C(u_t, u_{t+1}) - w_t| over a bank, each row against the
+    innovations of its own stream."""
+    import numpy as np
+    worst = 0.0
+    for c, u, key in zip(rows, bank, keys):
+        w = ec.innovation_stream(*key).random(u.size)
+        worst = max(worst, float(np.max(np.abs(c.conditional_cdf(u[:-1], u[1:]) - w[1:]))))
+    return worst
 
 
 def _record(rec) -> str:
@@ -464,8 +491,14 @@ def main(argv=None) -> int:
             outputs[side] = pickle.loads(out.read_bytes())
     results = compare(outputs["base"], outputs["head"])
     differ = [name for name, entry in results.items() if not entry["identical"]]
+    # a residual that raised reads NaN, which no tolerance passes
+    residuals = {name: {side: float(outputs[side][name][1]) if outputs[side][name][0] == "floats"
+                        else math.nan for side in ("base", "head")}
+                 for name in results if name.endswith(".residual")}
+    above = [name for name, sides in residuals.items()
+             if not all(r <= RESIDUAL_TOL for r in sides.values())]
     record.update(outputs=len(results), identical=len(results) - len(differ), differ=differ,
-                  results=results)
+                  residuals=residuals, residuals_above_tolerance=above, results=results)
     out_path = ROOT / f"IDENTITY_{args.label}.json"
     out_path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"{len(results) - len(differ)} of {len(results)} outputs identical; "
@@ -475,7 +508,10 @@ def main(argv=None) -> int:
         detail = (f"max_abs_diff {entry['max_abs_diff']}, max_ulp {entry['max_ulp']}"
                   if "max_ulp" in entry else "text differs")
         print(f"  differs: {name} ({detail})")
-    return 1 if differ else 0
+    for name, sides in residuals.items():
+        print(f"  residual: {name} base {sides['base']:.3g}, head {sides['head']:.3g}"
+              + (" (above RESIDUAL_TOL)" if name in above else ""))
+    return 1 if differ or above else 0
 
 
 if __name__ == "__main__":
