@@ -509,7 +509,7 @@ def main(argv=None) -> int:
                   if "max_ulp" in entry else "text differs")
         print(f"  differs: {name} ({detail})")
     for name, sides in residuals.items():
-        print(f"  residual: {name} base {sides['base']:.3g}, head {sides['head']:.3g}"
+        print(f"  residual: {name} base {sides['base']:.6g}, head {sides['head']:.6g}"
               + (" (above RESIDUAL_TOL)" if name in above else ""))
     return 1 if differ or above else 0
 
