@@ -96,7 +96,6 @@ so that no function is called per term.  There g and c are each one sum,
 iteration range are formed once per chain, and the bracket midpoint only
 where it is taken.  Both paths make the same operations in the same order
 on each lane, so they give the same floats.  Below FLOAT_PATH_LANES = 64
-START_N = 64
 lanes numpy's per-call cost outweighs the vector arithmetic.  The measured
 float/array time ratios (300-step banks, smallest and largest of three
 runs on 2 cores) are
@@ -333,10 +332,8 @@ def _run_lanes(u, sums, phi, lams, bound, table=None, base=None) -> np.ndarray:
     at = np.arange(1, r * n, n)
     w = u.take(at)
     s = [lam * p for lam, p in zip(lams, phi(u[:, 0]))]
-    if table is None:
-        base = np.zeros(r, dtype=np.intp)
-    lo, hi = np.zeros(r), np.ones(r)
     v = w if table is None else _start(table, base, u[:, 0], w)
+    lo, hi = np.zeros(r), np.ones(r)
     begun = np.zeros(r, dtype=int)  # evaluations made before each lane's column
     # k counts evaluations; oldest <= min(begun), and no lane can find the
     # root of its last column before evaluation ends_from
@@ -380,8 +377,10 @@ def _run_lanes(u, sums, phi, lams, bound, table=None, base=None) -> np.ndarray:
                     keep = ~done
                     if left:
                         keep[fin[go]] = True
-                    at, w, lo, hi, v, begun, base = (
-                        a.compress(keep) for a in (at, w, lo, hi, v, begun, base))
+                    at, w, lo, hi, v, begun = (a.compress(keep)
+                                               for a in (at, w, lo, hi, v, begun))
+                    if table is not None:
+                        base = base.compress(keep)
                     s = [a.compress(keep) for a in s]
                     lams = lams.compress(keep, axis=1)
                     if not left:
@@ -449,6 +448,19 @@ class _Sampler:
         return [built[d] for d in self.copulas]
 
     @cached_property
+    def flat(self) -> tuple:
+        """(table, base) for the array path: the distinct start tables as
+        one flat array, zeros for the rows whose start is w, and each row's
+        offset into it; (None, None) where no row has a table."""
+        if not any(self.starts):
+            return None, None
+        tables = {id(t): t for t in self.starts}
+        first = {key: i * (START_N + 1) ** 2 for i, key in enumerate(tables)}
+        zeros = [0.0] * (START_N + 1) ** 2
+        table = np.array([t or zeros for t in tables.values()]).ravel()
+        return table, np.array([first[id(t)] for t in self.starts])
+
+    @cached_property
     def bound(self):
         table = self.table
         sup = [max(map(abs, extrema(table.family, k))) for k in table.indices]
@@ -477,22 +489,18 @@ class _Sampler:
         `chain`, with its own coefficients (a one-copula sampler's one row
         serves every lane); otherwise the rows are the lanes of one
         `_run_lanes` loop."""
-        rows = list(zip(self.rows, self.starts))
         if len(u) < FLOAT_PATH_LANES:
+            rows = list(zip(self.rows, self.starts))
             for row, (lams, start) in zip(u, rows * len(u) if len(rows) == 1 else rows):
                 row[1:] = self.chain(float(row[0]), row[1:].tolist(), lams, start)
             return u
-        # one column of coefficients per lane, and the distinct start tables
-        # as one flat array, a zero table where the start is w
-        each = len(u) // len(rows)
+        # one column of coefficients per lane, and each lane's offset into
+        # the flat start tables
+        each = len(u) // len(self.rows)
         lams = np.repeat(np.array(self.rows).T, each, axis=1)
-        if not any(self.starts):
-            return _run_lanes(u, self.sums, self.table.phi, lams, self.bound)
-        tables = {id(t): t for t in self.starts}
-        first = {key: i * (START_N + 1) ** 2 for i, key in enumerate(tables)}
-        zeros = [0.0] * (START_N + 1) ** 2
-        table = np.array([t or zeros for t in tables.values()]).ravel()
-        base = np.repeat([first[id(t)] for t in self.starts], each)
+        table, base = self.flat
+        if table is not None:
+            base = np.repeat(base, each)
         return _run_lanes(u, self.sums, self.table.phi, lams, self.bound, table, base)
 
 
