@@ -232,18 +232,15 @@ def run(state, states, lams, bound, limits, start):
         lo, hi = 0.0, 1.0
         x = w
         if start is not None:
-            fu = state * scale
+            fu, fw = state * scale, w * scale
             row = int(fu) if fu < scale else last
-            fw = w * scale
             col = int(fw) if fw < scale else last
             fu -= row
             fw -= col
             col += row * width
-            near = start[col]
+            near, far = start[col], start[col + width]
             near += fw * (start[col + 1] - near)
-            col += width
-            far = start[col]
-            far += fw * (start[col + 1] - far)
+            far += fw * (start[col + width + 1] - far)
             x += near + fu * (far - near)
             x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
         for _ in tries:
@@ -296,19 +293,15 @@ def _start(table, base, u, w) -> np.ndarray:
     v0 = clamp(w + delta, 0, 1), delta read bilinearly from the cell of
     (u, w) of each lane's start table, which begins at its offset base in
     the flat array table."""
-    fu = u * START_N
+    fu, fw = u * START_N, w * START_N
     row = np.minimum(fu.astype(np.intp), START_N - 1)
-    fw = w * START_N
     col = np.minimum(fw.astype(np.intp), START_N - 1)
     fu -= row
     fw -= col
-    col += base
-    col += row * (START_N + 1)
-    near = table.take(col)
+    col += base + row * (START_N + 1)
+    near, far = table.take(col), table.take(col + (START_N + 1))
     near += fw * (table.take(col + 1) - near)
-    col += START_N + 1
-    far = table.take(col)
-    far += fw * (table.take(col + 1) - far)
+    far += fw * (table.take(col + (START_N + 2)) - far)
     x = w + (near + fu * (far - near))
     return np.minimum(np.maximum(x, 0.0, out=x), 1.0, out=x)
 
