@@ -8,9 +8,9 @@ the next state is the root v of
 Every family is solved by one algorithm, safeguarded Newton iteration,
 the numerical inversion of Devroye (1986, II.2): g'(v) is the copula
 density c(u, v) = 1 + sum_k lambda_k * phi_k(u) * phi_k(v), built from the
-same terms.  Iteration starts at v = w inside the bracket [0, 1], where
-g(0) = -w and g(1) = 1 - w, and the sign of g at each iterate narrows the
-bracket.  The next iterate is the Newton step v - g/c, or the bracket
+same terms.  Iteration starts at v0 (below) inside the bracket [0, 1],
+where g(0) = -w and g(1) = 1 - w, and the sign of g at each iterate narrows
+the bracket.  The next iterate is the Newton step v - g/c, or the bracket
 midpoint when c <= 0 or the step leaves the open bracket; the midpoint
 fallback keeps boundary copulas, whose density reaches 0, convergent.
 Iteration stops when |g| <= RESIDUAL_TOL and returns the iterate, or when
@@ -34,9 +34,10 @@ bounds every lane.  Taylor's theorem gives |g(z)| <= M q^2 / 2, so under
 the rule the exact residual at z is at most RESIDUAL_TOL / 2, and the other
 half covers the rounding of the evaluated g, about 1e-15.  This holds for
 any valid M; a larger M only stops less often.  On the two-sine model the
-stop cuts the evaluations per step from 4.2 to 3.3.  Replacing S_k by
-|phi_k(u)|, a bound formed afresh at each step, would save 0.03
-evaluations more and cost more than that to form.
+stop cuts the evaluations per step from 3.0 to 2.0 (from 4.2 to 3.3 when
+every solve starts at w).  Replacing S_k by |phi_k(u)|, a bound formed
+afresh at each step, would save 0.03 evaluations more and cost more than
+that to form.
 
 On a step family the rule is that z lies on the iterate's piece j,
 bisect_right(CUTS, z) == j.  There every phi_k is a constant V_k and
@@ -65,6 +66,43 @@ from 1.67 to 1.15 on a two-cell sign flip.  Where the density is 0 on an
 interval, g is flat there and every point of the flat is a root; the
 solver returns the first one it meets.
 
+On a smooth family with terms each solve starts at v0 = clamp(w + delta,
+0, 1), where delta(u, w) = Q(u, w) - w, the conditional quantile less the
+innovation, is read bilinearly from the cell of (u, w) of the copula's
+start table (`_start_table`), the fast numerical inversion of Hormann and
+Leydold (2003): delta at the 65 x 65 nodes (i / START_N, j / START_N).
+The table is built without a solve at the copula's first stepping, from
+d1C on a 65 x 129 (u, v) grid with each row inverted by linear
+interpolation (0.2-0.3 ms for two or three terms, 0.8 ms for 30 Legendre
+terms), and depends on its copula alone.  The clamp keeps v0 in the
+bracket where rounding leaves [0, 1].  A step family, whose solve takes
+1.1-1.3 evaluations, and a copula without terms start at v0 = w and read
+no table, so a term-free lane still returns its innovation bit for bit (in
+an array-path bank beside copulas with terms, its lanes read zeros, and
+w + 0.0 = w).  The start changes no stop rule: the residual test, the
+bracket and MAX_ITER act on any iterate, and both early-stop bounds hold at
+any iterate inside the bracket, so every state is still a root to
+RESIDUAL_TOL; only which root within that tolerance is returned moves, by
+at most 3.4e-11 over the identity catalogue.  Evaluations per step over
+200,000 random (u, w), with the early stop (and without it):
+
+    copula                            from v = w     from the table
+    two-sine (0.05, -0.2)             3.28 (4.19)    2.02 (2.99)
+    cosine {1: .3, 2: -.15}           3.65 (4.55)    2.00 (2.92)
+    Legendre {1: .2, 2: .05}          3.30 (4.16)    1.97 (2.87)
+    Legendre {1: .1, 3: .05, 5: .02}  2.94 (3.79)    1.99 (2.84)
+    zero_association_model(0.11)      4.02 (4.91)    2.31 (3.22)
+    boundary cosine {1: .5}           4.06 (4.96)    2.03 (2.98)
+    cosine {20: .45}                  3.80 (4.69)    3.03 (3.91)
+
+A table is 4,225 floats, 134 KB as the list the float path reads (four
+reads per step); `_start_table` keeps 128, at most 17.3 MB.  The one bank
+shape that pays for its tables is one copula per row: 200 rows x 1,000
+steps with 200 distinct zero_association_model coefficients builds 200
+tables per call, more than the memo keeps, and takes 0.27-0.30 s against
+0.23-0.26 s from v = w; with one copula in every row, 0.18-0.19 s against
+0.23-0.25 s (best of 3 to 4 alternating processes on 2 cores).
+
 Copulas that validate() calls INVALID are refused: their d1C(u, .) need
 not be monotone, so a root need not be a conditional quantile.
 
@@ -83,14 +121,15 @@ of the term sums `_SUMS`, the lines g += s_k * (Phi_k) and
 c += s_k * (phi_k), the Newton step and the stop rule compiled for arrays,
 and each lane keeps its own column and its own iteration count.  A lane
 whose root is found writes it into the bank, reads its next innovation,
-sets s_k = lambda_k phi_k(root) and the bracket [0, 1], and iterates on
-at once while the other lanes go on; it leaves the working arrays only
-after its last column.  The lanes of all iterations thus add up to the
-evaluations the rows need: on the two-sine model at 100 lanes a lane needs
-3.29 evaluations per step, and a loop that moved every lane one step at a
-time made 4.67 iterations per step, waiting each time for the slowest
-lane.  A narrower bank runs each row as a plain-float chain through the
-stepper `_STEPPER`: the Newton loop with the same terms written into it,
+sets its start, s_k = lambda_k phi_k(root) and the bracket [0, 1], and
+iterates on at once while the other lanes go on; it leaves the working
+arrays only after its last column.  The lanes of all iterations thus add
+up to the evaluations the rows need: on the two-sine model at 100 lanes,
+from v = w, a lane needed 3.29 evaluations per step, and a loop that moved
+every lane one step at a time made 4.67 iterations per step, waiting each
+time for the slowest lane.  A narrower bank runs each row as a plain-float
+chain through the stepper `_STEPPER`: the Newton loop with the same terms
+written into it,
 so that no function is called per term.  There g and c are each one sum,
 ((x - w) + t_0) + t_1 + ..., in the order of `_SUMS`'s lines; -tol and the
 iteration range are formed once per chain, and the bracket midpoint only
@@ -101,22 +140,23 @@ float/array time ratios (300-step banks, smallest and largest of three
 runs on 2 cores) are
 
     lanes              32          48          64          80          96
-    two-sine       0.38-0.41   0.56-0.59   0.69-0.71   0.84-0.89   0.94-1.00
-    cosine         0.36-0.39   0.49-0.55   0.54-0.72   0.83-0.89   0.89-0.96
-    Legendre 1,2   0.33-0.35   0.46-0.50   0.59-0.65   0.80-0.82   0.93-1.00
-    Legendre 1,3,5 0.38-0.46   0.53-0.57   0.69-0.90   0.91-1.13   1.21-1.28
-    two-value step 0.43-0.46   0.61-0.76   0.78-0.82   0.83-0.99   1.09-1.15
-    sign flip      0.42-0.77   0.65-0.82   0.78-0.84   0.79-0.95   1.10-1.12
+    two-sine       0.48-0.76   0.66-0.73   0.83-0.92   1.06-1.20   0.94-1.32
+    cosine         0.43-0.52   0.68-0.74   0.82-0.90   1.07-1.09   1.22-1.26
+    Legendre 1,2   0.45-0.49   0.69-0.70   0.85-0.91   0.72-1.13   1.27-1.81
+    Legendre 1,3,5 0.47-0.50   0.72-0.77   0.96-1.05   1.19-1.23   1.40-1.53
+    two-value step 0.43-0.45   0.61-0.62   0.74-0.81   0.61-0.98   1.12-1.14
+    sign flip      0.44-0.46   0.64-0.68   0.80-0.82   0.97-0.99   1.11-1.15
 
-so the crossover lies near 96 lanes for most families, and between 80
-and 96 for Legendre 1,3,5, whose longer recurrence the array path also
-runs in phi at every iteration.  At 64 lanes the float path is the faster
-for every family (0.54-0.90); FLOAT_PATH_LANES stays 64, below every
-family's crossover.  One constant serves every family, and the choice
-depends only on the row count.  Each path is deterministic for a given
-seed key; per-replicate seed keys and elementwise lane arithmetic make
-banks independent of how the replicates, and the copulas of their lanes,
-are batched.
+so the crossover lies between 64 and 80 lanes for the smooth families,
+near 64 for Legendre 1,3,5, and near 80 for the step families: the start
+table saves the array path a larger share of its time than the float
+path's, whose lookup costs about as much as one evaluation.
+FLOAT_PATH_LANES stays 64, at or below every family's crossover, and no
+workload has a bank of 64 to 95 rows.  One constant serves every family,
+and the choice depends only on the row count.  Each path is deterministic
+for a given seed key; per-replicate seed keys and elementwise lane
+arithmetic make banks independent of how the replicates, and the copulas
+of their lanes, are batched.
 """
 
 from __future__ import annotations
@@ -448,10 +488,9 @@ class _Sampler:
         if not any(self.starts):
             return None, None
         tables = {id(t): t for t in self.starts}
-        first = {key: i * (START_N + 1) ** 2 for i, key in enumerate(tables)}
-        zeros = [0.0] * (START_N + 1) ** 2
-        table = np.array([t or zeros for t in tables.values()]).ravel()
-        return table, np.array([first[id(t)] for t in self.starts])
+        index = {key: i for i, key in enumerate(tables)}
+        table = np.array([t or [0.0] * (START_N + 1) ** 2 for t in tables.values()])
+        return table.ravel(), np.array([index[id(t)] for t in self.starts]) * table.shape[1]
 
     @cached_property
     def bound(self):
