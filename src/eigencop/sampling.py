@@ -95,7 +95,7 @@ at most 3.4e-11 over the identity catalogue.  Evaluations per step over
     boundary cosine {1: .5}           4.06 (4.96)    2.03 (2.98)
     cosine {20: .45}                  3.80 (4.69)    3.03 (3.91)
 
-A table is 4,225 floats, 134 KB as the list the float path reads (four
+A table is 4,225 floats, 134 KB as the tuple the float path reads (four
 reads per step); `_start_table` keeps 128, at most 17.3 MB.  The one bank
 shape that pays for its tables is one copula per row: 200 rows x 1,000
 steps with 200 distinct zero_association_model coefficients builds 200
@@ -537,15 +537,16 @@ class _Sampler:
 
 
 @lru_cache(maxsize=128)
-def _start_table(c: SpectralCopula) -> list:
+def _start_table(c: SpectralCopula) -> tuple:
     """delta(u, w) = Q(u, w) - w, the conditional quantile less the
     innovation, at the nodes (i / START_N, j / START_N), row i after row, as
-    one list of floats.  Each row of Q(u_i, .) is the inverse of d1C(u_i, .)
-    on a grid twice as fine in v, by linear interpolation; no solve."""
+    one tuple of floats, which every caller shares.  Each row of Q(u_i, .)
+    is the inverse of d1C(u_i, .) on a grid twice as fine in v, by linear
+    interpolation; no solve."""
     nodes = np.arange(START_N + 1) / START_N
     v = np.arange(2 * START_N + 1) / (2 * START_N)
     cdf = c.conditional_cdf(nodes[:, None], v)
-    return np.concatenate([np.interp(nodes, row, v) - nodes for row in cdf]).tolist()
+    return tuple(np.concatenate([np.interp(nodes, row, v) - nodes for row in cdf]).tolist())
 
 
 @lru_cache(maxsize=128)
