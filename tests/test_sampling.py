@@ -519,7 +519,8 @@ def test_compiled_stepper_equals_the_closure_loop_on_every_table(family, ks):
     # coefficients of alternating sign with sum |lambda_k| sup phi_k^2 = 0.9,
     # with and without the early stop: the slope bound
     # M = sum |lambda_k| sup |phi_k| D_k, or a step family's rounding bound
-    # a smooth table also runs from its start table; both from v0 = w
+    # every table runs from v0 = w, and a smooth one also from its copula's
+    # start table
     table = term_table(family, ks)
     run = table.compiled(sampling._STEPPER, math)["run"]
     limits = (sampling.MAX_ITER, sampling.RESIDUAL_TOL, sampling.BRACKET_TOL, sampling.START_N)
@@ -715,10 +716,10 @@ def test_step_families_and_term_free_lanes_start_at_w(c, lanes):
     rows = [c[i % len(c)] for i in range(lanes)] if isinstance(c, list) else [c] * lanes
     bank = generate_chain_bank(rows if isinstance(c, list) else c, 200, keys)
     for i, (d, key) in enumerate(zip(rows, keys)):
-        sampler = sampling._Sampler(d)
-        draws = innovation_stream(*key).random(200)
         if d.coeffs.entries and d.terms.slopes is not None:
             continue
+        sampler = sampling._Sampler(d)
+        draws = innovation_stream(*key).random(200)
         assert sampler.starts == [None]
         want = [draws[0]] + _reference_chain(sampler.table, draws[0], draws[1:].tolist(),
                                              sampler.rows[0], sampler.bound, None)
