@@ -79,29 +79,65 @@ bracket where rounding leaves [0, 1].  A step family, whose solve takes
 1.1-1.3 evaluations, and a copula without terms start at v0 = w and read
 no table, so a term-free lane still returns its innovation bit for bit (in
 an array-path bank beside copulas with terms, its lanes read zeros, and
-w + 0.0 = w).  The start changes no stop rule: the residual test, the
-bracket and MAX_ITER act on any iterate, and both early-stop bounds hold at
-any iterate inside the bracket, so every state is still a root to
-RESIDUAL_TOL; only which root within that tolerance is returned moves, by
-at most 3.4e-11 over the identity catalogue.  Evaluations per step over
-200,000 random (u, w), with the early stop (and without it):
+w + 0.0 = w).
 
-    copula                            from v = w     from the table
-    two-sine (0.05, -0.2)             3.28 (4.19)    2.02 (2.99)
-    cosine {1: .3, 2: -.15}           3.65 (4.55)    2.00 (2.92)
-    Legendre {1: .2, 2: .05}          3.30 (4.16)    1.97 (2.87)
-    Legendre {1: .1, 3: .05, 5: .02}  2.94 (3.79)    1.99 (2.84)
-    zero_association_model(0.11)      4.02 (4.91)    2.31 (3.22)
-    boundary cosine {1: .5}           4.06 (4.96)    2.03 (2.98)
-    cosine {20: .45}                  3.80 (4.69)    3.03 (3.91)
+After the table each such solve takes one model step, the cheap
+correction that follows the guide table in fast numerical inversion: a
+Newton step from v0 on a piecewise-linear model of the copula's own basis
+functions, read with no trig from their values at the nodes i / MODEL_N
+(`_model_nodes`).  With N = MODEL_N, j = int(v0 N) and f = v0 N - j,
 
-A table is 4,225 floats, 134 KB as the tuple the float path reads (four
-reads per step); `_start_table` keeps 128, at most 17.3 MB.  The one bank
-shape that pays for its tables is one copula per row: 200 rows x 1,000
-steps with 200 distinct zero_association_model coefficients builds 200
-tables per call, more than the memo keeps, and takes 0.27-0.30 s against
-0.23-0.26 s from v = w; with one copula in every row, 0.18-0.19 s against
-0.23-0.25 s (best of 3 to 4 alternating processes on 2 cores).
+    Phi~_k = F_k[j] + f dF_k[j],   phi~_k = P_k[j] + f dP_k[j],
+    g~ = (v0 - w) + sum_k s_k Phi~_k,   c~ = 1 + sum_k s_k phi~_k,
+
+summed term by term in `_SUMS`'s order, where F_k and P_k are Phi_k and
+phi_k at the nodes and dF_k[j] = F_k[j + 1] - F_k[j], 0 at j = N, so v0 = 1
+needs no branch; v0 becomes clamp(v0 - g~/c~, 0, 1) where c~ > 0 and is
+kept otherwise.  The exact solve then starts there, and its early stop
+usually fires at the first evaluation.  Neither the table nor the model
+step changes a stop rule: the residual test, the bracket and MAX_ITER act
+on any iterate, and both early-stop bounds hold at any iterate inside the
+bracket, so every state is still a root to RESIDUAL_TOL; only which root
+within that tolerance is returned moves, by at most 3.4e-11 over the
+identity catalogue.  Evaluations per step over 200,000 random (u, w), with
+the early stop (and without it):
+
+    copula                            from v = w     from the table  + model step
+    two-sine (0.05, -0.2)             3.28 (4.19)    2.02 (2.99)     1.04 (2.00)
+    cosine {1: .3, 2: -.15}           3.65 (4.55)    2.00 (2.92)     1.02 (2.01)
+    Legendre {1: .2, 2: .05}          3.30 (4.16)    1.97 (2.87)     1.00 (2.00)
+    Legendre {1: .1, 3: .05, 5: .02}  2.94 (3.79)    1.99 (2.84)     1.01 (2.00)
+    zero_association_model(0.11)      4.02 (4.91)    2.31 (3.22)     1.40 (2.24)
+    boundary cosine {1: .5}           4.06 (4.96)    2.03 (2.98)     1.03 (2.03)
+    cosine {20: .45}                  3.80 (4.69)    3.03 (3.91)     2.06 (2.89)
+
+N = 1024 because the two-sine model needs 1.81 evaluations at 256 nodes,
+1.51 at 512, 1.04 at 1,024 and 1.02 at 2,048, while a node set doubles with
+N.  A wave of higher index gains less: cosine {k: .3} goes from 2.77-3.32
+to 1.82-2.60 evaluations for k = 20-600, and once k reaches the node
+count the model aliases it (3.14 -> 3.14 at k = 1024, 3.128 -> 3.133 at
+k = 2000).  Model steps from w instead of the table were not adopted: the
+two-sine model needs 2.28 evaluations after one, 1.37 after two and 1.08
+after three, and on plain floats each step costs more than the table
+lookup.
+
+A start table is 4,225 floats, 134 KB as the tuple the float path reads
+(four reads per step); `_start_table` keeps 128, at most 17.3 MB.  The one
+bank shape that pays for its tables is one copula per row: 200 rows x
+1,000 steps with 200 distinct zero_association_model coefficients builds
+200 tables per call, more than the memo keeps, and takes 0.27-0.30 s
+against 0.23-0.26 s from v = w; with one copula in every row, 0.18-0.19 s
+against 0.23-0.25 s (best of 3 to 4 alternating processes on 2 cores).
+The nodes are 1,025 x 4K floats, built once per term table at its first
+stepping and shared by all its copulas: one tuple per node holding
+(F_k, dF_k, P_k, dP_k) of every term, which the float path reads with one
+subscript and unpacks once per step (about 158 KB per term), and the same
+values as one array (33 KB per term), 0.38 MB for two terms and 5.0 MB for
+30; `_model_nodes` keeps 32 tables.  On plain floats the model step costs
+about as much as the exact evaluation it saves, so the layout decides
+whether long chains lose: separate tuples per term and quantity, each read
+by its own subscript, made 5,000-step chains take 1.02-1.09 times their
+time without the model step in a prototype, and this layout 0.98-0.99.
 
 Copulas that validate() calls INVALID are refused: their d1C(u, .) need
 not be monotone, so a root need not be a conditional quantile.
@@ -121,7 +157,8 @@ of the term sums `_SUMS`, the lines g += s_k * (Phi_k) and
 c += s_k * (phi_k), the Newton step and the stop rule compiled for arrays,
 and each lane keeps its own column and its own iteration count.  A lane
 whose root is found writes it into the bank, reads its next innovation,
-sets its start, s_k = lambda_k phi_k(root) and the bracket [0, 1], and
+sets s_k = lambda_k phi_k(root), its start, which reads them, and the
+bracket [0, 1], and
 iterates on at once while the other lanes go on; it leaves the working
 arrays only after its last column.  The lanes of all iterations thus add
 up to the evaluations the rows need: on the two-sine model at 100 lanes,
@@ -140,19 +177,20 @@ float/array time ratios (300-step banks, smallest and largest of three
 runs on 2 cores) are
 
     lanes              32          48          64          80          96
-    two-sine       0.48-0.76   0.66-0.73   0.83-0.92   1.06-1.20   0.94-1.32
-    cosine         0.43-0.52   0.68-0.74   0.82-0.90   1.07-1.09   1.22-1.26
-    Legendre 1,2   0.45-0.49   0.69-0.70   0.85-0.91   0.72-1.13   1.27-1.81
-    Legendre 1,3,5 0.47-0.50   0.72-0.77   0.96-1.05   1.19-1.23   1.40-1.53
-    two-value step 0.43-0.45   0.61-0.62   0.74-0.81   0.61-0.98   1.12-1.14
-    sign flip      0.44-0.46   0.64-0.68   0.80-0.82   0.97-0.99   1.11-1.15
+    two-sine       0.56-0.72   0.77-0.88   1.11-2.17   1.29-1.57   1.55-1.86
+    cosine         0.67-0.69   0.91-0.97   1.17-1.22   1.45-1.54   1.59-1.82
+    Legendre 1,2   0.46-1.20   1.02-1.08   1.35-1.39   1.69-1.73   1.90-2.12
+    Legendre 1,3,5 0.70-0.73   0.71-0.98   1.05-2.14   1.61-1.79   1.64-1.95
+    two-value step 0.42-0.43   0.33-0.61   0.77-0.89   0.92-0.95   1.08-1.93
+    sign flip      0.33-0.43   0.64-1.13   0.81-0.84   0.65-1.34   0.66-1.14
 
-so the crossover lies between 64 and 80 lanes for the smooth families,
-near 64 for Legendre 1,3,5, and near 80 for the step families: the start
-table saves the array path a larger share of its time than the float
-path's, whose lookup costs about as much as one evaluation.
-FLOAT_PATH_LANES stays 64, at or below every family's crossover, and no
-workload has a bank of 64 to 95 rows.  One constant serves every family,
+so the crossover lies near 48 lanes for the smooth families and between
+80 and 96 for the step families: the start table and the model step save
+the array path, whose narrow banks pay per iteration, a larger share of
+its time than the float path's, where each costs about as much as one
+evaluation.  FLOAT_PATH_LANES stays 64, between the two, so smooth banks
+of 48 to 63 rows take the float path at up to about 1.3 times the array
+path's time; coverage_quick's 60-row banks are such banks.  One constant serves every family,
 and the choice depends only on the row count.  Each path is deterministic
 for a given seed key; per-replicate seed keys and elementwise lane
 arithmetic make banks independent of how the replicates, and the copulas
@@ -177,6 +215,7 @@ BRACKET_TOL = 1e-14
 MAX_ITER = 100
 FLOAT_PATH_LANES = 64
 START_N = 64
+MODEL_N = 1024
 
 
 # -- marginal transforms -------------------------------------------------
@@ -249,21 +288,26 @@ def innovation_stream(*keys: int) -> np.random.Generator:
 # lines compiled for arrays (`_SUMS`).  Their locals are lower-case words
 # and the term text's constants upper-case names, so neither shadows the
 # other.
-# run(state, states, lams, bound, limits, start) steps the chain from state
-# through the innovations in the list states, overwriting each with the
-# state it gives, and returns the list; lams holds the K coefficients, bound
-# is the number the table's stop rule reads (M >= |g''| on [0,1], or a step
-# family's rounding bound B; see the module docstring) or None, which turns
-# the early stop off, limits holds MAX_ITER, RESIDUAL_TOL, BRACKET_TOL and
-# START_N as the caller reads them, and start is the copula's start table
-# (`_start_table`), or None, which starts every solve at w.  Each solve
-# starts at v0 = clamp(w + delta, 0, 1), delta read bilinearly from the
-# table's cell of (u, w), as `_start` reads it for arrays.
+# run(state, states, lams, bound, limits, start, nodes) steps the chain
+# from state through the innovations in the list states, overwriting each
+# with the state it gives, and returns the list; lams holds the K
+# coefficients, bound is the number the table's stop rule reads (M >= |g''|
+# on [0,1], or a step family's rounding bound B; see the module docstring)
+# or None, which turns the early stop off, limits holds MAX_ITER,
+# RESIDUAL_TOL, BRACKET_TOL, START_N and MODEL_N as the caller reads them,
+# start is the copula's start table (`_start_table`), or None, which starts
+# every solve at w, and nodes the term table's node tuples
+# (`_model_nodes`), read only with a start table.  Each solve starts at
+# v0 = clamp(w + delta, 0, 1), delta read bilinearly from the table's cell
+# of (u, w), followed by the model step, as `_start` does for arrays; f_k,
+# df_k, p_k and dp_k are Phi_k and phi_k at the node below v0 and their
+# steps to the next node.
 _STEPPER = """\
-def run(state, states, lams, bound, limits, start):
-    max_iter, tol, bracket, cells = limits
+def run(state, states, lams, bound, limits, start, nodes):
+    max_iter, tol, bracket, cells, knots = limits
     ntol, tries = -tol, range(max_iter)
     scale, last, width = float(cells), cells - 1, cells + 1
+    fine = float(knots)
     l{k} = lams[{k}]
     for i, w in enumerate(states):
         x = state
@@ -283,6 +327,21 @@ def run(state, states, lams, bound, limits, start):
             far += fw * (start[col + width + 1] - far)
             x += near + fu * (far - near)
             x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+            frac = x * fine
+            node = int(frac)
+            frac -= node
+            (
+             f{k}, df{k}, p{k}, dp{k},
+            ) = nodes[node]
+            gm = (x - w
+                  + s{k} * (f{k} + frac * df{k})
+                  )
+            cm = (1.0
+                  + s{k} * (p{k} + frac * dp{k})
+                  )
+            if cm > 0.0:
+                x -= gm / cm
+                x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
         for _ in tries:
             {shared}
             g = (x - w
@@ -328,11 +387,12 @@ def sums(x, w, s, bound, tol):
 """
 
 
-def _start(table, base, u, w) -> np.ndarray:
+def _start(table, base, u, w, nodes, s) -> np.ndarray:
     """The compiled stepper's start on arrays, with the same operations:
     v0 = clamp(w + delta, 0, 1), delta read bilinearly from the cell of
     (u, w) of each lane's start table, which begins at its offset base in
-    the flat array table."""
+    the flat array table; then the model step from v0 with the lanes'
+    s_k."""
     fu, fw = u * START_N, w * START_N
     row = np.minimum(fu.astype(np.intp), START_N - 1)
     col = np.minimum(fw.astype(np.intp), START_N - 1)
@@ -343,20 +403,37 @@ def _start(table, base, u, w) -> np.ndarray:
     near += fw * (table.take(col + 1) - near)
     far += fw * (table.take(col + (START_N + 2)) - far)
     x = w + (near + fu * (far - near))
-    return np.minimum(np.maximum(x, 0.0, out=x), 1.0, out=x)
+    return _model_step(nodes, s, np.minimum(np.maximum(x, 0.0, out=x), 1.0, out=x), w)
 
 
-def _run_lanes(u, sums, phi, lams, bound, table=None, base=None) -> np.ndarray:
+def _model_step(nodes, s, x, w) -> np.ndarray:
+    """The compiled stepper's model step on arrays, with the same
+    operations: clamp(x - g~/c~, 0, 1) where c~ > 0, else x, g~ and c~
+    being g and c with each Phi_k and phi_k read linearly between the nodes
+    (`_model_nodes`) around x; s holds the lanes' s_k."""
+    frac = x * MODEL_N
+    node = frac.astype(np.intp)
+    frac -= node
+    f, df, p, dp = nodes.take(node, axis=2)
+    g, c = x - w, 1.0
+    for sk, fk, pk in zip(s, f + frac * df, p + frac * dp):
+        g += sk * fk
+        c += sk * pk
+    z = x - g / c
+    return np.where(c > 0.0, np.minimum(np.maximum(z, 0.0, out=z), 1.0, out=z), x)
+
+
+def _run_lanes(u, sums, phi, lams, bound, table=None, base=None, nodes=None) -> np.ndarray:
     """Step the bank u in place and return it, each row a lane of one
     Newton loop: the compiled stepper's solve lane by lane, with the same
     operations in the same order.  sums is the table's compiled `_SUMS`,
     phi its array form, lams the coefficients, shape (K, rows), and bound
     one bound for every lane, or None.  table is None, which starts every
-    solve at w, or the lanes' start tables as one flat array, and base
-    each lane's offset into it.  A lane whose root is found writes it
-    into the bank and starts its next column at the next evaluation, while
-    the others keep iterating; it leaves the working arrays after its last
-    column."""
+    solve at w, or the lanes' start tables as one flat array, base each
+    lane's offset into it and nodes the term table's model nodes.  A lane
+    whose root is found writes it into the bank and starts its next column
+    at the next evaluation, while the others keep iterating; it leaves the
+    working arrays after its last column."""
     r, n = u.shape
     if n < 2:
         return u
@@ -365,15 +442,16 @@ def _run_lanes(u, sums, phi, lams, bound, table=None, base=None) -> np.ndarray:
     at = np.arange(1, r * n, n)
     w = u.take(at)
     s = [lam * p for lam, p in zip(lams, phi(u[:, 0]))]
-    v = w if table is None else _start(table, base, u[:, 0], w)
     lo, hi = np.zeros(r), np.ones(r)
     begun = np.zeros(r, dtype=int)  # evaluations made before each lane's column
     # k counts evaluations; oldest <= min(begun), and no lane can find the
     # root of its last column before evaluation ends_from
     k, oldest, ends_from = 0, 0, n - 1
     # g / c divides by 0, or overflows, only where c <= 0 or c is tiny; the
-    # step test rejects those lanes, so one errstate serves every iteration
+    # step test, and the model step's test c > 0, reject those lanes, so one
+    # errstate serves every iteration
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = w if table is None else _start(table, base, u[:, 0], w, nodes, s)
         while at.size:
             g, c, z, stop = sums(v, w, s, bound, RESIDUAL_TOL)
             k += 1
@@ -420,17 +498,18 @@ def _run_lanes(u, sums, phi, lams, bound, table=None, base=None) -> np.ndarray:
                         continue
                     fin = done[keep].nonzero()[0]
                     pos, root = pos[go], root[go]
-            # the next column: its innovation, its start, s_k =
-            # lambda_k phi_k(root) and the bracket [0, 1]
+            # the next column: its innovation, s_k = lambda_k phi_k(root),
+            # which its start reads, its start and the bracket [0, 1]
             pos += 1
             at[fin] = pos
             w[fin] = nxt = u.take(pos)
-            v[fin] = nxt if table is None else _start(table, base[fin], root, nxt)
+            new = [lam * p for lam, p in zip(lams.take(fin, axis=1), phi(root))]
+            for sk, sn in zip(s, new):
+                sk[fin] = sn
+            v[fin] = nxt if table is None else _start(table, base[fin], root, nxt, nodes, new)
             lo[fin] = 0.0
             hi[fin] = 1.0
             begun[fin] = k
-            for sk, lam, p in zip(s, lams[:, fin], phi(root)):
-                sk[fin] = lam * p
     return u
 
 
@@ -493,6 +572,13 @@ class _Sampler:
         return table.ravel(), np.array([index[id(t)] for t in self.starts]) * table.shape[1]
 
     @cached_property
+    def nodes(self):
+        """The term table's model nodes (`_model_nodes`) as (tuples,
+        array), built at the first stepping, or (None, None) where no row
+        has a start table."""
+        return _model_nodes(self.table) if any(self.starts) else (None, None)
+
+    @cached_property
     def bound(self):
         table = self.table
         sup = [max(map(abs, extrema(table.family, k))) for k in table.indices]
@@ -512,7 +598,8 @@ class _Sampler:
         through the innovations in the list states, each overwritten with
         the state it gives."""
         return self.stepper(state, states, lams, self.bound,
-                            (MAX_ITER, RESIDUAL_TOL, BRACKET_TOL, START_N), start)
+                            (MAX_ITER, RESIDUAL_TOL, BRACKET_TOL, START_N, MODEL_N), start,
+                            self.nodes[0])
 
     def advance(self, u: np.ndarray) -> np.ndarray:
         """Step the bank u in place and return it.  Row i starts at
@@ -533,7 +620,8 @@ class _Sampler:
         table, base = self.flat
         if table is not None:
             base = np.repeat(base, each)
-        return _run_lanes(u, self.sums, self.table.phi, lams, self.bound, table, base)
+        return _run_lanes(u, self.sums, self.table.phi, lams, self.bound, table, base,
+                          self.nodes[1])
 
 
 @lru_cache(maxsize=128)
@@ -547,6 +635,22 @@ def _start_table(c: SpectralCopula) -> tuple:
     v = np.arange(2 * START_N + 1) / (2 * START_N)
     cdf = c.conditional_cdf(nodes[:, None], v)
     return tuple(np.concatenate([np.interp(nodes, row, v) - nodes for row in cdf]).tolist())
+
+
+@lru_cache(maxsize=32)
+def _model_nodes(table) -> tuple:
+    """Phi_k and phi_k of every term at the nodes i / MODEL_N, i <= MODEL_N,
+    from the table's array form, each with its step to the next node (0
+    after the last), for the model step: as one tuple per node,
+    (F_0, dF_0, P_0, dP_0, F_1, ...), which the float path reads, and as an
+    array of shape (4, K, MODEL_N + 1) holding F, dF, P and dP, which the
+    array path reads.  Built once per term table and shared by all its
+    copulas."""
+    x = np.arange(MODEL_N + 1) / MODEL_N
+    arrays = np.array([table.Phi(x), table.phi(x)]).repeat(2, axis=0)
+    arrays[1::2, :, :-1] = np.diff(arrays[::2], axis=2)
+    arrays[1::2, :, -1] = 0.0
+    return tuple(map(tuple, arrays.T.reshape(MODEL_N + 1, -1).tolist())), arrays
 
 
 @lru_cache(maxsize=128)

@@ -452,10 +452,10 @@ def _reference_stop(table, bound, q, t, v):
     return bound * q * q <= sampling.RESIDUAL_TOL
 
 
-def _reference_start(start, u, w):
+def _reference_start(table, start, s, u, w):
     """v0 = clamp(w + delta, 0, 1), delta bilinear in the start table's
-    cell of (u, w), whose nodes are (i / START_N, j / START_N); w where
-    there is no table."""
+    cell of (u, w), whose nodes are (i / START_N, j / START_N), followed by
+    the model step; w where there is no table."""
     if start is None:
         return w
     n = sampling.START_N
@@ -464,7 +464,23 @@ def _reference_start(start, u, w):
     (d00, d01), (d10, d11) = [start[a * (n + 1) + j:a * (n + 1) + j + 2] for a in (i, i + 1)]
     near = d00 + fw * (d01 - d00)
     far = d10 + fw * (d11 - d10)
-    return min(max(w + (near + fu * (far - near)), 0.0), 1.0)
+    return _reference_model_step(table, s, min(max(w + (near + fu * (far - near)), 0.0), 1.0), w)
+
+
+def _reference_model_step(table, s, v, w):
+    """clamp(v - g~/c~, 0, 1) where c~ > 0, else v: g~ and c~ are g and c
+    with each Phi_k and phi_k, from the table's float form at the nodes
+    i / MODEL_N, read linearly between the two nodes around v."""
+    n = sampling.MODEL_N
+    j = int(v * n)
+    f = v * n - j
+    below = table.Phi(j / n), table.phi(j / n)
+    above = (table.Phi((j + 1) / n), table.phi((j + 1) / n)) if j < n else below
+    g, c = v - w, 1.0
+    for sk, F0, F1, P0, P1 in zip(s, below[0], above[0], below[1], above[1]):
+        g += sk * (F0 + f * (F1 - F0))
+        c += sk * (P0 + f * (P1 - P0))
+    return min(max(v - g / c, 0.0), 1.0) if c > 0.0 else v
 
 
 def _reference_solve(table, s, w, bound, v0):
@@ -504,7 +520,7 @@ def _reference_chain(table, state, states, lams, bound, start):
     # the float path's chain loop, with a new coefficient list at every step
     for t, w in enumerate(states):
         s = [lam * p for lam, p in zip(lams, table.phi(state))]
-        v0 = _reference_start(start, state, w)
+        v0 = _reference_start(table, start, s, state, w)
         state = states[t] = _reference_solve(table, s, w, bound, v0)
     return states
 
@@ -520,10 +536,11 @@ def test_compiled_stepper_equals_the_closure_loop_on_every_table(family, ks):
     # with and without the early stop: the slope bound
     # M = sum |lambda_k| sup |phi_k| D_k, or a step family's rounding bound
     # every table runs from v0 = w, and a smooth one also from its copula's
-    # start table
+    # start table and the model step on the table's nodes
     table = term_table(family, ks)
     run = table.compiled(sampling._STEPPER, math)["run"]
-    limits = (sampling.MAX_ITER, sampling.RESIDUAL_TOL, sampling.BRACKET_TOL, sampling.START_N)
+    limits = (sampling.MAX_ITER, sampling.RESIDUAL_TOL, sampling.BRACKET_TOL, sampling.START_N,
+              sampling.MODEL_N)
     sup = [max(map(abs, extrema(family, k))) for k in ks]
     lams = tuple((-1.0) ** i * 0.9 / (len(ks) * s * s) for i, s in enumerate(sup))
     tables = [None]
@@ -535,8 +552,9 @@ def test_compiled_stepper_equals_the_closure_loop_on_every_table(family, ks):
     states = np.random.default_rng(9).random(300).tolist() + [0.0, 1.0, 1.0, 0.0, 0.5]
     for bound in bounds:
         for tab in tables:
+            nodes = None if tab is None else sampling._model_nodes(table)[0]
             for start in (0.0, 0.3, 1.0):
-                got = run(start, list(states), lams, bound, limits, tab)
+                got = run(start, list(states), lams, bound, limits, tab, nodes)
                 want = _reference_chain(table, start, list(states), lams, bound, tab)
                 assert _same_floats(got, want)
 
@@ -680,6 +698,47 @@ def test_warm_start_saves_evaluations(c, most):
     cold = sampling._Sampler(c)
     cold.starts = [None]
     assert _evaluations(sampling._Sampler(c), u.copy()) < most * _evaluations(cold, u.copy())
+
+
+@pytest.mark.parametrize("c, most", [
+    (_alternating(family, ks), None) for family, ks in TABLES
+    if term_table(family, ks).slopes is not None] + [(two_sine_model(0.05, -0.2), 1.1)],
+    ids=["sine-cosine", "cosine", "legendre-1-30", "legendre-135", "two-sine"])
+def test_model_step_saves_evaluations(monkeypatch, c, most):
+    # a 2,000-lane two-column bank makes no more evaluations with the model
+    # step than from the start table alone on every smooth table, and at
+    # most 1.1 per step on the two-sine model
+    u = np.random.default_rng(53).random((2000, 2))
+    stepped = _evaluations(sampling._Sampler(c), u.copy())
+    monkeypatch.setattr(sampling, "_model_step", lambda nodes, s, x, w: x)
+    assert stepped <= _evaluations(sampling._Sampler(c), u.copy())
+    if most is not None:
+        assert stepped <= most * len(u)
+
+
+def test_model_nodes_are_built_once_per_term_table():
+    # at the first stepping, not in the constructor; one set for every
+    # copula of one (family, indices), none for a step family or a copula
+    # without terms
+    def stepped(c, lanes):
+        sampler = sampling._Sampler(c)
+        sampler.advance(np.random.default_rng(2).random((lanes, 20)))
+        return sampler
+
+    sampling._model_nodes.cache_clear()
+    a = sampling._Sampler(cosine_copula({1: 0.3, 2: -0.15}))
+    assert sampling._model_nodes.cache_info().misses == 0
+    a.advance(np.random.default_rng(1).random((1, 20)))
+    b = stepped(cosine_copula({1: -0.2, 2: 0.1}), sampling.FLOAT_PATH_LANES)
+    assert b.nodes is a.nodes and sampling._model_nodes.cache_info().misses == 1
+    floats, arrays = a.nodes
+    assert len(floats) == sampling.MODEL_N + 1 and len(floats[0]) == 4 * 2
+    assert arrays.shape == (4, 2, sampling.MODEL_N + 1)
+    for c in (two_value_step(1.0, 0.6), piecewise_sign((0.0, 0.3, 1.0), (0.7, -0.5)),
+              independence(), shifted_legendre_copula({})):
+        for lanes in (1, sampling.FLOAT_PATH_LANES):
+            assert stepped(c, lanes).nodes == (None, None)
+    assert sampling._model_nodes.cache_info().misses == 1
 
 
 def test_start_table_depends_on_its_copula_alone():
