@@ -99,8 +99,9 @@ step changes a stop rule: the residual test, the bracket and MAX_ITER act
 on any iterate, and both early-stop bounds hold at any iterate inside the
 bracket, so every state is still a root to RESIDUAL_TOL; only which root
 within that tolerance is returned moves, by at most 3.4e-11 over the
-identity catalogue.  Evaluations per step over 200,000 random (u, w), with
-the early stop (and without it):
+identity catalogue with the table and again with the model step.
+Evaluations per step over 200,000 random (u, w), with the early stop (and
+without it):
 
     copula                            from v = w     from the table  + model step
     two-sine (0.05, -0.2)             3.28 (4.19)    2.02 (2.99)     1.04 (2.00)
@@ -133,7 +134,8 @@ stepping and shared by all its copulas: one tuple per node holding
 (F_k, dF_k, P_k, dP_k) of every term, which the float path reads with one
 subscript and unpacks once per step (about 158 KB per term), and the same
 values as one array (33 KB per term), 0.38 MB for two terms and 5.0 MB for
-30; `_model_nodes` keeps 32 tables.  On plain floats the model step costs
+30; `_model_nodes` keeps 32 tables, at most 12 MB of two-term tables
+and 160 MB of 30-term ones.  On plain floats the model step costs
 about as much as the exact evaluation it saves, so the layout decides
 whether long chains lose: separate tuples per term and quantity, each read
 by its own subscript, made 5,000-step chains take 1.02-1.09 times their
