@@ -416,12 +416,21 @@ def _model_step(nodes, s, x, w) -> np.ndarray:
     frac = x * MODEL_N
     node = frac.astype(np.intp)
     frac -= node
+    # the taken nodes are a fresh copy, so every product and sum is formed
+    # in place: Phi~_k in df, phi~_k in dp, then s_k times each
     f, df, p, dp = nodes.take(node, axis=2)
+    df *= frac
+    df += f
+    dp *= frac
+    dp += p
     g, c = x - w, 1.0
-    for sk, fk, pk in zip(s, f + frac * df, p + frac * dp):
-        g += sk * fk
-        c += sk * pk
-    z = x - g / c
+    for sk, fk, pk in zip(s, df, dp):
+        fk *= sk
+        g += fk
+        pk *= sk
+        c += pk
+    g /= c
+    z = x - g
     return np.where(c > 0.0, np.minimum(np.maximum(z, 0.0, out=z), 1.0, out=z), x)
 
 
@@ -645,13 +654,14 @@ def _model_nodes(table) -> tuple:
     from the table's array form, each with its step to the next node (0
     after the last), for the model step: as one tuple per node,
     (F_0, dF_0, P_0, dP_0, F_1, ...), which the float path reads, and as an
-    array of shape (4, K, MODEL_N + 1) holding F, dF, P and dP, which the
-    array path reads.  Built once per term table and shared by all its
-    copulas."""
+    read-only array of shape (4, K, MODEL_N + 1) holding F, dF, P and dP,
+    which the array path reads.  Built once per term table and shared by
+    all its copulas."""
     x = np.arange(MODEL_N + 1) / MODEL_N
     arrays = np.array([table.Phi(x), table.phi(x)]).repeat(2, axis=0)
     arrays[1::2, :, :-1] = np.diff(arrays[::2], axis=2)
     arrays[1::2, :, -1] = 0.0
+    arrays.flags.writeable = False
     return tuple(map(tuple, arrays.T.reshape(MODEL_N + 1, -1).tolist())), arrays
 
 

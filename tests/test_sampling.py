@@ -722,7 +722,7 @@ def test_model_nodes_are_built_once_per_term_table():
     assert b.nodes is a.nodes and sampling._model_nodes.cache_info().misses == 1
     floats, arrays = a.nodes
     assert len(floats) == sampling.MODEL_N + 1 and len(floats[0]) == 4 * 2
-    assert arrays.shape == (4, 2, sampling.MODEL_N + 1)
+    assert arrays.shape == (4, 2, sampling.MODEL_N + 1) and not arrays.flags.writeable
     for c in (two_value_step(1.0, 0.6), piecewise_sign((0.0, 0.3, 1.0), (0.7, -0.5)),
               independence(), shifted_legendre_copula({})):
         for lanes in (1, sampling.FLOAT_PATH_LANES):
