@@ -416,21 +416,12 @@ def _model_step(nodes, s, x, w) -> np.ndarray:
     frac = x * MODEL_N
     node = frac.astype(np.intp)
     frac -= node
-    # the taken nodes are a fresh copy, so every product and sum is formed
-    # in place: Phi~_k in df, phi~_k in dp, then s_k times each
     f, df, p, dp = nodes.take(node, axis=2)
-    df *= frac
-    df += f
-    dp *= frac
-    dp += p
     g, c = x - w, 1.0
-    for sk, fk, pk in zip(s, df, dp):
-        fk *= sk
-        g += fk
-        pk *= sk
-        c += pk
-    g /= c
-    z = x - g
+    for sk, fk, pk in zip(s, f + frac * df, p + frac * dp):
+        g += sk * fk
+        c += sk * pk
+    z = x - g / c
     return np.where(c > 0.0, np.minimum(np.maximum(z, 0.0, out=z), 1.0, out=z), x)
 
 
