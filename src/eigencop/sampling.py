@@ -192,8 +192,8 @@ the array path, whose narrow banks pay per iteration, a larger share of
 its time than the float path's, where each costs about as much as one
 evaluation.  FLOAT_PATH_LANES stays 64, between the two, so smooth banks
 of 48 to 63 rows take the float path at up to about 1.3 times the array
-path's time; coverage_quick's 60-row banks are such banks.  One constant serves every family,
-and the choice depends only on the row count.  Each path is deterministic
+path's time; coverage_quick's 60-row table3 bank is one.  One constant
+serves every family, and the choice depends only on the row count.  Each path is deterministic
 for a given seed key; per-replicate seed keys and elementwise lane
 arithmetic make banks independent of how the replicates, and the copulas
 of their lanes, are batched.
