@@ -135,7 +135,8 @@ stepping and shared by all its copulas: one tuple per node holding
 subscript and unpacks once per step (about 158 KB per term), and the same
 values as one array (33 KB per term), 0.38 MB for two terms and 5.0 MB for
 30; `_model_nodes` keeps 32 tables, at most 12 MB of two-term tables
-and 160 MB of 30-term ones.  On plain floats the model step costs
+and 160 MB of 30-term ones, and the three smooth two-term tables of the
+benchmark's scalar_chains raise its peak RSS by 3.5%.  On plain floats the model step costs
 about as much as the exact evaluation it saves, so the layout decides
 whether long chains lose: separate tuples per term and quantity, each read
 by its own subscript, made 5,000-step chains take 1.02-1.09 times their
