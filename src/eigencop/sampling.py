@@ -122,25 +122,38 @@ two-sine model needs 2.28 evaluations after one, 1.37 after two and 1.08
 after three, and on plain floats each step costs more than the table
 lookup.
 
-A start table is 4,225 floats, 134 KB as the tuple the float path reads
-(four reads per step); `_start_table` keeps 128, at most 17.3 MB.  The one
-bank shape that pays for its tables is one copula per row: 200 rows x
-1,000 steps with 200 distinct zero_association_model coefficients builds
-200 tables per call, more than the memo keeps, and takes 0.27-0.30 s
-against 0.23-0.26 s from v = w; with one copula in every row, 0.18-0.19 s
-against 0.23-0.25 s (best of 3 to 4 alternating processes on 2 cores).
-The nodes are 1,025 x 4K floats, built once per term table at its first
-stepping and shared by all its copulas: one tuple per node holding
-(F_k, dF_k, P_k, dP_k) of every term, which the float path reads with one
-subscript and unpacks once per step (about 158 KB per term), and the same
-values as one array (33 KB per term), 0.38 MB for two terms and 5.0 MB for
-30; `_model_nodes` keeps 32 tables, at most 12 MB of two-term tables
-and 160 MB of 30-term ones, and the three smooth two-term tables of the
-benchmark's scalar_chains raise its peak RSS by 3.5%.  On plain floats the model step costs
-about as much as the exact evaluation it saves, so the layout decides
-whether long chains lose: separate tuples per term and quantity, each read
-by its own subscript, made 5,000-step chains take 1.02-1.09 times their
-time without the model step in a prototype, and this layout 0.98-0.99.
+A start table is 4,225 floats, 134 KiB as the tuple the float path reads
+(four reads per step), and 33 KiB in the flat array of its sampler that the
+array path reads (`_Sampler.flat`; four gathers per restart).  A layout of
+the same floats with one gather per restart, each cell's delta and its step
+in w at its two rows (near + fw * step is the float that two reads give),
+saved about 1 us per restart at 20 lanes, but took 129 KiB per copula.
+`_start_table` keeps 128 tables.  The one bank shape that pays for its
+tables is one copula per row: 200 rows x 1,000 steps with 200 distinct
+zero_association_model coefficients builds 200 tables per call, more than
+the memo keeps, and takes 0.27-0.30 s against 0.23-0.26 s from v = w; with
+one copula in every row, 0.18-0.19 s against 0.23-0.25 s (best of 3 to 4
+alternating processes on 2 cores).  The nodes are 1,025 x 4K floats, built
+once per term table at its first stepping and shared by all its copulas:
+one tuple per node holding (F_k, P_k, dF_k, dP_k) of every term, which the
+float path reads with one subscript and unpacks once per step, and the same
+values as one array, a node set of 211 KiB for one term, 373 KiB for two,
+533 KiB for three and 4.7 MiB for 30.  `_model_nodes` keeps 32 node sets,
+and a sampler reads its set from that memo at each stepping and keeps none
+of its own, at a cost of about 0.1 us to a `next_state` on two plain floats
+(2.8-2.9 us).  Together the memos hold at most 32 node sets, 256 start
+tables (128 in `_start_table`, and one kept by each of the 128 samplers of
+`_one_sampler`, which may have left that memo) and 128 samplers' flat
+arrays: 38 MiB plus the node sets, 49 MiB for two-term tables and 189 MiB
+for 30-term ones (tracemalloc).  130 distinct 30-term copulas, each stepped
+as a 50-step chain and a 100-row bank, hold 177 MiB and peak at 339 MB RSS,
+against 881 MB when every sampler kept its node set.  The three smooth
+two-term tables of the benchmark's scalar_chains raise its peak RSS by
+3.5%.  On plain floats the model step costs about as much as the exact
+evaluation it saves, so the layout decides whether long chains lose:
+separate tuples per term and quantity, each read by its own subscript, made
+5,000-step chains take 1.02-1.09 times their time without the model step in
+a prototype, and this layout 0.98-0.99.
 
 Copulas that validate() calls INVALID are refused: their d1C(u, .) need
 not be monotone, so a root need not be a conditional quantile.
@@ -193,11 +206,30 @@ the array path, whose narrow banks pay per iteration, a larger share of
 its time than the float path's, where each costs about as much as one
 evaluation.  FLOAT_PATH_LANES stays 64, between the two, so smooth banks
 of 48 to 63 rows take the float path at up to about 1.3 times the array
-path's time; coverage_quick's 60-row table3 bank is one.  One constant
+path's time; coverage_quick's 60-row table6 bank is one.  One constant
 serves every family, and the choice depends only on the row count.  Each path is deterministic
 for a given seed key; per-replicate seed keys and elementwise lane
 arithmetic make banks independent of how the replicates, and the copulas
 of their lanes, are batched.
+
+The m lanes that restart at an iteration of `_run_lanes` form their start
+in one workspace per call (`_workspace`): five float lane vectors and room
+for the (4, K, lanes) node gather, two index vectors and a mask, 0.61 MB at
+5,000 lanes for K = 2, of which each restart writes the first m entries
+through out= arguments, in-place operators and take(..., out=...,
+mode="clip"), with the same float operations in the same order as the float
+path, and which is freed when the call returns.  It is there for the C
+allocator: glibc (2.36 in these figures) raises its mmap threshold to the
+size of each mmapped block it frees, and its trim threshold to twice that,
+but only for blocks up to 32 MiB, so in a process stepping a bank of more
+than 32 MiB (5,000 x 1,000 is 40 MB) both stay at a few hundred KB, and the
+restart's short-lived arrays went back to the kernel and were faulted in
+again at every iteration: the second 5,000 x 1,000 two-sine bank of a
+process took 165,363 minor page faults, 156 pages per iteration, and 909
+with the workspace (588 with the thresholds pinned by
+MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_, a diagnostic only).  The
+restart took 0.41-0.42 s of that bank's 1.39-1.45 s, and 0.20 s of
+1.17-1.18 s with the workspace (cProfile); banks under 32 MiB do not churn.
 """
 
 from __future__ import annotations
@@ -334,7 +366,7 @@ def run(state, states, lams, bound, limits, start, nodes):
             node = int(frac)
             frac -= node
             (
-             f{k}, df{k}, p{k}, dp{k},
+             f{k}, p{k}, df{k}, dp{k},
             ) = nodes[node]
             gm = (x - w
                   + s{k} * (f{k} + frac * df{k})
@@ -390,40 +422,95 @@ def sums(x, w, s, bound, tol):
 """
 
 
-def _start(table, base, u, w, nodes, s) -> np.ndarray:
+def _start(work, table, base, u, w, nodes, s) -> np.ndarray:
     """The compiled stepper's start on arrays, with the same operations:
     v0 = clamp(w + delta, 0, 1), delta read bilinearly from the cell of
     (u, w) of each lane's start table, which begins at its offset base in
-    the flat array table; then the model step from v0 with the lanes'
-    s_k."""
-    fu, fw = u * START_N, w * START_N
-    row = np.minimum(fu.astype(np.intp), START_N - 1)
-    col = np.minimum(fw.astype(np.intp), START_N - 1)
+    the flat array table (`_Sampler.flat`); then the model step from v0
+    with the lanes' s_k.  Every array it forms is a view of the call's
+    workspace work (`_workspace`), and so is the start it returns, the
+    fifth lane vector."""
+    m = len(u)
+    floats, ints, _ = work
+    fu, fw, near = floats[:m], floats[m:2 * m], floats[2 * m:3 * m]
+    step, far = floats[3 * m:4 * m], floats[4 * m:5 * m]
+    row, col = ints[:m], ints[m:2 * m]
+    np.multiply(u, START_N, out=fu)
+    np.multiply(w, START_N, out=fw)
+    # min(int(fu), START_N - 1): fu >= 0, and the cast to intp truncates
+    np.minimum(fu, START_N - 1, out=row, casting="unsafe")
+    np.minimum(fw, START_N - 1, out=col, casting="unsafe")
     fu -= row
     fw -= col
-    col += base + row * (START_N + 1)
-    near, far = table.take(col), table.take(col + (START_N + 1))
-    near += fw * (table.take(col + 1) - near)
-    far += fw * (table.take(col + (START_N + 2)) - far)
-    x = w + (near + fu * (far - near))
-    return _model_step(nodes, s, np.minimum(np.maximum(x, 0.0, out=x), 1.0, out=x), w)
+    row *= START_N + 1
+    row += base
+    col += row
+    # u and w lie in [0, 1] and the cell passes through minimum, so every
+    # index is in range; take writes into out without a buffer of its own
+    # only where it need not raise, hence mode="clip", which would clip a
+    # NaN's index where "raise" raised: no NaN gets here, as the bank's
+    # draws, the tables and the nodes are finite and iterates stay in [0, 1]
+    table.take(col, out=near, mode="clip")
+    table[1:].take(col, out=step, mode="clip")
+    step -= near
+    step *= fw
+    near += step
+    table[START_N + 1:].take(col, out=far, mode="clip")
+    table[START_N + 2:].take(col, out=step, mode="clip")
+    step -= far
+    step *= fw
+    far += step
+    far -= near
+    far *= fu
+    far += near
+    far += w
+    np.maximum(far, 0.0, out=far)
+    return _model_step(work, nodes, s, np.minimum(far, 1.0, out=far), w)
 
 
-def _model_step(nodes, s, x, w) -> np.ndarray:
+def _model_step(work, nodes, s, x, w) -> np.ndarray:
     """The compiled stepper's model step on arrays, with the same
-    operations: clamp(x - g~/c~, 0, 1) where c~ > 0, else x, g~ and c~
+    operations: x becomes clamp(x - g~/c~, 0, 1) where c~ > 0, g~ and c~
     being g and c with each Phi_k and phi_k read linearly between the nodes
-    (`_model_nodes`) around x; s holds the lanes' s_k."""
-    frac = x * MODEL_N
-    node = frac.astype(np.intp)
+    (`_model_nodes`) around x; s holds the lanes' s_k.  It works in the
+    first three lane vectors of the workspace work, which `_start` no
+    longer reads, and in its node gather, and returns x, overwritten."""
+    m = len(x)
+    floats, ints, mask = work
+    frac, g, c = floats[:m], floats[m:2 * m], floats[2 * m:3 * m]
+    grid = floats[5 * m:(5 + 4 * len(s)) * m].reshape(4, len(s), m)
+    node = ints[:m]
+    np.multiply(x, MODEL_N, out=frac)
+    np.copyto(node, frac, casting="unsafe")  # int(frac), as astype truncates
     frac -= node
-    f, df, p, dp = nodes.take(node, axis=2)
-    g, c = x - w, 1.0
-    for sk, fk, pk in zip(s, f + frac * df, p + frac * dp):
-        g += sk * fk
-        c += sk * pk
-    z = x - g / c
-    return np.where(c > 0.0, np.minimum(np.maximum(z, 0.0, out=z), 1.0, out=z), x)
+    # x lies in [0, 1], so node in [0, MODEL_N] (mode="clip" as in `_start`)
+    nodes.take(node, axis=2, out=grid, mode="clip")
+    # F + frac dF and P + frac dP, into the rows of dF and dP
+    step = grid[2:]
+    step *= frac
+    step += grid[:2]
+    np.subtract(x, w, out=g)
+    c.fill(1.0)
+    for sk, fk, pk in zip(s, grid[2], grid[3]):
+        fk *= sk
+        g += fk
+        pk *= sk
+        c += pk
+    g /= c
+    np.subtract(x, g, out=g)
+    np.maximum(g, 0.0, out=g)
+    np.minimum(g, 1.0, out=g)
+    np.copyto(x, g, where=np.greater(c, 0.0, out=mask[:m]))
+    return x
+
+
+def _workspace(lanes, terms) -> tuple:
+    """The restart's scratch for one `_run_lanes` call of `lanes` lanes and
+    `terms` terms: five float lane vectors and the (4, terms, lanes) node
+    gather, two index vectors and one mask, of which a restart of m lanes
+    uses the first m entries of each (`_start`, `_model_step`)."""
+    return (np.empty((5 + 4 * terms) * lanes), np.empty(2 * lanes, dtype=np.intp),
+            np.empty(lanes, dtype=bool))
 
 
 def _run_lanes(u, sums, phi, lams, bound, table=None, base=None, nodes=None) -> np.ndarray:
@@ -432,11 +519,12 @@ def _run_lanes(u, sums, phi, lams, bound, table=None, base=None, nodes=None) -> 
     operations in the same order.  sums is the table's compiled `_SUMS`,
     phi its array form, lams the coefficients, shape (K, rows), and bound
     one bound for every lane, or None.  table is None, which starts every
-    solve at w, or the lanes' start tables as one flat array, base each
-    lane's offset into it and nodes the term table's model nodes.  A lane
-    whose root is found writes it into the bank and starts its next column
-    at the next evaluation, while the others keep iterating; it leaves the
-    working arrays after its last column."""
+    solve at w, or the lanes' start tables as one flat array
+    (`_Sampler.flat`), base each lane's offset into it and nodes the term
+    table's model nodes.  A lane whose root is found writes it into the
+    bank and starts its next column at the next evaluation, while the
+    others keep iterating; it leaves the working arrays after its last
+    column."""
     r, n = u.shape
     if n < 2:
         return u
@@ -454,7 +542,12 @@ def _run_lanes(u, sums, phi, lams, bound, table=None, base=None, nodes=None) -> 
     # step test, and the model step's test c > 0, reject those lanes, so one
     # errstate serves every iteration
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = w if table is None else _start(table, base, u[:, 0], w, nodes, s)
+        if table is None:
+            v = w
+        else:
+            work = _workspace(r, len(lams))
+            # the start is a view of the workspace, which every restart reuses
+            v = _start(work, table, base, u[:, 0], w, nodes, s).copy()
         while at.size:
             g, c, z, stop = sums(v, w, s, bound, RESIDUAL_TOL)
             k += 1
@@ -509,7 +602,10 @@ def _run_lanes(u, sums, phi, lams, bound, table=None, base=None, nodes=None) -> 
             new = [lam * p for lam, p in zip(lams.take(fin, axis=1), phi(root))]
             for sk, sn in zip(s, new):
                 sk[fin] = sn
-            v[fin] = nxt if table is None else _start(table, base[fin], root, nxt, nodes, new)
+            if table is None:
+                v[fin] = nxt
+            else:
+                v[fin] = _start(work, table, base[fin], root, nxt, nodes, new)
             lo[fin] = 0.0
             hi[fin] = 1.0
             begun[fin] = k
@@ -574,11 +670,12 @@ class _Sampler:
         table = np.array([t or [0.0] * (START_N + 1) ** 2 for t in tables.values()])
         return table.ravel(), np.array([index[id(t)] for t in self.starts]) * table.shape[1]
 
-    @cached_property
+    @property
     def nodes(self):
         """The term table's model nodes (`_model_nodes`) as (tuples,
         array), built at the first stepping, or (None, None) where no row
-        has a start table."""
+        has a start table.  Read from the memo at each stepping, so that a
+        sampler kept by `_one_sampler` holds no node set of its own."""
         return _model_nodes(self.table) if any(self.starts) else (None, None)
 
     @cached_property
@@ -645,14 +742,13 @@ def _model_nodes(table) -> tuple:
     """Phi_k and phi_k of every term at the nodes i / MODEL_N, i <= MODEL_N,
     from the table's array form, each with its step to the next node (0
     after the last), for the model step: as one tuple per node,
-    (F_0, dF_0, P_0, dP_0, F_1, ...), which the float path reads, and as an
-    read-only array of shape (4, K, MODEL_N + 1) holding F, dF, P and dP,
+    (F_0, P_0, dF_0, dP_0, F_1, ...), which the float path reads, and as an
+    read-only array of shape (4, K, MODEL_N + 1) holding F, P, dF and dP,
     which the array path reads.  Built once per term table and shared by
     all its copulas."""
     x = np.arange(MODEL_N + 1) / MODEL_N
-    arrays = np.array([table.Phi(x), table.phi(x)]).repeat(2, axis=0)
-    arrays[1::2, :, :-1] = np.diff(arrays[::2], axis=2)
-    arrays[1::2, :, -1] = 0.0
+    arrays = np.array([table.Phi(x), table.phi(x)])
+    arrays = np.concatenate([arrays, np.diff(arrays, axis=2, append=arrays[..., -1:])])
     arrays.flags.writeable = False
     return tuple(map(tuple, arrays.T.reshape(MODEL_N + 1, -1).tolist())), arrays
 

@@ -699,7 +699,7 @@ def test_warm_start_saves_evaluations(monkeypatch, c, most, per_step):
     cold = sampling._Sampler(c)
     cold.starts = [None]
     stepped = _evaluations(sampling._Sampler(c), u.copy())
-    monkeypatch.setattr(sampling, "_model_step", lambda nodes, s, x, w: x)
+    monkeypatch.setattr(sampling, "_model_step", lambda work, nodes, s, x, w: x)
     table = _evaluations(sampling._Sampler(c), u.copy())
     assert stepped <= table < most * _evaluations(cold, u.copy())
     assert per_step is None or stepped <= per_step * len(u)
@@ -728,6 +728,58 @@ def test_model_nodes_are_built_once_per_term_table():
         for lanes in (1, sampling.FLOAT_PATH_LANES):
             assert stepped(c, lanes).nodes == (None, None)
     assert sampling._model_nodes.cache_info().misses == 1
+
+
+def test_workspace_start_equals_the_reference_start():
+    # the array path's start writes into views of one workspace per call;
+    # restarts of all lanes, of one and of some, a subset that shrinks and
+    # then grows, and states and innovations at 0 and 1 each equal the
+    # float reference lane by lane, bit for bit; the rows cycle through
+    # three start tables, so each lane reads its own table's offset
+    models = [zero_association_model(mu) for mu in (0.03, 0.07, 0.11)]
+    lanes = 3 * sampling.FLOAT_PATH_LANES
+    sampler = sampling._Sampler([models[i % 3] for i in range(lanes)])
+    table, base = sampler.flat
+    lams = np.array(sampler.rows).T
+    work = sampling._workspace(lanes, len(lams))
+    rng = np.random.default_rng(71)
+    for size in (lanes, 1, 40, 7, 100, lanes):
+        fin = np.sort(rng.choice(lanes, size, replace=False))
+        u, w = rng.random(size), rng.random(size)
+        edges = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.5), (0.5, 1.0)]
+        for i, (a, b) in enumerate(edges[:size]):
+            u[i], w[i] = a, b
+        s = [lam * p for lam, p in zip(lams.take(fin, axis=1), sampler.table.phi(u))]
+        got = sampling._start(work, table, base[fin], u, w, sampler.nodes[1], s)
+        want = [_reference_start(sampler.table, sampler.starts[lane], [sk[i] for sk in s],
+                                 u[i], w[i])
+                for i, lane in enumerate(fin.tolist())]
+        assert _same_floats(got, want)
+
+
+def test_sampler_memos_hold_the_stated_worst_case():
+    # 40 distinct three-term tables, each stepped as a short chain and a
+    # 100-row bank: what stays held is at most the `sampling` docstring's
+    # figures, 32 node sets of 533 KiB (the nodes memo's bound; a sampler
+    # keeps none of its own) and, per copula, a start table of 134 KiB and
+    # the 33 KiB its sampler keeps for the array path, with 2 MiB for the
+    # term tables' own memos
+    sampling._one_sampler.cache_clear()
+    sampling._start_table.cache_clear()
+    sampling._model_nodes.cache_clear()
+    copulas = [cosine_copula({k: 0.1, k + 1: -0.05, k + 2: 0.05}) for k in range(1, 41)]
+    for c in copulas:
+        c.validate()  # cached, and not part of stepping
+    tracemalloc.start()
+    try:
+        for i, c in enumerate(copulas):
+            generate_chain(c, 20, i)
+            generate_chain_bank(c, 10, [(i, r) for r in range(100)])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    kib = 1024
+    assert held <= 32 * 533 * kib + 40 * (134 + 33) * kib + 2 * 2**20
 
 
 def test_start_table_depends_on_its_copula_alone():
