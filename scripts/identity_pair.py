@@ -29,7 +29,8 @@ only, so both trees answer the same calls:
   LEGENDRE_EVEN_VALIDATE;
 - the `validate`, `certify_psi` (max_n 20 and 3) and `associate` records of
   the copulas of the tree's own `perfbench/workloads.verdict_specs`, seeds
-  1 to 5 (read, not changed);
+  1 to 5 (read, not changed), and the `certify_psi` records of `c.fold(2)`
+  and `c.fold(3)` for every copula c of seed 1's, which carry `fold_base`;
 - the `validate` records at grid sizes 37, 100, 512 and 1,000 and the
   `certify_psi` records at 100 and 512 points of every multi-term copula
   of COPULAS, of seed 1's verdict set and of three cosine copulas whose
@@ -331,6 +332,10 @@ def catalogue(tree: pathlib.Path):
             yield f"{key}.certify_psi", lambda c=c: _record(ec.certify_psi(c))
             yield f"{key}.certify_psi.3", lambda c=c: _record(ec.certify_psi(c, max_n=3))
             yield f"{key}.associate", lambda c=c: _record(ec.associate(c))
+            if seed == 1:
+                for m in (2, 3):
+                    yield (f"{key}.fold{m}.certify_psi",
+                           lambda c=c, m=m: _record(ec.certify_psi(c.fold(m))))
             if seed == 1 and len(c.coeffs) > 1:
                 multi[key] = c
     for k in (8, 22, 40):  # terms that oscillate within a tile of the default grid

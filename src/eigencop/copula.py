@@ -337,14 +337,22 @@ def _density_range(lams, grid) -> tuple[float, float]:
     return float(grid_min), float(grid_max)
 
 
+def _grid_range(family: Family, indices, grid_n: int):
+    """The grid range of the copulas of (family, indices) at grid_n points:
+    a function of their coefficients, in index order, that gives
+    `_density_range`.  What the scan reads apart from the coefficients is
+    kept by the term table and fetched here once, so every fold of a copula,
+    and every copula of one (family, indices), reads the same."""
+    grid = term_table(family, indices).from_grid(grid_n, _scan_inputs)
+    return lambda lams: _density_range(lams, grid)
+
+
 @lru_cache(maxsize=512)
 def _validate_cached(family: Family, coeffs: SpectralCoefficients, grid_n: int) -> ValidityReport:
     margin = _analytic_margin(family, coeffs)
     analytic_ok = margin >= -BOUNDARY_TOL
-    # phi on the grid and its bounds are kept by the table: every fold of a
-    # copula, and every copula of one (family, indices), reads the same ones
-    table = term_table(family, (k for k, _ in coeffs.entries))
-    grid_min, grid_max = _density_range(coeffs.values, table.from_grid(grid_n, _scan_inputs))
+    indices = [k for k, _ in coeffs.entries]
+    grid_min, grid_max = _grid_range(family, indices, grid_n)(coeffs.values)
 
     # with one term the margin is the density at a point: the family's phi_k
     # attains both extrema, so a negative margin is a witness the grid can miss

@@ -17,14 +17,16 @@ phi on the grid, with several it is found from the tiles of the upper
 triangle of the (exactly symmetric) matrix: one entry per tile, its probe,
 is computed, and only the tiles whose bounds on the computed floats reach
 outside the probes' range are scanned, in one vectorized pass (see
-`copula._density_range`).  Every fold's range is
-the one that validate() computes and memoises for the folded copula.  What
+`copula._density_range`).  Fold 1's range is the one that validate()
+computes and memoises; every later fold's comes from the same range
+routine (`copula._grid_range`) applied to the coefficients that fold(n)
+takes, with no copula, validity report or memo entry built per fold.  What
 that range reads apart from the coefficients, phi on the grid, each term's
 extremes there for a one-term table and, for several terms, phi in blocks
 with the tiles' corner bounds and probe products, is shared by the folds:
-the term table keeps it for the last grid size asked for, and each fold
-forms only its tile bounds 1 + sum min/max(lambda * least corner,
-lambda * greatest corner) and its probe entries.
+the term table keeps it for the last grid size asked for, the walk fetches
+it once, and each fold forms only its tile bounds 1 + sum min/max(lambda *
+least corner, lambda * greatest corner) and its probe entries.
 
 Beside the grid ranges the report carries, for every family, the analytic
 envelope |c_n - 1| <= E_n = sum_k |lambda_k|^n sup phi_k^2, with sup phi_k^2
@@ -45,7 +47,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import _count, extrema
-from .copula import DENSITY_GRID_N, Record, SpectralCopula
+from .copula import DENSITY_GRID_N, Record, SpectralCopula, _grid_range
 
 SUP_BOUNDARY_TOL = 1e-12
 DENSITY_HEADROOM = 1e-9
@@ -77,6 +79,26 @@ class MixingReport(Record):
     max_n: int
 
 
+def _fold_ranges(c: SpectralCopula, max_n: int, grid_n: int):
+    """Grid ranges of folds 1..max_n of c, with no copula built past the
+    first: fold 1's from validate(), fold n's from the coefficients that
+    fold(n) takes, on the base's indices (an entry that underflowed in c may
+    be missing from c's own entries).  A power that underflows to 0.0 leaves
+    the sum, as it leaves fold(n)'s entries, so that a one-term remainder
+    takes the one-term range; every |lambda| < 1, so it stays out."""
+    rep = c.validate(grid_n)
+    yield rep.grid_min_density, rep.grid_max_density
+    base = c.fold_base if c.fold_base is not None else c.coeffs.entries
+    grid_range = _grid_range(c.family, [k for k, _ in base], grid_n)
+    for n in range(2, max_n + 1):
+        lams = [lam ** (c.fold_power * n) for _, lam in base]
+        if 0.0 in lams:
+            base = [e for e, lam in zip(base, lams) if lam != 0.0]
+            lams = [lam for lam in lams if lam != 0.0]
+            grid_range = _grid_range(c.family, [k for k, _ in base], grid_n)
+        yield grid_range(lams)
+
+
 def certify_psi(c: SpectralCopula, max_n: int = DEFAULT_MAX_N,
                 grid_n: int = DENSITY_GRID_N) -> MixingReport:
     """Search folds n = 1..max_n for a uniform density bound certifying
@@ -94,10 +116,7 @@ def certify_psi(c: SpectralCopula, max_n: int = DEFAULT_MAX_N,
     cert = Certificate.INCONCLUSIVE
     cert_n = None
     bounded_n = None
-    for n in range(1, max_n + 1):
-        # fold n's range on the grid, which validate() computes and memoises
-        rep = c.fold(n).validate(grid_n)
-        gmin, gmax = rep.grid_min_density, rep.grid_max_density
+    for n, (gmin, gmax) in enumerate(_fold_ranges(c, max_n, grid_n), start=1):
         ranges.append((n, gmin, gmax))
         if gmax < 2.0 - DENSITY_HEADROOM:
             cert = Certificate.CERTIFIED_LESS_THAN_TWO

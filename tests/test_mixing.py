@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from eigencop import (Certificate, certify_psi, cosine_copula, extrema, fgm,
-                      independence, piecewise_sign, rho_sequence,
-                      shifted_legendre_copula, two_sine_model,
-                      two_value_step)
-from eigencop.mixing import DENSITY_HEADROOM
+from eigencop import (Certificate, SpectralCopula, certify_psi, cosine_copula,
+                      extrema, fgm, independence, piecewise_sign,
+                      rho_sequence, shifted_legendre_copula,
+                      sine_cosine_copula, two_sine_model, two_value_step)
+from eigencop import mixing
+from eigencop.copula import _grid_range, _validate_cached
+from eigencop.mixing import DEFAULT_MAX_N, DENSITY_HEADROOM
 
 
 def test_rho_sequence_is_geometric_in_sup():
@@ -165,6 +167,62 @@ def test_fold_ranges_equal_full_grid(c, max_n, grid_n):
     val = c.validate(grid_n)
     assert rep.fold_density_ranges[0][1:] == (val.grid_min_density,
                                               val.grid_max_density)
+
+
+@pytest.mark.parametrize("grid_n", [37, 512])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("c", [
+    cosine_copula({1: 0.95, 2: -0.3}),
+    sine_cosine_copula(sin={1: 0.9}, cos={2: 0.3}),
+    shifted_legendre_copula({1: 0.9, 2: 0.1}),
+    two_value_step(0.5, 0.95),
+    piecewise_sign((0.0, 0.05, 1.0), (0.5, 1.04)),
+    # c.fold(m) has lost index 2 from its own entries, not from fold_base
+    cosine_copula({1: 0.9, 2: 1e-200}),
+], ids=["cosine", "sine_cosine", "legendre", "two_value_step", "sign_flip",
+        "underflow"])
+def test_folded_copula_walks_its_fold_base(c, m, grid_n):
+    # fold n of c.fold(m) is c.fold(m * n), whose coefficients are powers of
+    # the base coefficients, not of c.fold(m)'s own
+    rep = certify_psi(c.fold(m), grid_n=grid_n)
+    assert len(rep.fold_density_ranges) > 1
+    for n, lo, hi in rep.fold_density_ranges:
+        val = c.fold(m * n).validate(grid_n)
+        assert (lo, hi) == (val.grid_min_density, val.grid_max_density)
+
+
+@pytest.mark.parametrize("c", [
+    cosine_copula({3: 0.985}),
+    shifted_legendre_copula({1: 0.95, 2: 0.1}),
+], ids=["cosine", "legendre"])
+def test_fold_walk_builds_no_copula(c, monkeypatch):
+    # folds 2..max_n come from the term table alone: no fold(), and no
+    # validate() past fold 1's
+    def refuse(self, n):
+        raise AssertionError("certify_psi built a folded copula")
+    misses = _validate_cached.cache_info().misses
+    with monkeypatch.context() as mp:
+        mp.setattr(SpectralCopula, "fold", refuse)
+        rep = certify_psi(c)
+    assert _validate_cached.cache_info().misses - misses <= 1
+    assert rep.certificate is Certificate.INCONCLUSIVE
+    assert len(rep.fold_density_ranges) == DEFAULT_MAX_N
+    for n, lo, hi in rep.fold_density_ranges:
+        val = c.fold(n).validate()
+        assert (lo, hi) == (val.grid_min_density, val.grid_max_density)
+
+
+def test_fold_walk_drops_underflowed_terms(monkeypatch):
+    # index 2 underflows from fold 2 on; the walk then reads the one-term
+    # table, as fold(n) does, not the two-term one with a 0.0 coefficient
+    tables = []
+    def recording(family, indices, grid_n):
+        tables.append(list(indices))
+        return _grid_range(family, indices, grid_n)
+    monkeypatch.setattr(mixing, "_grid_range", recording)
+    rep = certify_psi(cosine_copula({1: 0.99, 2: 1e-200}))
+    assert len(rep.fold_density_ranges) == DEFAULT_MAX_N
+    assert tables == [[1, 2], [1]]
 
 
 def test_report_as_dict_round_trip():
