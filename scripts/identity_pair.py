@@ -31,11 +31,13 @@ only, so both trees answer the same calls:
   the copulas of the tree's own `perfbench/workloads.verdict_specs`, seeds
   1 to 5 (read, not changed), and the `certify_psi` records of `c.fold(2)`
   and `c.fold(3)` for every copula c of seed 1's, which carry `fold_base`;
-- the `validate` records at grid sizes 37, 100, 512 and 1,000 and the
-  `certify_psi` records at 100 and 512 points of every multi-term copula
-  of COPULAS, of seed 1's verdict set and of three cosine copulas whose
-  terms oscillate within a tile, {k: 0.1, k + 1: -0.1, k + 2: 0.05} at
-  k = 8, 22 and 40; the grids of 37, 100 and 1,000 points end in partial
+- the `validate` records at grid sizes 7, 9, 15, 17, 37, 100, 512 and
+  1,000 and the `certify_psi` records at 100 and 512 points of every
+  multi-term copula of COPULAS, of seed 1's verdict set and of four cosine
+  copulas whose terms oscillate within a tile, {k: 0.1, k + 1: -0.1,
+  k + 2: 0.05} at k = 8, 22, 40 and 120; every grid but 512 ends in a
+  partial tile of 16 points, and every grid but 512 and 1,000 in a
+  partial tile of 8, so both tile sides are compared with partial last
   tiles;
 - the CSVs of the tree's `scripts/run_coverage_tables.py --quick`;
 - the config echo and `associate` record of copulas built with numpy
@@ -338,10 +340,10 @@ def catalogue(tree: pathlib.Path):
                            lambda c=c, m=m: _record(ec.certify_psi(c.fold(m))))
             if seed == 1 and len(c.coeffs) > 1:
                 multi[key] = c
-    for k in (8, 22, 40):  # terms that oscillate within a tile of the default grid
+    for k in (8, 22, 40, 120):  # terms that oscillate within a tile of the default grid
         multi[f"cosine_{k}_{k + 1}_{k + 2}"] = ec.cosine_copula({k: 0.1, k + 1: -0.1, k + 2: 0.05})
     for name, c in multi.items():
-        for grid_n in (37, 100, 512, 1000):
+        for grid_n in (7, 9, 15, 17, 37, 100, 512, 1000):
             yield f"grid.{name}.validate.{grid_n}", lambda c=c, g=grid_n: _record(c.validate(g))
         yield f"grid.{name}.certify_psi.100", lambda c=c: _record(ec.certify_psi(c, grid_n=100))
         yield f"grid.{name}.certify_psi.512", lambda c=c: _record(ec.certify_psi(c))

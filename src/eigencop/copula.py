@@ -37,7 +37,7 @@ from .quadrature import split_rule
 DENSITY_GRID_N = 512
 BOUNDARY_TOL = 1e-12
 GRID_NEG_TOL = 1e-9
-_TILE = 16  # side of the square tiles that _density_range scans
+_TILE = 8  # side of the square tiles that _density_range scans
 
 
 def _key_order(k):
@@ -258,30 +258,59 @@ def _analytic_margin(family: Family, coeffs: SpectralCoefficients) -> float:
     return margin
 
 
+@lru_cache(maxsize=32)
+def _tile_pairs(nb: int) -> tuple:
+    """The block rows and columns of the tiles on and above the diagonal of
+    an nb x nb block grid, as read-only arrays: they depend on nb alone, so
+    every term table at one grid size shares them."""
+    out = np.triu_indices(nb)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _scan_inputs(p: list) -> tuple:
     """What `_density_range` reads of p, phi_k on the grid with one array per
     term, none of it depending on the coefficients; the term table keeps it
     with p (`TermTable.from_grid`).  With at most one term, each term's
     least and greatest value.  With several, as read-only arrays: p cut into
-    blocks of _TILE points, of shape (terms, blocks, _TILE), the last block
-    padded with the grid's last point; for every term and tile, the least
-    and greatest of the products of its row block's and its column block's
-    extreme p, and the product of p at the tile's probe, the centre points
-    of its two blocks, each of shape (terms, tiles); and the tiles' block
-    rows and columns, on and above the diagonal."""
+    blocks of _TILE points, of shape (terms, _TILE, blocks), so that the
+    blocks of a scan pass are gathered into one contiguous row per point,
+    the last block padded with the grid's last point; for every term and
+    tile, in rows of shape (terms, 3, tiles), the least of the products of
+    its row block's and its column block's extreme p, the product of p at
+    the tile's probe, the centre points of its two blocks, and the
+    greatest of those products; and the tiles' block rows and columns, on
+    and above the diagonal (`_tile_pairs`, shared by every table of the
+    grid size)."""
     if len(p) < 2:
         return [(float(q.min()), float(q.max())) for q in p]
     nb = -(-p[0].size // _TILE)
-    blocks = np.take(p, np.arange(nb * _TILE).reshape(nb, _TILE), axis=1, mode="clip")
-    lo, hi = blocks.min(axis=2), blocks.max(axis=2)
-    bi, bj = np.triu_indices(nb)
+    cols = np.take(p, np.arange(nb * _TILE).reshape(_TILE, nb, order="F"), axis=1, mode="clip")
+    lo, hi = cols.min(axis=1), cols.max(axis=1)
+    bi, bj = _tile_pairs(nb)
     corners = np.array([lo[:, bi] * lo[:, bj], lo[:, bi] * hi[:, bj],
                         hi[:, bi] * lo[:, bj], hi[:, bi] * hi[:, bj]])
-    centre = blocks[:, :, _TILE // 2]
-    probe = centre[:, bi] * centre[:, bj]
-    out = blocks, corners.min(axis=0), corners.max(axis=0), probe, bi, bj
-    for a in out:
+    centre = cols[:, _TILE // 2]
+    bounds = np.stack([corners.min(axis=0), centre[:, bi] * centre[:, bj],
+                       corners.max(axis=0)], axis=1)
+    for a in (cols, bounds):
         a.flags.writeable = False
+    return cols, bounds, bi, bj
+
+
+def _tile_bounds(lams, bounds) -> np.ndarray:
+    """Each tile's low bound, probe entry and high bound, as rows of shape
+    (3, tiles): 1.0, then for each term in order lam times its row of
+    `bounds` added, one product per bound and term, written through one
+    buffer.  For lam >= 0 the low bound takes lam * (least corner) and the
+    high bound lam * (greatest corner); for lam < 0 the row is read
+    reversed, so the two swap.  Rounding is monotone, so these are the
+    floats that the min and max of both products pick, up to the sign of a
+    zero, which leaves every sum from 1.0 as it is."""
+    out, buf = np.ones(bounds.shape[1:]), np.empty(bounds.shape[1:])
+    for lam, row in zip(lams, bounds):
+        out += np.multiply(lam, row if lam >= 0.0 else row[::-1], out=buf)
     return out
 
 
@@ -303,7 +332,8 @@ def _density_range(lams, grid) -> tuple[float, float]:
     on and above the diagonal (the matrix is exactly symmetric, as
     fl(a*b) = fl(b*a)), and each tile is bounded from the least and
     greatest p over its row block and its column block: lam times the
-    least and greatest corner product.  Each tile's probe, the entry at its
+    least or the greatest corner product, one product per bound and term
+    (`_tile_bounds`).  Each tile's probe, the entry at its
     blocks' centre points, is built with the same operations, so the least
     and greatest probe are entries of the matrix.  A tile whose bounds lie
     within theirs holds no new extreme; every other tile is scanned, a
@@ -316,21 +346,17 @@ def _density_range(lams, grid) -> tuple[float, float]:
         (lam,), ((lo, hi),) = lams, grid
         vals = [1.0 + lam * (a * b) for a, b in ((lo, lo), (lo, hi), (hi, hi))]
         return min(vals), max(vals)
-    blocks, cmin, cmax, probe, bi, bj = grid
-    low, high, probed = np.ones(bi.size), np.ones(bi.size), np.ones(bi.size)
-    for lam, a, b, q in zip(lams, cmin, cmax, probe):
-        a, b = lam * a, lam * b
-        low += np.minimum(a, b)
-        high += np.maximum(a, b)
-        probed += lam * q
+    cols, bounds, bi, bj = grid
+    low, probed, high = _tile_bounds(lams, bounds)
     grid_min, grid_max = probed.min(), probed.max()
     todo = np.flatnonzero((low < grid_min) | (high > grid_max))
     step = 2**14 // _TILE**2  # tiles per pass: 128 KB per array
     for s in range(0, todo.size, step):
         t = todo[s:s + step]
-        m = np.ones((t.size, _TILE, _TILE))
-        for lam, a, b in zip(lams, blocks[:, bi[t], :, None], blocks[:, bj[t], None, :]):
-            prod = a * b
+        m, prod = np.ones((_TILE, _TILE, t.size)), np.empty((_TILE, _TILE, t.size))
+        for lam, a, b in zip(lams, cols.take(bi[t], axis=2)[:, :, None],
+                             cols.take(bj[t], axis=2)[:, None]):
+            np.multiply(a, b, out=prod)
             prod *= lam
             m += prod
         grid_min, grid_max = min(grid_min, m.min()), max(grid_max, m.max())

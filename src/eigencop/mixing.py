@@ -25,8 +25,10 @@ that range reads apart from the coefficients, phi on the grid, each term's
 extremes there for a one-term table and, for several terms, phi in blocks
 with the tiles' corner bounds and probe products, is shared by the folds:
 the term table keeps it for the last grid size asked for, the walk fetches
-it once, and each fold forms only its tile bounds 1 + sum min/max(lambda *
-least corner, lambda * greatest corner) and its probe entries.
+it once, and each fold forms only its tile bounds and probe entries, one
+product per bound and term: 1 + sum lambda * (least corner) for the low
+bound and 1 + sum lambda * (greatest corner) for the high one, the two
+corners swapped for lambda < 0.
 
 Beside the grid ranges the report carries, for every family, the analytic
 envelope |c_n - 1| <= E_n = sum_k |lambda_k|^n sup phi_k^2, with sup phi_k^2

@@ -12,7 +12,8 @@ from eigencop import (SpectralCoefficients, SpectralCopula, Verdict,
                       sine_counterexample, star_product, two_sine_model,
                       two_value_step, zero_association_model)
 from eigencop.basis import Cosine, ShiftedLegendre, eval_phi, jump_points
-from eigencop.copula import _TILE, _density_range, _scan_inputs, _validate_cached
+from eigencop.copula import (_TILE, _density_range, _scan_inputs, _tile_bounds,
+                             _validate_cached)
 from eigencop.quadrature import composite_rule, gauss_legendre_01
 
 PINNED = [
@@ -281,9 +282,41 @@ def test_density_range_equals_full_matrix_on_random_terms(seed, grid_n):
     assert _range(terms) == _full_matrix_range(terms)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(TILE_GRIDS))
+def test_tile_bounds_take_one_product_per_term(seed, grid_n):
+    # the one product per bound and term gives, bit for bit, the sums of the
+    # least and greatest of both products lam * (least corner) and
+    # lam * (greatest corner), for coefficients of both signs, signed zeros
+    # and coefficients whose products underflow to a zero of either sign
+    rng = np.random.default_rng(seed)
+    terms = int(rng.integers(2, 6))
+    bounds = _scan_inputs([rng.normal(size=grid_n) for _ in range(terms)])[1]
+    lams = [float(rng.choice([0.0, -0.0, 5e-324, -5e-324, rng.uniform(-1.0, 1.0)]))
+            for _ in range(terms)]
+    low, probed, high = np.ones((3, bounds.shape[2]))
+    for lam, (least, probe, greatest) in zip(lams, bounds):
+        a, b = lam * least, lam * greatest
+        low += np.minimum(a, b)
+        high += np.maximum(a, b)
+        probed += lam * probe
+    got = _tile_bounds(lams, bounds)
+    assert got.tobytes() == np.array([low, probed, high]).tobytes()
+
+
+def test_tables_at_one_grid_size_share_their_tile_lists():
+    # the tiles' block rows and columns depend on the block count alone
+    a = cosine_copula({1: 0.3, 2: -0.2}).terms.from_grid(100, _scan_inputs)
+    b = shifted_legendre_copula({1: 0.2, 2: -0.1, 4: 0.05}).terms.from_grid(100, _scan_inputs)
+    assert a[2] is b[2] and a[3] is b[3]
+    c = cosine_copula({1: 0.3, 2: -0.2}).terms.from_grid(512, _scan_inputs)
+    assert c[2] is not a[2] and c[2].size == 64 * 65 // 2
+
+
 def _oscillating(k):
-    # from k of about 20 on the terms oscillate within a tile of the default
-    # grid, and from about 30 on the tile bounds prune (almost) nothing
+    # from k of about 40 on the terms swing through a half wave within a
+    # tile of the default grid, and from about 100 on the tile bounds prune
+    # (almost) nothing
     return cosine_copula({k: 0.1, k + 1: -0.1, k + 2: 0.05})
 
 
@@ -292,7 +325,8 @@ def _oscillating(k):
                                sine_cosine_copula(sin={1: 0.1, 2: -0.2}, cos={3: 0.15}),
                                shifted_legendre_copula({1: 0.2, 2: -0.1, 4: 0.05}),
                                piecewise_sign((0.0, 0.3, 0.7, 1.0), (0.5, -0.8, 0.9)),
-                               _oscillating(8), _oscillating(22), _oscillating(40)])
+                               _oscillating(8), _oscillating(22), _oscillating(40),
+                               _oscillating(120)])
 def test_fold_density_ranges_equal_full_matrix(c, grid_n):
     g = (np.arange(grid_n) + 0.5) / grid_n
     for n in range(1, 6):
@@ -304,12 +338,13 @@ def test_fold_density_ranges_equal_full_matrix(c, grid_n):
         assert (rep.grid_min_density, rep.grid_max_density) == want
 
 
-@pytest.mark.parametrize("k", [40, 160])
+@pytest.mark.parametrize("k", [40, 160, 640])
 def test_density_range_memory_is_bounded_on_a_large_grid(k):
     # the range scan takes a fixed number of tiles at a time: on a
     # 2048-point grid, where the full matrix is 32 MiB, its temporaries stay
-    # under 2 MiB, though at k = 160 (the k = 40 case scaled to a four times
-    # finer grid) it scans 7,928 of the 8,256 tiles
+    # under 2 MiB, though it scans 28 of the 32,896 tiles at k = 40, 1,332 at
+    # k = 160 (the k = 40 case scaled to a four times finer grid) and 32,495
+    # at k = 640
     c = _oscillating(k)
     grid = c.terms.from_grid(2048, _scan_inputs)
     tracemalloc.start()
