@@ -289,13 +289,14 @@ def _scan_inputs(p: list) -> tuple:
     cols = np.take(p, np.arange(nb * _TILE).reshape(_TILE, nb, order="F"), axis=1, mode="clip")
     lo, hi = cols.min(axis=1), cols.max(axis=1)
     bi, bj = _tile_pairs(nb)
-    corners = np.array([lo[:, bi] * lo[:, bj], lo[:, bi] * hi[:, bj],
-                        hi[:, bi] * lo[:, bj], hi[:, bi] * hi[:, bj]])
+    li, lj, ui, uj = lo[:, bi], lo[:, bj], hi[:, bi], hi[:, bj]
+    a, b, c, d = li * lj, li * uj, ui * lj, ui * uj
+    least = np.minimum(np.minimum(a, b), np.minimum(c, d))
+    greatest = np.maximum(np.maximum(a, b), np.maximum(c, d))
     centre = cols[:, _TILE // 2]
-    bounds = np.stack([corners.min(axis=0), centre[:, bi] * centre[:, bj],
-                       corners.max(axis=0)], axis=1)
-    for a in (cols, bounds):
-        a.flags.writeable = False
+    bounds = np.stack([least, centre[:, bi] * centre[:, bj], greatest], axis=1)
+    for arr in (cols, bounds):
+        arr.flags.writeable = False
     return cols, bounds, bi, bj
 
 
