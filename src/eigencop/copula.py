@@ -289,12 +289,14 @@ def _scan_inputs(p: list) -> tuple:
     cols = np.take(p, np.arange(nb * _TILE).reshape(_TILE, nb, order="F"), axis=1, mode="clip")
     lo, hi = cols.min(axis=1), cols.max(axis=1)
     bi, bj = _tile_pairs(nb)
-    li, lj, ui, uj = lo[:, bi], lo[:, bj], hi[:, bi], hi[:, bj]
+    # take, not fancy indexing, so every (terms, tiles) array is C-ordered
+    li, lj, ui, uj = (e.take(k, axis=1) for e in (lo, hi) for k in (bi, bj))
     a, b, c, d = li * lj, li * uj, ui * lj, ui * uj
     least = np.minimum(np.minimum(a, b), np.minimum(c, d))
     greatest = np.maximum(np.maximum(a, b), np.maximum(c, d))
     centre = cols[:, _TILE // 2]
-    bounds = np.stack([least, centre[:, bi] * centre[:, bj], greatest], axis=1)
+    bounds = np.stack([least, centre.take(bi, axis=1) * centre.take(bj, axis=1), greatest],
+                      axis=1)
     for arr in (cols, bounds):
         arr.flags.writeable = False
     return cols, bounds, bi, bj
